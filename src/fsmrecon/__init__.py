@@ -9,6 +9,7 @@ the rest:
 - ``constraints`` — trace-to-constraint translation and the direct evaluator
 - ``cnf`` / ``sat`` — CNF encoding, DIMACS round-trip, the CDCL solver
 - ``recovery`` — minimal-width encoding search over one or more traces
+- ``congruence`` — union-find with determinism closure, shared by recovery and stg
 - ``stg`` — folding traces into partial state-transition graphs, merging rounds
 - ``attack`` — the round loop tying everything together
 - ``verify`` — replay consistency, behavioral equivalence, brute-force width

@@ -21,7 +21,7 @@ from .channel import (
     infer_hd,
     synthesize_current,
 )
-from .fsm import EncodedFsm, int_to_bits, step
+from .fsm import EncodedFsm, step
 
 
 class BlackBoxDevice:
@@ -129,69 +129,6 @@ def run_trace(device: BlackBoxDevice, stimulus: list[int], seed: int) -> Trace:
         input_bits=device.input_bits,
         output_bits=device.output_bits,
         stimulus=list(stimulus),
-        outputs=outputs,
-        currents=currents,
-        inferred=inferred,
-        seed=seed,
-    )
-
-
-def serialize_trace(trace: Trace) -> str:
-    """Text form: ``N I O seed`` header, the reset output, then one
-    ``input output current inferred_center`` line per step."""
-    lines = [
-        f"{trace.n_steps} {trace.input_bits} {trace.output_bits} {trace.seed}",
-        f"reset {trace.outputs[0]}",
-    ]
-    for k, vector in enumerate(trace.stimulus):
-        lines.append(
-            f"{int_to_bits(vector, trace.input_bits)} {trace.outputs[k + 1]} "
-            f"{trace.currents[k]!r} {trace.inferred[k].center}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace(text: str) -> Trace:
-    """Inverse of :func:`serialize_trace`."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty trace text")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"bad trace header {lines[0]!r}: expected 'N I O seed'")
-    n_steps, input_bits, output_bits, seed = (int(x) for x in head)
-    if len(lines) != n_steps + 2:
-        raise ValueError(f"expected {n_steps + 2} lines, got {len(lines)}")
-    reset_parts = lines[1].split()
-    if len(reset_parts) != 2 or reset_parts[0] != "reset":
-        raise ValueError(f"bad reset line {lines[1]!r}")
-    outputs = [reset_parts[1]]
-    stimulus: list[int] = []
-    currents: list[float] = []
-    inferred: list[InferredHd] = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'input output current center'")
-        vector_bits, out, current_s, center_s = parts
-        if len(vector_bits) != input_bits or any(c not in "01" for c in vector_bits):
-            raise ValueError(f"line {lineno}: bad input vector {vector_bits!r}")
-        if len(out) != output_bits or any(c not in "01" for c in out):
-            raise ValueError(f"line {lineno}: bad output vector {out!r}")
-        stimulus.append(int(vector_bits, 2))
-        outputs.append(out)
-        currents.append(float(current_s))
-        center = int(center_s)
-        if center == 0:
-            inferred.append(InferredHd(center=0, exact=True, lo=0, hi=0))
-        else:
-            inferred.append(
-                InferredHd(center=center, exact=False, lo=max(1, center - 1), hi=center + 1)
-            )
-    return Trace(
-        input_bits=input_bits,
-        output_bits=output_bits,
-        stimulus=stimulus,
         outputs=outputs,
         currents=currents,
         inferred=inferred,

@@ -109,33 +109,6 @@ class CalibrationTable:
             )
         )
 
-    @classmethod
-    def from_text(cls, text: str) -> "CalibrationTable":
-        """Parse ``lo hi center`` triples, one band per line, '#' comments."""
-        bands = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'lo hi center', got {line!r}")
-            try:
-                lo = float(parts[0])
-                hi = float(parts[1])
-                center = int(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad band numbers in {line!r}") from None
-            bands.append((lo, hi, center))
-        if not bands:
-            raise ValueError("calibration text contains no bands")
-        return cls(bands=tuple(sorted(bands)))
-
-    @classmethod
-    def load(cls, path) -> "CalibrationTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
     @property
     def top_center(self) -> int:
         return self.bands[-1][2]

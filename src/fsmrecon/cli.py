@@ -66,10 +66,6 @@ def _emit(report: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _noise_model(kind: str, sigma: float) -> NoiseModel:
-    return NoiseModel(kind=kind, sigma=sigma)
-
-
 # ------------------------------------------------------------------ convert
 
 
@@ -107,7 +103,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         goal=args.goal,
         max_rounds=args.rounds_max,
         seed=seed,
-        noise=_noise_model(args.noise, args.sigma),
+        noise=NoiseModel(kind=args.noise, sigma=args.sigma),
         timeout_ms=args.timeout_ms,
         dimacs_dir=args.dimacs_dump,
     )
@@ -268,7 +264,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    noise = _noise_model(args.noise, args.sigma)
+    noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     t0 = time.perf_counter()
     encoded, device = _calibration_device(seed, noise)
     stimulus = gen_stimulus(args.samples, _CAL_INPUT_BITS, seed)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .capture import Trace
 from .cnf import Cnf, decode_positions, encode_cnf, to_dimacs, variable_map_text
+from .congruence import Congruence
 from .constraints import (
     ConstraintSet,
     HdRange,
@@ -63,77 +64,19 @@ class RecoveryResult:
     assignment: EncodingAssignment | None
     attempts: list[WidthAttempt] = field(default_factory=list)
     reason: str = ""  # "timeout" or "width-cap" when unsuccessful
-    classes: list[int] | None = None  # partition used for seeding, if any
+    classes: list[int] | None = None  # partition used for seeding
 
 
 # ----------------------------------------------------------- partitioning
 
 
-def _find(parent: list[int], x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _closure(
-    parent: list[int],
-    succs: dict[int, dict[int, tuple[int, int, int]]],
-    outs: dict[int, str],
-    a: int,
-    b: int,
-) -> int:
-    """Union a and b and propagate determinism; -1 on refuted evidence.
-
-    Merging two nodes of a deterministic machine forces their successors
-    under each shared input to merge as well, recursively — and the merged
-    step's distance windows must overlap, since one state stepped by one
-    input moves a fixed distance.  Returns the number of unions performed —
-    each passed an output-agreement check, so the count measures how much
-    evidence corroborates the merge.  Mutates the three structures in
-    place; callers pass copies when the merge is a trial that may be
-    rejected.  Edge values are (target node, window lo, window hi).
-    """
-    score = 0
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            continue
-        if outs[rx] != outs[ry]:
-            return -1
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        score += 1
-        sx = succs.setdefault(rx, {})
-        sy = succs.pop(ry, {})
-        for vec, (ty, lo_y, hi_y) in sy.items():
-            if vec in sx:
-                tx, lo_x, hi_x = sx[vec]
-                lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
-                if lo > hi:
-                    return -1  # incompatible step distances
-                sx[vec] = (tx, lo, hi)
-                stack.append((tx, ty))
-            else:
-                sx[vec] = (ty, lo_y, hi_y)
-    return score
-
-
-def _densify(parent: list[int], n: int) -> list[int]:
-    """Class per position for the first ``n`` positions, ids dense from 0."""
-    remap: dict[int, int] = {}
-    classes = [0] * n
-    for p in range(n):
-        root = _find(parent, p)
-        if root not in remap:
-            remap[root] = len(remap)
-        classes[p] = remap[root]
-    return classes
+def _window_meet(
+    x: tuple[int, int], y: tuple[int, int]
+) -> tuple[int, int] | None:
+    """One state stepped by one input moves a fixed distance, so the
+    distance windows of two identified steps must overlap."""
+    lo, hi = max(x[0], y[0]), min(x[1], y[1])
+    return (lo, hi) if lo <= hi else None
 
 
 # Ceiling on positions fed to the evidence-driven merge search below; its
@@ -182,27 +125,24 @@ def merge_hypothesis(
     for w in walks:
         offsets.append(total)
         total += w.n_steps + 1
-    parent = list(range(total))
-    outs: dict[int, str] = {}
-    succs: dict[int, dict[int, tuple[int, int, int]]] = {}
+    outs: list[str] = []
+    succs: dict[int, dict[int, tuple[int, tuple[int, int]]]] = {}
     nonzero: list[int] = []
     for w, off in zip(walks, offsets):
-        for p in range(w.n_steps + 1):
-            outs[off + p] = w.outputs[p]
+        outs.extend(w.outputs)
         for k in range(w.n_steps):
             inf = w.inferred[k]
             succs.setdefault(off + k, {})[w.stimulus[k]] = (
                 off + k + 1,
-                inf.lo,
-                inf.hi,
+                (inf.lo, inf.hi),
             )
             if inf.center > 0:
                 nonzero.append(off + k)
+    cong = Congruence(outs, succs, _window_meet)
 
-    def chains_intact(parent: list[int]) -> bool:
-        return all(
-            _find(parent, k) != _find(parent, k + 1) for k in nonzero
-        )
+    def chains_intact(c: Congruence) -> bool:
+        find = c.find
+        return all(find(k) != find(k + 1) for k in nonzero)
 
     def output_grouping() -> list[int]:
         key_to_class: dict[str, int] = {}
@@ -217,19 +157,16 @@ def merge_hypothesis(
     # the states — always true when each state owns its output vector.
     # One linear pass, so it also carries large captures that the
     # evidence-driven search below could not afford.
-    fast_parent = list(parent)
-    fast_succs = {p: dict(m) for p, m in succs.items()}
+    fast = cong.copy()
     head_of: dict[str, int] = {}
     consistent = True
     for p in range(total):
         head = head_of.setdefault(outs[p], p)
-        if head != p and (
-            _closure(fast_parent, fast_succs, outs, head, p) < 0
-        ):
+        if head != p and fast.merge(head, p) < 0:
             consistent = False
             break
-    if consistent and chains_intact(fast_parent):
-        return _densify(fast_parent, n)
+    if consistent and chains_intact(fast):
+        return fast.classes(n)
 
     if total > _MERGE_MAX_POSITIONS:
         # the merge search below is too costly here: shed the optional
@@ -240,66 +177,67 @@ def merge_hypothesis(
 
     # every walk begins at the same physical reset state
     for off in offsets[1:]:
-        if _closure(parent, succs, outs, 0, off) < 0:
+        if cong.merge(0, off) < 0:
             return output_grouping()
     # zero-distance steps: same state before and after, merge up front
     for w, off in zip(walks, offsets):
         for k, inf in enumerate(w.inferred):
             if inf.center == 0:
-                if _closure(parent, succs, outs, off + k, off + k + 1) < 0:
+                if cong.merge(off + k, off + k + 1) < 0:
                     return output_grouping()  # inconsistent; best effort
-    if not chains_intact(parent):
+    if not chains_intact(cong):
         return output_grouping()
 
-    red: list[int] = [_find(parent, 0)]
+    find = cong.find
+    red: list[int] = [find(0)]
     while True:
-        red = [r for r in red if _find(parent, r) == r]
+        red = [r for r in red if find(r) == r]
         frontier = sorted(
             {
-                _find(parent, t)
+                find(t)
                 for r in red
-                for t, _, _ in succs.get(r, {}).values()
+                for t, _ in cong.edges.get(r, {}).values()
             }
             - set(red)
         )
         if not frontier:
             break
-        best = None  # (score, frontier idx, red idx, parent, succs)
+        best = None  # (key, trial congruence)
         promoted = None
         for bi, node in enumerate(frontier):
             mergeable = False
             for ri, cand in enumerate(red):
                 if outs[cand] != outs[node]:
                     continue
-                trial_parent = list(parent)
-                trial_succs = {r: dict(m) for r, m in succs.items()}
-                score = _closure(trial_parent, trial_succs, outs, cand, node)
-                if score < 0 or not chains_intact(trial_parent):
+                trial = cong.copy()
+                score = trial.merge(cand, node)
+                if score < 0 or not chains_intact(trial):
                     continue
                 mergeable = True
                 key = (score, -bi, -ri)
                 if best is None or key > best[0]:
-                    best = (key, trial_parent, trial_succs)
+                    best = (key, trial)
             if not mergeable:
                 promoted = node  # distinct from every class: a new one
                 break
         if promoted is not None:
             red.append(promoted)
         else:
-            _, parent, succs = best
+            _, cong = best
+            find = cong.find
 
-    return _densify(parent, n)
+    return cong.classes(n)
 
 
 def class_hulls(
-    cs: ConstraintSet, classes: list[int], *, best_effort: bool = False
-) -> dict[tuple[int, int], tuple[int, int]] | None:
+    cs: ConstraintSet, classes: list[int]
+) -> dict[tuple[int, int], tuple[int, int]]:
     """Distance-window hull per class pair.
 
-    Returns None when no seed can exist (a window inside one class, or
-    contradictory windows between two).  With ``best_effort=True`` such
-    contradictions — expected when the partition is a lax guess — drop the
-    offending window instead, and the remaining hulls are returned.
+    The partition is a lax guess, so windows that contradict it — one
+    inside a single class, or two between one class pair that do not
+    overlap — are dropped, and such a pair is constrained by distinctness
+    alone.
     """
     hulls: dict[tuple[int, int], tuple[int, int]] = {}
     dead: set[tuple[int, int]] = set()
@@ -308,20 +246,16 @@ def class_hulls(
             continue
         a, b = classes[c.i], classes[c.j]
         if a == b:
-            if best_effort:
-                continue
-            return None
+            continue
         key = (a, b) if a < b else (b, a)
         if key in dead:
             continue
         lo, hi = hulls.get(key, (0, cs.width))
         lo, hi = max(lo, c.lo), min(hi, c.hi)
         if lo > hi:
-            if best_effort:
-                hulls.pop(key, None)
-                dead.add(key)  # conflicting evidence: constrain by
-                continue  # distinctness alone
-            return None
+            hulls.pop(key, None)
+            dead.add(key)
+            continue
         hulls[key] = (lo, hi)
     return hulls
 
@@ -426,7 +360,6 @@ def recover_encodings(
     width_start: int | None = None,
     width_steps: int = WIDTH_STEPS,
     timeout_ms: int | None = 1_000_000,
-    phase_seeding: bool = True,
     seed_traces: list[Trace] | tuple[Trace, ...] = (),
     dimacs_dir: str | None = None,
     dimacs_prefix: str = "",
@@ -447,10 +380,8 @@ def recover_encodings(
     timeout_s = None if timeout_ms is None else timeout_ms / 1000.0
     result = RecoveryResult(success=False, assignment=None)
 
-    classes: list[int] | None = None
-    if phase_seeding:
-        classes = merge_hypothesis(trace, seed_traces)
-        result.classes = classes
+    classes = merge_hypothesis(trace, seed_traces)
+    result.classes = classes
 
     for width in range(r0, r0 + width_steps + 1):
         cs = build_constraints(trace, width)
@@ -462,15 +393,14 @@ def recover_encodings(
         cnf = encode_cnf(cs)
 
         phases: dict[int, bool] | None = None
-        if classes is not None:
-            hulls = class_hulls(cs, classes, best_effort=True)
-            codes = search_class_codes(max(classes) + 1, width, hulls)
-            if codes is None and hulls:
-                # hulls may be jointly unsatisfiable under a guessed
-                # partition; a distinctness-only seed still beats none
-                codes = search_class_codes(max(classes) + 1, width, {})
-            if codes is not None:
-                phases = build_phases(cnf, classes, codes)
+        hulls = class_hulls(cs, classes)
+        codes = search_class_codes(max(classes) + 1, width, hulls)
+        if codes is None and hulls:
+            # hulls may be jointly unsatisfiable under a guessed
+            # partition; a distinctness-only seed still beats none
+            codes = search_class_codes(max(classes) + 1, width, {})
+        if codes is not None:
+            phases = build_phases(cnf, classes, codes)
 
         if dimacs_dir is not None:
             base = os.path.join(dimacs_dir, f"{dimacs_prefix}width{width}")

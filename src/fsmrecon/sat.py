@@ -17,6 +17,7 @@ UNSAT = "unsat"
 TIMEOUT = "timeout"
 
 _RESCALE_LIMIT = 1e100
+_VAR_DECAY = 0.95  # activity decay per conflict
 
 
 @dataclass
@@ -52,14 +53,12 @@ class CdclSolver:
         clauses: list[list[int]],
         *,
         initial_phases: dict[int, bool] | None = None,
-        var_decay: float = 0.95,
         restart_interval: int = 100,
         timeout_s: float | None = None,
         assume_clean: bool = False,
     ):
         self.n_vars = n_vars
         self.assume_clean = assume_clean
-        self.var_decay = var_decay
         self.restart_interval = restart_interval
         self.timeout_s = timeout_s
         self.stats = SolverStats()
@@ -389,7 +388,7 @@ class CdclSolver:
         restart_no = 0
         limit = self.restart_interval * luby(0)
         since_restart = 0
-        decay_mult = 1.0 / self.var_decay
+        decay_mult = 1.0 / _VAR_DECAY
 
         while True:
             confl = self._propagate()
@@ -444,7 +443,6 @@ def solve_cnf(
     clauses: list[list[int]],
     *,
     initial_phases: dict[int, bool] | None = None,
-    var_decay: float = 0.95,
     restart_interval: int = 100,
     timeout_s: float | None = None,
 ) -> SolveOutcome:
@@ -453,7 +451,6 @@ def solve_cnf(
         n_vars,
         [list(c) for c in clauses],
         initial_phases=initial_phases,
-        var_decay=var_decay,
         restart_interval=restart_interval,
         timeout_s=timeout_s,
     )

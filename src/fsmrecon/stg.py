@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .capture import Trace
+from .congruence import Congruence
 from .fsm import MooreFsm
 from .recovery import EncodingAssignment
 
@@ -125,72 +126,46 @@ def merge_rounds(acc: PartialStg | None, rnd: PartialStg) -> PartialStg:
         raise StgConflictError("graphs disagree on input/output arity")
 
     offset = acc.state_count
-    total = offset + rnd.state_count
-    outputs = list(acc.outputs) + list(rnd.outputs)
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    # per-root transition map and provenance
-    trans: list[dict[int, int]] = [dict() for _ in range(total)]
-    prov: list[dict[int, int]] = [dict() for _ in range(total)]
+    edges: dict[int, dict[int, tuple[int, int]]] = {}
     for (src, vec), dst in acc.transitions.items():
-        trans[src][vec] = dst
-        prov[src][vec] = acc.provenance.get((src, vec), 0)
+        edges.setdefault(src, {})[vec] = (
+            dst,
+            acc.provenance.get((src, vec), 0),
+        )
     for (src, vec), dst in rnd.transitions.items():
-        trans[src + offset][vec] = dst + offset
-        prov[src + offset][vec] = rnd.provenance.get((src, vec), 0)
-
-    stack = [(0, offset)]  # both resets name the same device state
-    while stack:
-        a, b = stack.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if outputs[ra] != outputs[rb]:
-            raise StgConflictError(
-                f"merged state would emit both {outputs[ra]!r} "
-                f"and {outputs[rb]!r}"
-            )
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        ta, tb = trans[ra], trans[rb]
-        pa, pb = prov[ra], prov[rb]
-        for vec, dst in tb.items():
-            if vec in ta:
-                stack.append((ta[vec], dst))
-            else:
-                ta[vec] = dst
-                pa[vec] = pb[vec]
-        trans[rb] = {}
-        prov[rb] = {}
+        edges.setdefault(src + offset, {})[vec] = (
+            dst + offset,
+            rnd.provenance.get((src, vec), 0),
+        )
+    # the kept root's provenance wins; accumulator states have the smaller
+    # ids, so a transition the accumulator already holds keeps its round
+    cong = Congruence(acc.outputs + rnd.outputs, edges, lambda kept, _: kept)
+    # both resets name the same device state
+    if cong.merge(0, offset) < 0:
+        raise StgConflictError("closure merges states with different outputs")
 
     # renumber reachable classes by breadth-first order from the reset
+    find = cong.find
     root0 = find(0)
     order: dict[int, int] = {root0: 0}
     queue = [root0]
-    new_outputs = [outputs[root0]]
+    new_outputs = [cong.outputs[root0]]
     new_transitions: dict[tuple[int, int], int] = {}
     new_provenance: dict[tuple[int, int], int] = {}
     qi = 0
     while qi < len(queue):
         root = queue[qi]
         qi += 1
-        for vec in sorted(trans[root]):
-            dst = find(trans[root][vec])
+        out_edges = cong.edges.get(root, {})
+        for vec in sorted(out_edges):
+            dst, prov = out_edges[vec]
+            dst = find(dst)
             if dst not in order:
                 order[dst] = len(order)
-                new_outputs.append(outputs[dst])
+                new_outputs.append(cong.outputs[dst])
                 queue.append(dst)
             new_transitions[(order[root], vec)] = order[dst]
-            new_provenance[(order[root], vec)] = prov[root][vec]
+            new_provenance[(order[root], vec)] = prov
     return PartialStg(
         input_bits=acc.input_bits,
         output_bits=acc.output_bits,

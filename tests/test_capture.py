@@ -1,10 +1,8 @@
-"""Capture: device behavior, stimulus sizing, trace recording and text form."""
+"""Capture: device behavior, stimulus sizing and trace recording."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fsmrecon import benchmarks
 from fsmrecon.capture import (
@@ -12,9 +10,7 @@ from fsmrecon.capture import (
     Trace,
     choose_vector_count,
     gen_stimulus,
-    parse_trace,
     run_trace,
-    serialize_trace,
 )
 from fsmrecon.channel import NoiseModel, pearson
 from fsmrecon.fsm import assign_binary_encoding, moorify, parse_kiss2
@@ -140,50 +136,3 @@ def test_distance_current_correlation_on_a_machine_walk():
     trace = run_trace(device, stim, seed=13)
     centers = [inf.center for inf in trace.inferred]
     assert pearson(centers, trace.currents) >= 0.93
-
-
-# ---------------------------------------------------------------------------
-# trace text round trip
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["exact", "table3", "gaussian"])
-def test_trace_text_round_trip(kind):
-    device = make_device("bbtas", NoiseModel(kind=kind), noise_seed=42)
-    stim = gen_stimulus(60, 2, seed=9)
-    trace = run_trace(device, stim, seed=9)
-    again = parse_trace(serialize_trace(trace))
-    assert again == trace
-
-
-@given(seed=st.integers(min_value=0, max_value=5000))
-@settings(max_examples=25, deadline=None)
-def test_trace_text_round_trip_property(seed):
-    device = make_device("dk27", NoiseModel.gaussian(), noise_seed=seed)
-    stim = gen_stimulus(seed % 40 + 1, 1, seed=seed)
-    trace = run_trace(device, stim, seed=seed)
-    assert parse_trace(serialize_trace(trace)) == trace
-
-
-def test_trace_header_carries_dimensions_and_seed():
-    device = make_device("dk27")
-    trace = run_trace(device, gen_stimulus(5, 1, seed=17), seed=17)
-    first, second = serialize_trace(trace).splitlines()[:2]
-    assert first == "5 1 2 17"
-    assert second == "reset 00"
-
-
-@pytest.mark.parametrize(
-    "text,err",
-    [
-        ("", "empty"),
-        ("1 2 3\n", "header"),
-        ("2 1 1 0\nreset 0\n0 0 20.0 0\n", "expected 4 lines"),
-        ("1 1 1 0\nstart 0\n0 0 20.0 0\n", "reset line"),
-        ("1 1 1 0\nreset 0\n2 0 20.0 0\n", "input vector"),
-        ("1 1 1 0\nreset 0\n0 x 20.0 0\n", "output vector"),
-    ],
-)
-def test_trace_parse_errors(text, err):
-    with pytest.raises(ValueError, match=err):
-        parse_trace(text)

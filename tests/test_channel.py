@@ -35,6 +35,16 @@ def test_top_band_extrapolates_by_last_finite_width():
     assert DEFAULT_TABLE.midpoint(9) == 305.0
 
 
+def test_constructed_table_midpoints_extrapolate_by_last_finite_width():
+    table = CalibrationTable(
+        bands=((0.0, 40.0, 0), (40.0, 95.0, 1), (95.0, math.inf, 2))
+    )
+    assert table.band_center(50.0) == 1
+    assert table.midpoint(1) == 67.5
+    assert table.midpoint(2) == 95.0  # top-band anchor is its lower edge
+    assert table.midpoint(3) == 95.0 + 55.0  # extrapolated by last finite width
+
+
 @pytest.mark.parametrize(
     "current,center",
     [(0.0, 0), (39.999, 0), (40.0, 1), (94.9, 1), (95.0, 2), (139.0, 2),
@@ -50,39 +60,20 @@ def test_negative_current_rejected():
         DEFAULT_TABLE.band_center(-1.0)
 
 
-def test_table_from_text_round_trips_default():
-    text = "\n".join(
-        f"{lo} {'inf' if math.isinf(hi) else hi} {center}"
-        for lo, hi, center in DEFAULT_TABLE.bands
-    )
-    assert CalibrationTable.from_text(text) == DEFAULT_TABLE
-
-
-def test_table_from_text_accepts_comments_and_shuffled_lines():
-    text = "# bands\n40 95 1\n0 40 0\n95 inf 2\n"
-    table = CalibrationTable.from_text(text)
-    assert table.band_center(50.0) == 1
-    assert table.midpoint(1) == 67.5
-    assert table.midpoint(2) == 95.0  # top-band anchor is its lower edge
-    assert table.midpoint(3) == 95.0 + 55.0  # extrapolated by last finite width
-
-
 @pytest.mark.parametrize(
-    "text,err",
+    "bands,err",
     [
-        ("0 40 0\n50 inf 1\n", "contiguous"),
-        ("0 40 0\n40 95 1\n", "unbounded"),
-        ("0 40 0\n40 inf 2\n", "center"),
-        ("5 40 0\n40 inf 1\n", "start at 0"),
-        ("0 40 0\n", "two bands"),
-        ("", "no bands"),
-        ("0 40\n", "lo hi center"),
-        ("0 forty 0\n", "bad band numbers"),
+        (((0.0, 40.0, 0), (50.0, math.inf, 1)), "contiguous"),
+        (((0.0, 40.0, 0), (40.0, 95.0, 1)), "unbounded"),
+        (((0.0, 40.0, 0), (40.0, math.inf, 2)), "center"),
+        (((5.0, 40.0, 0), (40.0, math.inf, 1)), "start at 0"),
+        (((0.0, 40.0, 0),), "two bands"),
     ],
+    ids=["contiguous", "unbounded", "center", "start at 0", "two bands"],
 )
-def test_table_validation_errors(text, err):
+def test_table_validation_errors(bands, err):
     with pytest.raises(ValueError, match=err):
-        CalibrationTable.from_text(text)
+        CalibrationTable(bands=bands)
 
 
 # ---------------------------------------------------------------------------

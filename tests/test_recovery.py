@@ -151,17 +151,15 @@ def test_class_hulls_intersect_repeated_windows():
 def test_class_hulls_reject_window_inside_one_class():
     trace = synthetic_trace(["0", "0"], [1])
     cs = build_constraints(trace, width=2)
-    assert class_hulls(cs, [0, 0]) is None
-    # best effort: the unusable window is dropped instead
-    assert class_hulls(cs, [0, 0], best_effort=True) == {}
+    # the unusable window is dropped
+    assert class_hulls(cs, [0, 0]) == {}
 
 
 def test_class_hulls_reject_contradictory_windows():
     trace = synthetic_trace(["0", "1", "0", "1"], [1, 1, 4], input_bits=1)
     cs = build_constraints(trace, width=5)
     grouping = [0, 1, 0, 1]  # force both steps onto one class pair
-    assert class_hulls(cs, grouping) is None  # [1,2] against [3,5]
-    assert class_hulls(cs, grouping, best_effort=True) == {}
+    assert class_hulls(cs, grouping) == {}  # [1,2] against [3,5]
 
 
 # ------------------------------------------------------------- code search

@@ -11,7 +11,9 @@ rejection that earns a retry at a wider register is a state-grouping guess
 with more classes than the width has codes — the first satisfiable width
 demonstrably cannot separate all the states then.  Earlier rounds' traces
 are pooled as evidence for the next round's state-grouping guess, which
-sharpens solver phase seeding and contributes no constraints.
+sharpens the phase seed (taken as the answer when it satisfies the
+constraints, otherwise the solver's decision phases) and contributes no
+constraints.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"goal must be in (0, 1], got {cfg.goal}")
     if cfg.max_rounds < 0:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
+    if cfg.timeout_ms < 1:
+        raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
     if cfg.width_escalations < 0:
         raise ValueError(
             f"width escalations must be >= 0, got {cfg.width_escalations}"

@@ -37,8 +37,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @classmethod
     def exact(cls) -> "NoiseModel":

@@ -88,6 +88,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     try:
+        noise = NoiseModel(kind=args.noise, sigma=args.sigma)
         machine, converted = _load_moore(args.target)
         machine.require_complete()
     except (OSError, ValueError) as exc:
@@ -103,7 +104,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         goal=args.goal,
         max_rounds=args.rounds_max,
         seed=seed,
-        noise=NoiseModel(kind=args.noise, sigma=args.sigma),
+        noise=noise,
         timeout_ms=args.timeout_ms,
         dimacs_dir=args.dimacs_dump,
     )
@@ -263,8 +264,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
+    try:
+        noise = NoiseModel(kind=args.noise, sigma=args.sigma)
+    except ValueError as exc:
+        print(f"calibrate: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     t0 = time.perf_counter()
     encoded, device = _calibration_device(seed, noise)
     stimulus = gen_stimulus(args.samples, _CAL_INPUT_BITS, seed)

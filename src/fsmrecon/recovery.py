@@ -1,13 +1,16 @@
 """Recovering per-position register values from one trace.
 
-Pipeline: derive constraints at a candidate register width, encode to CNF,
-and solve; on refutation grow the width by one and retry.  Before each solve
-a decision-phase seed is computed by grouping trace positions into guessed
-state classes (greedy state merging under determinism closure) and searching
-for class codes that honor the distance-window hulls between classes.  A
-good seed lets the solver descend to a model without conflicts; correctness
-never depends on it, because every model is re-checked against the
-constraints by an independent evaluator.
+Pipeline: derive constraints at a candidate register width, check the
+phase seed against them, and only when the seed fails encode to CNF and
+solve; on refutation grow the width by one and retry.  The seed comes from
+grouping trace positions into guessed state classes (greedy state merging
+under determinism closure) and searching for class codes that honor the
+distance-window hulls between classes.  When the seed already satisfies
+every constraint it is the answer and no CNF is built; otherwise it primes
+the solver's decision phases, where a good seed lets the solver descend to
+a model without conflicts.  Correctness never depends on the seed, because
+every answer is checked against the constraints by an independent
+evaluator.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class EncodingAssignment:
 @dataclass
 class WidthAttempt:
     width: int
-    status: str  # "sat" | "unsat" | "timeout" | "infeasible-window"
+    status: str  # "seed" | "sat" | "unsat" | "timeout" | "infeasible-window"
     seeded: bool = False
     n_vars: int = 0
     n_clauses: int = 0
@@ -336,6 +339,17 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:
+    """Class codes for the phase seed at ``cs.width``, or None."""
+    hulls = class_hulls(cs, classes)
+    codes = search_class_codes(max(classes) + 1, cs.width, hulls)
+    if codes is None and hulls:
+        # hulls may be jointly unsatisfiable under a guessed partition;
+        # a distinctness-only seed still beats none
+        codes = search_class_codes(max(classes) + 1, cs.width, {})
+    return codes
+
+
 def build_phases(
     cnf: Cnf, classes: list[int], codes: list[int]
 ) -> dict[int, bool]:
@@ -368,8 +382,12 @@ def recover_encodings(
 
     Tries widths ``r0 .. r0 + width_steps`` where r0 defaults to the
     information-theoretic minimum for the outputs seen.  ``timeout_ms``
-    bounds each individual solve.  Every model returned by the solver is
-    re-validated by the direct constraint evaluator before being trusted.
+    bounds each individual solve.  At each width the phase seed is checked
+    first by the direct constraint evaluator; when it passes it is returned
+    (status ``"seed"``) with no CNF built and no solver call, unless
+    ``dimacs_dir`` asks for the width's CNF to be written.  Otherwise the
+    solver runs, and its model is re-validated by the same evaluator before
+    being trusted.
     ``seed_traces`` are earlier captures from the same device that sharpen
     the state-grouping guess behind phase seeding; they never contribute
     constraints, so the solved problem is the same with or without them.
@@ -390,24 +408,40 @@ def recover_encodings(
                 WidthAttempt(width=width, status="infeasible-window")
             )
             continue
-        cnf = encode_cnf(cs)
 
-        phases: dict[int, bool] | None = None
-        hulls = class_hulls(cs, classes)
-        codes = search_class_codes(max(classes) + 1, width, hulls)
-        if codes is None and hulls:
-            # hulls may be jointly unsatisfiable under a guessed
-            # partition; a distinctness-only seed still beats none
-            codes = search_class_codes(max(classes) + 1, width, {})
-        if codes is not None:
-            phases = build_phases(cnf, classes, codes)
-
+        codes = seed_codes(cs, classes)
+        cnf: Cnf | None = None
         if dimacs_dir is not None:
+            cnf = encode_cnf(cs)
             base = os.path.join(dimacs_dir, f"{dimacs_prefix}width{width}")
             with open(base + ".cnf", "w", encoding="ascii") as fh:
                 fh.write(to_dimacs(cnf))
             with open(base + ".vars", "w", encoding="ascii") as fh:
                 fh.write(variable_map_text(cnf))
+
+        if codes is not None:
+            seed = [codes[c] for c in classes]
+            if find_violation(cs, seed) is None:
+                # the seed is a model: the solver, deciding position bits
+                # first on these phases, would return exactly it
+                result.attempts.append(
+                    WidthAttempt(
+                        width=width,
+                        status="seed",
+                        seeded=True,
+                        n_vars=cnf.n_vars if cnf else 0,
+                        n_clauses=len(cnf.clauses) if cnf else 0,
+                    )
+                )
+                result.success = True
+                result.assignment = EncodingAssignment(
+                    width=width, values=tuple(seed)
+                )
+                return result
+
+        if cnf is None:
+            cnf = encode_cnf(cs)
+        phases = None if codes is None else build_phases(cnf, classes, codes)
 
         solver = CdclSolver(
             cnf.n_vars,

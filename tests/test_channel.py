@@ -111,8 +111,9 @@ def test_nonzero_window_is_plus_minus_one_with_floor_at_one(center, lo, hi):
 def test_noise_model_validation():
     with pytest.raises(ValueError, match="kind"):
         NoiseModel(kind="uniform")
-    with pytest.raises(ValueError, match="sigma"):
-        NoiseModel(kind="gaussian", sigma=-1.0)
+    for sigma in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseModel(kind="gaussian", sigma=sigma)
 
 
 def test_exact_model_never_errs():

@@ -126,6 +126,30 @@ def test_attack_malformed_target_exits_2(tmp_path, capsys):
     assert "attack:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, word",
+    [("--sigma", "-1", "sigma"), ("--sigma", "inf", "sigma"),
+     ("--sigma", "nan", "sigma"), ("--timeout-ms", "-5", "timeout"),
+     ("--timeout-ms", "0", "timeout")],
+)
+def test_attack_unusable_flag_exits_2_with_one_line(
+    lion_path, capsys, flag, value, word
+):
+    assert main(["attack", "--target", lion_path, flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("attack:") and word in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_calibrate_negative_sigma_exits_2_with_one_line(capsys):
+    assert main(["calibrate", "--sigma", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("calibrate:") and "sigma" in out.err
+    assert out.err.count("\n") == 1
+
+
 def test_attack_defaults_echo_effective_vector_count(lion_path, capsys):
     code = main([
         "attack", "--target", lion_path, "--seed", "1", "--goal", "1.0",

@@ -1,19 +1,28 @@
 """Recovery tests: the state-grouping guess, class-code search, phase
-seeding, and the width-probing solve loop."""
+seeding, seed-solved widths, and the width-probing solve loop."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import machine_trace, synthetic_trace, true_state_sequence
+from fsmrecon import benchmarks
+from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
-from fsmrecon.cnf import encode_cnf, parse_dimacs
+from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
 from fsmrecon.constraints import build_constraints, evaluate, r_min
+from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
 from fsmrecon.recovery import (
     build_phases,
     class_hulls,
     merge_hypothesis,
     recover_encodings,
     search_class_codes,
+    seed_codes,
 )
+from fsmrecon.sat import SAT, CdclSolver
 
 
 def hypothesis_matches_truth(enc, trace, classes) -> bool:
@@ -201,13 +210,29 @@ def test_phases_prime_position_bits_msb_first():
 # --------------------------------------------------------------- recovery
 
 
+def solve_on_seed_phases(trace, classes, width):
+    """Run the solver at ``width`` with the seed as phases: (outcome, values)."""
+    cs = build_constraints(trace, width)
+    cnf = encode_cnf(cs)
+    codes = seed_codes(cs, classes)
+    assert codes is not None
+    out = CdclSolver(
+        cnf.n_vars,
+        cnf.clauses,
+        initial_phases=build_phases(cnf, classes, codes),
+        assume_clean=True,
+    ).solve()
+    values = decode_positions(cnf, out.model) if out.status == SAT else None
+    return out, values
+
+
 def test_recover_lion_exact_walk_finds_minimal_width():
     enc, trace = machine_trace("lion", 300, seed=12)
     result = recover_encodings(trace)
     assert result.success
     assert result.assignment.width == 2
     # the probe at width 1 must have been refuted, not skipped
-    assert [a.status for a in result.attempts] == ["unsat", "sat"]
+    assert [a.status for a in result.attempts] == ["unsat", "seed"]
     cs = build_constraints(trace, 2)
     assert evaluate(cs, list(result.assignment.values))
 
@@ -267,6 +292,8 @@ def test_timeout_is_surfaced(monkeypatch):
             return SolveOutcome(status="timeout", model=None, stats=SolverStats())
 
     monkeypatch.setattr(mod, "CdclSolver", FakeSolver)
+    # without a seed every width goes to the solver
+    monkeypatch.setattr(mod, "search_class_codes", lambda *a: None)
     trace = synthetic_trace(["0", "1"], [1])
     result = recover_encodings(trace)
     assert not result.success
@@ -289,6 +316,20 @@ def test_dimacs_dump_writes_parseable_files(tmp_path):
         )
         assert n_vars == attempt.n_vars
         assert len(clauses) == attempt.n_clauses
+
+
+def test_dimacs_dump_leaves_results_unchanged(tmp_path):
+    # lion at this seed is refuted at width 1, then solved by its seed
+    enc, trace = machine_trace("lion", 300, seed=12)
+    plain = recover_encodings(trace)
+    dumped = recover_encodings(trace, dimacs_dir=str(tmp_path))
+    assert [a.status for a in plain.attempts] == ["unsat", "seed"]
+    assert dumped.assignment == plain.assignment
+    assert [a.status for a in dumped.attempts] == [
+        a.status for a in plain.attempts
+    ]
+    assert plain.attempts[-1].n_clauses == 0  # nothing encoded
+    assert dumped.attempts[-1].n_clauses > 0  # encoded for the dump
 
 
 def test_recovery_is_deterministic():
@@ -335,10 +376,89 @@ def test_seeding_yields_conflict_free_descent_at_scale():
     )
     result = recover_encodings(trace)
     assert result.success
-    sat_attempt = result.attempts[-1]
-    assert sat_attempt.status == "sat"
-    assert sat_attempt.seeded
-    assert sat_attempt.conflicts == 0
+    attempt = result.attempts[-1]
+    assert attempt.status == "seed"
+    assert attempt.seeded
+    # the solver, given the seed as phases at that width, descends to the
+    # same values without a conflict
+    out, values = solve_on_seed_phases(trace, result.classes, attempt.width)
+    assert out.status == SAT
+    assert out.stats.conflicts == 0
+    assert tuple(values) == result.assignment.values
+
+
+# ------------------------------------------------- seed-solved widths
+
+# short walks whose seed misses, so the solver answers them
+_SOLVER_ANSWERED = {("shiftreg", "exact")}
+
+
+
+def assert_seed_is_the_solver_answer(trace, result) -> bool:
+    """Every "seed" attempt returned what the solver would have: True when
+    there was one."""
+    seeded = [a for a in result.attempts if a.status == "seed"]
+    for attempt in seeded:
+        assert attempt.seeded and attempt.conflicts == 0
+        out, values = solve_on_seed_phases(trace, result.classes, attempt.width)
+        assert out.status == SAT
+        assert out.stats.conflicts == 0
+        assert tuple(values) == result.assignment.values
+    return bool(seeded)
+
+
+@pytest.mark.parametrize("kind", ["exact", "table3"])
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_seed_answers_equal_solver_answers_on_bundled_machines(name, kind):
+    noise = NoiseModel.exact() if kind == "exact" else NoiseModel.table3()
+    enc, trace = machine_trace(name, 80, seed=5, noise=noise)
+    _, extra = machine_trace(name, 40, seed=6, noise=noise)
+    result = recover_encodings(trace, seed_traces=[extra])
+    assert result.success
+    assert assert_seed_is_the_solver_answer(trace, result) == (
+        (name, kind) not in _SOLVER_ANSWERED
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_states=st.integers(min_value=1, max_value=6),
+    input_bits=st.integers(min_value=1, max_value=2),
+    output_bits=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["exact", "table3", "gaussian"]),
+    n_extra=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=100, deadline=None)
+def test_seed_answers_equal_solver_answers_on_random_walks(
+    seed, n_states, input_bits, output_bits, kind, n_extra
+):
+    rng = random.Random(seed)
+    machine = MooreFsm(
+        input_bits,
+        output_bits,
+        [f"q{k}" for k in range(n_states)],
+        rng.randrange(n_states),
+        {
+            (s, v): rng.randrange(n_states)
+            for s in range(n_states)
+            for v in range(1 << input_bits)
+        },
+        [int_to_bits(rng.randrange(1 << output_bits), output_bits)
+         for _ in range(n_states)],
+    )
+    enc = assign_binary_encoding(machine)
+    device = BlackBoxDevice(enc, NoiseModel(kind=kind), noise_seed=seed)
+    walks = [
+        run_trace(
+            device,
+            gen_stimulus(rng.randint(1, 60), input_bits, rng.randrange(2**32)),
+            seed=k,
+        )
+        for k in range(1 + n_extra)
+    ]
+    result = recover_encodings(walks[0], seed_traces=walks[1:])
+    assert result.success
+    assert_seed_is_the_solver_answer(walks[0], result)
 
 
 def test_hypothesis_stays_exact_on_long_unique_output_walks():

@@ -50,9 +50,11 @@ class AttackConfig:
     states; together with ``input_bits`` it sets the transition total
     X * 2**input_bits that the recovery fraction is measured against.
     ``vectors_per_round`` overrides the default stimulus length of
-    ceil(multiplier * X * 2**input_bits); long rounds grow the constraint
-    system quadratically in the pairwise distinctness constraints, so
-    attacks on large machines should run many short rounds instead of one
+    ceil(multiplier * X * 2**input_bits).  The constraint set grows
+    linearly with the round length, but a width whose phase seed fails is
+    encoded to a CNF that grows quadratically (one distinctness clause per
+    pair of positions with differing outputs), so attacks on large machines
+    where the seed misses should run many short rounds instead of one
     covering round.  ``noise`` is the channel model a device built from
     this config uses (see :func:`build_device`).
     """

@@ -4,14 +4,17 @@ Every position gets one propositional variable per register bit.  Each
 unordered position pair that needs one gets a shared set of difference
 variables, one per bit, each defined as the XOR of the two position bits.
 Distance windows become a sequential-counter register over the difference
-variables; distinctness becomes a single at-least-one clause over them.
+variables.  Distinctness is expanded from the output partition here: every
+pair of positions in different groups gets a single at-least-one clause
+over its difference variables, so the formula, unlike the constraint set,
+is O(N^2) in the number of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import ConstraintSet, Distinct, HdRange, Identical
+from .constraints import ConstraintSet, Identical
 
 
 @dataclass
@@ -31,7 +34,9 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     """Encode a constraint set.
 
     Variables 1 .. n_positions*width are the position bits, most significant
-    bit first within each position; auxiliary variables follow.  An
+    bit first within each position; auxiliary variables follow.  Clauses
+    come in a fixed order: the chain constraints as listed, then one
+    distinctness clause per differing-group pair ``i < j``, ascending.  An
     infeasible distance window (lo > hi after clamping) contributes the
     empty clause — the only case one is ever emitted.
     """
@@ -137,13 +142,15 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
                 xj = c.j * width + b + 1
                 clauses.append([-xi, xj])
                 clauses.append([xi, -xj])
-        elif isinstance(c, Distinct):
-            clauses.append(list(diff_vars(c.i, c.j)))
-        else:  # HdRange
-            if c.lo > c.hi:
-                clauses.append([])
-                continue
+        elif c.lo > c.hi:  # HdRange
+            clauses.append([])
+        else:
             counter_window(diff_vars(c.i, c.j), c.lo, c.hi)
+    groups = cs.groups
+    for i, gi in enumerate(groups):
+        for j in range(i + 1, n_positions):
+            if groups[j] != gi:
+                clauses.append(list(diff_vars(i, j)))
 
     return Cnf(
         n_vars=n_vars,

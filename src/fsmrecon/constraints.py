@@ -5,13 +5,16 @@ consecutive pair is tied by what the side channel said about that clocking:
 an exact zero distance makes the two positions identical, anything else
 bounds their distance inside the inference window clamped to the register
 width.  Any two positions whose functional outputs differ must hold
-different register values.  Solving these constraints at a given width
-yields one candidate register value per position.
+different register values; that rule is kept as a partition of the
+positions by output (one group id per position), not as pairs, so a set
+holds N chain constraints plus N+1 group ids.  Solving these constraints
+at a given width yields one candidate register value per position.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .capture import Trace
@@ -37,40 +40,64 @@ class HdRange:
 
 @dataclass(frozen=True, slots=True)
 class Distinct:
-    """Positions ``i`` and ``j`` hold different register values."""
+    """Positions ``i`` and ``j`` must hold different register values.
+
+    Never stored in a :class:`ConstraintSet`; :func:`find_violation` returns
+    one as the witness of a broken output partition.
+    """
 
     i: int
     j: int
 
 
-Constraint = Identical | HdRange | Distinct
+Constraint = Identical | HdRange
 
 
 @dataclass
 class ConstraintSet:
-    """All constraints for one trace at one candidate register width."""
+    """All constraints for one trace at one candidate register width.
+
+    ``constraints`` holds the chain: one Identical or HdRange per
+    consecutive position pair.  ``groups`` gives each position an output
+    group id; positions in different groups must hold different values,
+    positions in one group are unconstrained by it.
+    """
 
     width: int
     n_positions: int
     constraints: list[Constraint]
+    groups: list[int]
     trivially_unsat: bool
 
+    def __post_init__(self) -> None:
+        if len(self.groups) != self.n_positions:
+            raise ValueError(
+                f"expected {self.n_positions} group ids, got {len(self.groups)}"
+            )
+
     def counts(self) -> dict[str, int]:
-        out = {"identical": 0, "hd_range": 0, "distinct": 0}
-        for c in self.constraints:
-            if isinstance(c, Identical):
-                out["identical"] += 1
-            elif isinstance(c, HdRange):
-                out["hd_range"] += 1
-            else:
-                out["distinct"] += 1
-        return out
+        """Chain constraints by kind, and how many position pairs lie in
+        different output groups."""
+        identical = sum(isinstance(c, Identical) for c in self.constraints)
+        n = self.n_positions
+        same = sum(k * k for k in Counter(self.groups).values())
+        return {
+            "identical": identical,
+            "hd_range": len(self.constraints) - identical,
+            "distinct": (n * n - same) // 2,
+        }
 
 
 def r_min(trace: Trace) -> int:
     """Smallest width worth trying: distinct outputs force distinct values."""
     unique = len(set(trace.outputs))
     return max(1, math.ceil(math.log2(unique))) if unique > 1 else 1
+
+
+def output_groups(outputs: list[str]) -> list[int]:
+    """Dense output-group id per position, numbered in first-seen order."""
+    ids: dict[str, int] = {}
+    return [ids.setdefault(out, len(ids)) for out in outputs]
 
 
 def build_constraints(trace: Trace, width: int) -> ConstraintSet:
@@ -80,9 +107,8 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     an exact zero, otherwise the inference window [max(1, center-1),
     min(width, center+1)].  A window that empties after clamping (the width
     cannot carry the observed distance) marks the set trivially
-    unsatisfiable but is still recorded.  Every unordered pair of positions
-    with differing outputs gets one Distinct constraint; equal-output pairs
-    get nothing.
+    unsatisfiable but is still recorded.  Output groups come from
+    :func:`output_groups`.  The set is O(N).
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
@@ -98,26 +124,26 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
             if lo > hi:
                 trivially_unsat = True
             constraints.append(HdRange(i, j, lo, hi))
-    outputs = trace.outputs
-    n = len(outputs)
-    for i in range(n):
-        oi = outputs[i]
-        for j in range(i + 1, n):
-            if oi != outputs[j]:
-                constraints.append(Distinct(i, j))
+    groups = output_groups(trace.outputs)
     return ConstraintSet(
         width=width,
-        n_positions=n,
+        n_positions=len(groups),
         constraints=constraints,
+        groups=groups,
         trivially_unsat=trivially_unsat,
     )
 
 
-def find_violation(cs: ConstraintSet, values: list[int]) -> Constraint | None:
+def find_violation(
+    cs: ConstraintSet, values: list[int]
+) -> Constraint | Distinct | None:
     """First constraint the assignment breaks, or None.
 
     This is the independent checker: straight popcount arithmetic on the
     assigned values, sharing nothing with the CNF encoding or the solver.
+    The chain is checked in order; then value -> group must be a function,
+    and a clash is reported as ``Distinct(i, j)`` with ``i`` the first
+    position holding the value.
     """
     if len(values) != cs.n_positions:
         raise ValueError(f"expected {cs.n_positions} values, got {len(values)}")
@@ -129,12 +155,14 @@ def find_violation(cs: ConstraintSet, values: list[int]) -> Constraint | None:
         if isinstance(c, Identical):
             if values[c.i] != values[c.j]:
                 return c
-        elif isinstance(c, HdRange):
-            if not c.lo <= (values[c.i] ^ values[c.j]).bit_count() <= c.hi:
-                return c
-        else:
-            if values[c.i] == values[c.j]:
-                return c
+        elif not c.lo <= (values[c.i] ^ values[c.j]).bit_count() <= c.hi:
+            return c
+    groups = cs.groups
+    first: dict[int, int] = {}
+    for j, v in enumerate(values):
+        i = first.setdefault(v, j)
+        if groups[i] != groups[j]:
+            return Distinct(i, j)
     return None
 
 

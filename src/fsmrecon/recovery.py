@@ -26,6 +26,7 @@ from .constraints import (
     HdRange,
     build_constraints,
     find_violation,
+    output_groups,
     r_min,
 )
 from .sat import SAT, TIMEOUT, UNSAT, CdclSolver
@@ -147,13 +148,6 @@ def merge_hypothesis(
         find = c.find
         return all(find(k) != find(k + 1) for k in nonzero)
 
-    def output_grouping() -> list[int]:
-        key_to_class: dict[str, int] = {}
-        return [
-            key_to_class.setdefault(out, len(key_to_class))
-            for out in trace.outputs
-        ]
-
     # Fast path: when grouping positions by output vector survives
     # determinism closure (windows included) and keeps every
     # nonzero-distance step's endpoints apart, the outputs alone identify
@@ -176,20 +170,21 @@ def merge_hypothesis(
         # pooled evidence first, past that settle for output grouping
         if extra and n <= _MERGE_MAX_POSITIONS:
             return merge_hypothesis(trace)
-        return output_grouping()
+        return output_groups(trace.outputs)
 
     # every walk begins at the same physical reset state
     for off in offsets[1:]:
         if cong.merge(0, off) < 0:
-            return output_grouping()
+            return output_groups(trace.outputs)
     # zero-distance steps: same state before and after, merge up front
     for w, off in zip(walks, offsets):
         for k, inf in enumerate(w.inferred):
             if inf.center == 0:
                 if cong.merge(off + k, off + k + 1) < 0:
-                    return output_grouping()  # inconsistent; best effort
+                    # inconsistent; best effort
+                    return output_groups(trace.outputs)
     if not chains_intact(cong):
-        return output_grouping()
+        return output_groups(trace.outputs)
 
     find = cong.find
     red: list[int] = [find(0)]

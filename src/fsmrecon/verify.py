@@ -172,11 +172,12 @@ def equivalent(a: MooreFsm | PartialStg, b: MooreFsm) -> EquivalenceVerdict:
 def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
     """Smallest width whose assignments can satisfy ``cs``, by enumeration.
 
-    The constraint list is taken exactly as given — recorded distance
-    windows included — and ``cs.width`` is ignored; widths 1..cap are tried
-    in order and every assignment of ``n_positions`` width-R values is
-    checked against the arithmetic evaluator.  Returns None when even
-    ``cap`` admits no satisfying assignment.
+    The chain constraints and output groups are taken exactly as given —
+    recorded distance windows included — and ``cs.width`` is ignored;
+    widths 1..cap are tried in order and every assignment of
+    ``n_positions`` width-R values is checked against the arithmetic
+    evaluator.  Returns None when even ``cap`` admits no satisfying
+    assignment.
 
     Callers cross-checking a width-adaptive search should build ``cs`` at
     width ``cap``: recorded windows then agree with per-width rebuilding
@@ -199,6 +200,7 @@ def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
             width=width,
             n_positions=n,
             constraints=cs.constraints,
+            groups=cs.groups,
             trivially_unsat=False,
         )
         space = 1 << width

@@ -172,7 +172,11 @@ def test_criterion_5_solver_minimality_oracle():
 
 
 def _brute_sat(cs):
-    """Backtracking satisfiability over all width-R position values."""
+    """Backtracking satisfiability over all width-R position values.
+
+    Each depth checks the chain constraints ending there and distinctness
+    over the output groups of the prefix.
+    """
     if cs.trivially_unsat:
         return False
     n = cs.n_positions
@@ -186,6 +190,7 @@ def _brute_sat(cs):
             width=cs.width,
             n_positions=depth + 1,
             constraints=by_depth[depth],
+            groups=cs.groups[: depth + 1],
             trivially_unsat=False,
         )
         return evaluate(probe, values[: depth + 1])

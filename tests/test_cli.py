@@ -6,6 +6,7 @@ import pytest
 
 from fsmrecon import benchmarks
 from fsmrecon.cli import main
+from fsmrecon.constraints import build_constraints
 from fsmrecon.fsm import MooreFsm, parse_kiss2
 
 
@@ -117,6 +118,32 @@ def test_attack_goal_missed_still_writes_partial_report(tmp_path):
     assert 0.0 < rep["result"]["fraction"] < 1.0
     assert rep["result"]["goal_met"] is False
     assert len(rep["rounds"]) == 1
+
+
+def test_attack_bare_defaults_on_s386_exits_0(tmp_path, monkeypatch, capsys):
+    """The auto vector count has no cap; s386 gets 3,328-vector rounds."""
+    from fsmrecon import recovery
+
+    built = []
+
+    def recording(trace, width):
+        cs = build_constraints(trace, width)
+        built.append((trace.n_steps, len(cs.constraints), len(cs.groups)))
+        return cs
+
+    monkeypatch.setattr(recovery, "build_constraints", recording)
+    target = tmp_path / "s386"
+    target.write_text(benchmarks.load("s386"))
+    assert main(["attack", "--target", str(target), "--seed", "7"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["vectors_per_round"] == 3328
+    assert rep["result"]["goal_met"] is True
+    assert built and all(n_steps == 3328 for n_steps, _, _ in built)
+    # the set is linear: one chain constraint per step, one group id per position
+    assert all(
+        n_chain == n_steps and n_groups == n_steps + 1
+        for n_steps, n_chain, n_groups in built
+    )
 
 
 def test_attack_malformed_target_exits_2(tmp_path, capsys):

@@ -1,11 +1,18 @@
 """Constraint construction and the independent popcount evaluator."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import encoded_fixture, synthetic_trace
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
+from fsmrecon.cnf import encode_cnf
 from fsmrecon.constraints import (
+    ConstraintSet,
     Distinct,
     HdRange,
     Identical,
@@ -19,8 +26,7 @@ from fsmrecon.constraints import (
 def test_consecutive_constraints_follow_the_channel():
     trace = synthetic_trace(["0", "0", "1", "1"], [0, 2, 1])
     cs = build_constraints(trace, width=3)
-    consecutive = [c for c in cs.constraints if not isinstance(c, Distinct)]
-    assert consecutive == [
+    assert cs.constraints == [
         Identical(0, 1),
         HdRange(1, 2, lo=1, hi=3),
         HdRange(2, 3, lo=1, hi=2),  # lo floored at 1 for center 1
@@ -45,20 +51,37 @@ def test_empty_window_marks_trivially_unsat_but_is_recorded():
 def test_distinct_pairs_cover_exactly_output_inequality():
     trace = synthetic_trace(["00", "01", "00", "10"], [1, 1, 1])
     cs = build_constraints(trace, width=2)
-    distinct = {(c.i, c.j) for c in cs.constraints if isinstance(c, Distinct)}
-    assert distinct == {(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)}
-    # the equal-output pair (0, 2) gets no constraint of any kind
-    assert all(
-        {c.i, c.j} != {0, 2} for c in cs.constraints if isinstance(c, Distinct)
+    assert cs.groups == [0, 1, 0, 2]  # dense ids, first-seen order
+    # with the chain left out, a clash at exactly one pair is reported
+    # iff that pair's outputs differ
+    bare = ConstraintSet(
+        width=2, n_positions=4, constraints=[], groups=cs.groups,
+        trivially_unsat=False,
     )
+    distinct = set()
+    for i, j in itertools.combinations(range(4), 2):
+        others = iter(range(1, 4))
+        values = [0 if k in (i, j) else next(others) for k in range(4)]
+        got = find_violation(bare, values)
+        if got is not None:
+            assert got == Distinct(i, j)
+            distinct.add((i, j))
+    assert distinct == {(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)}
+    # the equal-output pair (0, 2) is not constrained apart
+    assert (0, 2) not in distinct
 
 
 def test_distinct_pairs_are_deduplicated_unordered():
     trace = synthetic_trace(["0", "1", "0", "1"], [1, 1, 1])
     cs = build_constraints(trace, width=2)
-    pairs = [(c.i, c.j) for c in cs.constraints if isinstance(c, Distinct)]
+    cnf = encode_cnf(cs)
+    # distinctness clauses are exactly the pair difference-variable lists
+    by_vars = {tuple(ds): key for key, ds in cnf.pair_diff_vars.items()}
+    pairs = [by_vars[tuple(c)] for c in cnf.clauses if tuple(c) in by_vars]
     assert len(pairs) == len(set(frozenset(p) for p in pairs))
     assert all(i < j for i, j in pairs)
+    assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]  # ascending
+    assert len(pairs) == cs.counts()["distinct"]
 
 
 @pytest.mark.parametrize(
@@ -75,6 +98,37 @@ def test_counts_summary():
     trace = synthetic_trace(["0", "0", "1"], [0, 2])
     cs = build_constraints(trace, width=2)
     assert cs.counts() == {"identical": 1, "hd_range": 1, "distinct": 2}
+
+
+def test_counts_distinct_equals_pairwise_count():
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        groups = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+        cs = ConstraintSet(
+            width=2, n_positions=n, constraints=[], groups=groups,
+            trivially_unsat=False,
+        )
+        pairwise = sum(
+            groups[i] != groups[j] for i, j in itertools.combinations(range(n), 2)
+        )
+        assert cs.counts()["distinct"] == pairwise
+
+
+def test_chain_is_linear_in_trace_length():
+    trace = synthetic_trace([format(k % 4, "02b") for k in range(301)], [1] * 300)
+    cs = build_constraints(trace, width=2)
+    assert len(cs.constraints) == trace.n_steps
+    assert cs.groups == [k % 4 for k in range(301)]
+    assert cs.counts() == {"identical": 0, "hd_range": 300, "distinct": 33_975}
+
+
+def test_group_count_must_match_positions():
+    with pytest.raises(ValueError, match="group ids"):
+        ConstraintSet(
+            width=1, n_positions=3, constraints=[], groups=[0, 1],
+            trivially_unsat=False,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -120,3 +174,37 @@ def test_true_encodings_satisfy_constraints_at_true_width(name, kind):
         state = m.delta[(state, v)]
         values.append(enc.encodings[state].value)
     assert find_violation(cs, values) is None
+
+
+def _pairwise_clash(groups, values):
+    """Reference: some pair in different groups holds one value."""
+    return any(
+        groups[i] != groups[j] and values[i] == values[j]
+        for i, j in itertools.combinations(range(len(values)), 2)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, (1 << width) - 1)),
+            min_size=1,
+            max_size=10,
+        ).map(lambda rows: (width, rows))
+    )
+)
+def test_partition_check_matches_pairwise_reference(case):
+    width, rows = case
+    groups = [g for g, _ in rows]
+    values = [v for _, v in rows]
+    cs = ConstraintSet(
+        width=width, n_positions=len(rows), constraints=[], groups=groups,
+        trivially_unsat=False,
+    )
+    got = find_violation(cs, values)
+    assert (got is None) == (not _pairwise_clash(groups, values))
+    if got is not None:
+        assert isinstance(got, Distinct) and got.i < got.j
+        assert groups[got.i] != groups[got.j]
+        assert values[got.i] == values[got.j]

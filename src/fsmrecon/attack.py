@@ -1,26 +1,28 @@
 """The attack loop: capture, recover, fold, merge, repeat until the goal.
 
-Each round drives the device with fresh random vectors from reset, solves
-the round's constraint system for state encodings, folds the solution into
-a partial transition graph, and merges that graph into the accumulated
+Each round drives the device with fresh random vectors from reset and
+passes the walk through three stages.  ``_solve_round`` solves the round's
+constraint system for state encodings at the minimal register width and
+retries wider while the state-grouping guess has more classes than the
+width has codes — the first satisfiable width demonstrably cannot separate
+all the states then.  ``_fold_and_merge`` folds each solution into a
+partial transition graph and merges that graph into the accumulated
 machine.  A round is dropped when its solution folds or merges
 inconsistently, when the fold needs more states than the operator's upper
 bound, or when the folded or merged graph fails to replay every trace
-captured so far; a dropped round costs coverage, never soundness.  The one
-rejection that earns a retry at a wider register is a state-grouping guess
-with more classes than the width has codes — the first satisfiable width
-demonstrably cannot separate all the states then.  Earlier rounds' traces
-are pooled as evidence for the next round's state-grouping guess, which
-sharpens the phase seed (taken as the answer when it satisfies the
-constraints, otherwise the solver's decision phases) and contributes no
-constraints.
+captured so far; a dropped round costs coverage, never soundness.
+``_challenge`` pools the graphs the accumulated machine refused and lets
+that pool take over once it is the bigger, still consistent body of
+evidence.  The round history is one list of records; earlier rounds'
+traces are pooled from it as evidence for the next round's state-grouping
+guess, which sharpens the phase seed and contributes no constraints.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .capture import (
     BlackBoxDevice,
@@ -29,7 +31,7 @@ from .capture import (
     gen_stimulus,
     run_trace,
 )
-from .channel import CalibrationTable, DEFAULT_TABLE, NoiseModel
+from .channel import NoiseModel
 from .fsm import EncodedFsm
 from .recovery import EncodingAssignment, WidthAttempt, recover_encodings
 from .stg import (
@@ -40,6 +42,9 @@ from .stg import (
     recovery_fraction,
 )
 from .verify import replay_consistency
+
+# wider-register retries a round gets when its state guess does not fit
+_WIDTH_ESCALATIONS = 2
 
 
 @dataclass
@@ -56,7 +61,8 @@ class AttackConfig:
     pair of positions with differing outputs), so attacks on large machines
     where the seed misses should run many short rounds instead of one
     covering round.  ``noise`` is the channel model a device built from
-    this config uses (see :func:`build_device`).
+    this config uses (see :func:`build_device`).  ``timeout_ms`` bounds
+    each solver call; ``dimacs_dir``, when set, receives every CNF encoded.
     """
 
     state_count_guess: int
@@ -68,14 +74,20 @@ class AttackConfig:
     seed: int = 0
     noise: NoiseModel | None = None
     timeout_ms: int = 1_000_000
-    width_escalations: int = 2
-    keep_debug: bool = False
     dimacs_dir: str | None = None
 
 
 @dataclass
 class RoundRecord:
-    """Accounting for one attack round."""
+    """One attack round: its accounting and the material it was built from.
+
+    ``trace`` is the round's capture; later rounds pool it as evidence and
+    replay it as a check.  ``assignment`` is the last solution the round's
+    solver found, kept when its fold was rejected too; it is None when the
+    last solve failed.  ``escalations`` counts wider-register retries, and
+    ``attempts`` lists every width tried across them.  ``new_transitions``
+    and ``fraction`` describe the accumulated graph after the round.
+    """
 
     round_no: int
     seed: int
@@ -85,19 +97,11 @@ class RoundRecord:
     width: int | None
     solver_ms: float
     escalations: int
-    new_transitions: int
-    fraction: float
-    attempts: tuple[WidthAttempt, ...] = ()
-
-
-@dataclass
-class RoundDebug:
-    """Raw per-round material retained when ``keep_debug`` is set."""
-
-    round_no: int
     trace: Trace
     assignment: EncodingAssignment | None
-    accepted: bool
+    attempts: tuple[WidthAttempt, ...] = ()
+    new_transitions: int = 0
+    fraction: float = 0.0
 
 
 @dataclass
@@ -115,24 +119,18 @@ class AttackResult:
     fraction: float
     goal_met: bool
     total_ms: float
-    debug: list[RoundDebug] = field(default_factory=list)
 
     @property
     def rounds_executed(self) -> int:
         return len(self.rounds)
 
 
-def build_device(
-    encoded: EncodedFsm,
-    cfg: AttackConfig,
-    table: CalibrationTable = DEFAULT_TABLE,
-) -> BlackBoxDevice:
+def build_device(encoded: EncodedFsm, cfg: AttackConfig) -> BlackBoxDevice:
     """The device this config attacks: config noise (default exact), config seed."""
     return BlackBoxDevice(
         encoded,
         cfg.noise if cfg.noise is not None else NoiseModel.exact(),
         noise_seed=cfg.seed,
-        table=table,
     )
 
 
@@ -147,10 +145,6 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
     if cfg.timeout_ms < 1:
         raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
-    if cfg.width_escalations < 0:
-        raise ValueError(
-            f"width escalations must be >= 0, got {cfg.width_escalations}"
-        )
     if cfg.input_bits != device.input_bits:
         raise ValueError(
             f"config says {cfg.input_bits} input bits, device has "
@@ -170,14 +164,10 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
 def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
     """Run capture/recover/fold/merge rounds until the goal or the cap.
 
-    Every round gets a fresh stimulus seed drawn from the master seed.  A
-    round fails by solver failure, by a nondeterministic or oversized
-    fold, by a merge conflict against the accumulated graph, or by a
-    fold/merge result that cannot replay the pooled traces.  A failed
-    round retries at a wider register — up to ``cfg.width_escalations``
-    times — only while the state-grouping guess has more classes than the
-    current width has codes; otherwise it is dropped as a noise artifact.
-    Failures never abort the attack — the loop runs until the recovered
+    Every round gets a fresh stimulus seed drawn from the master seed and
+    is solved, folded and merged by :func:`_solve_round`.  A round the
+    accumulated graph refused is offered to :func:`_challenge`.  Failed
+    rounds never abort the attack — the loop runs until the recovered
     fraction reaches ``cfg.goal`` or ``cfg.max_rounds`` rounds have
     executed.
     """
@@ -185,147 +175,161 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
     master = random.Random(cfg.seed)
     acc: PartialStg | None = None
     challenger: PartialStg | None = None
-    prior: list[Trace] = []
     records: list[RoundRecord] = []
-    debug: list[RoundDebug] = []
-    goal_met = False
     t_start = time.perf_counter()
     for round_no in range(cfg.max_rounds):
         round_seed = master.getrandbits(32)
         stimulus = gen_stimulus(n_vectors, cfg.input_bits, round_seed)
-        trace = run_trace(device, stimulus, seed=round_seed)
-        before = acc.transition_count if acc is not None else 0
-        status = "solver-failed"
-        width: int | None = None
-        solver_ms = 0.0
-        escalations = 0
-        assignment: EncodingAssignment | None = None
-        attempts: list[WidthAttempt] = []
-        accepted = False
-        width_start: int | None = None
-        rejected_graph: PartialStg | None = None
-        for retry in range(cfg.width_escalations + 1):
-            escalations = retry
-            rejected_graph = None
-            t0 = time.perf_counter()
-            rec = recover_encodings(
-                trace,
-                width_start=width_start,
-                timeout_ms=cfg.timeout_ms,
-                seed_traces=tuple(prior),
-                dimacs_dir=cfg.dimacs_dir,
-                dimacs_prefix=f"round{round_no:02d}_",
-            )
-            solver_ms += (time.perf_counter() - t0) * 1000.0
-            attempts.extend(rec.attempts)
-            if not rec.success:
-                status = "solver-failed"
-                assignment = None
-                break
-            assignment = rec.assignment
-            width = assignment.width
-            guessed_states = (
-                max(rec.classes) + 1 if rec.classes else None
-            )
-            try:
-                graph = build_partial_stg(trace, assignment, round_no=round_no)
-                if graph.state_count > cfg.state_count_guess:
-                    # more states than the operator's upper bound: the
-                    # model left same-state positions apart, so the fold
-                    # is redundant even though it is deterministic
-                    raise StgConflictError(
-                        f"fold has {graph.state_count} states, guess says "
-                        f"at most {cfg.state_count_guess}"
-                    )
-            except StgConflictError:
-                status = "fold-rejected"
-            else:
-                verdict = replay_consistency(graph, [*prior, trace])
-                if not verdict.consistent:
-                    status = "replay-rejected"
-                else:
-                    try:
-                        candidate = merge_rounds(acc, graph)
-                    except StgConflictError:
-                        status = "merge-rejected"
-                        rejected_graph = graph
-                    else:
-                        verdict = replay_consistency(
-                            candidate, [*prior, trace]
-                        )
-                        if not verdict.consistent:
-                            # the fold replayed everything on its own, so
-                            # the clash with the accumulated graph leaves
-                            # either side suspect
-                            status = "replay-rejected"
-                            rejected_graph = graph
-                        else:
-                            acc = candidate
-                            status = "merged"
-                            accepted = True
-                            break
-            # Retry wider only when the state-grouping guess itself does
-            # not fit the width — the one case where the first
-            # satisfiable width demonstrably cannot separate all the
-            # states.  Anything else is a noise artifact: drop the round
-            # and let the pooled evidence sharpen the next one.
-            if guessed_states is None or guessed_states <= (1 << width):
-                break
-            width_start = max(width + 1, (guessed_states - 1).bit_length())
-        if not accepted and rejected_graph is not None:
-            # A dropped round may be right while the accumulated graph is
-            # wrong: a wrong-but-deterministic early fold would win every
-            # later conflict by seniority alone.  Rounds it rejects pool
-            # into a challenger graph; when that mutually consistent body
-            # strictly outgrows the accumulated graph and still replays
-            # every captured trace, the bigger body of evidence takes
-            # over.  Artifact rounds rarely cohere with each other, so a
-            # healthy accumulated graph is never displaced.
-            if challenger is None:
-                challenger = rejected_graph
-            else:
-                try:
-                    challenger = merge_rounds(challenger, rejected_graph)
-                except StgConflictError:
-                    challenger = rejected_graph
-            acc_count = acc.transition_count if acc is not None else 0
-            if challenger.transition_count > acc_count and replay_consistency(
-                challenger, [*prior, trace]
-            ).consistent:
-                acc = challenger
-                challenger = None
-                status = "merged"
-                accepted = True
-        prior.append(trace)
-        fraction = recovery_fraction(
+        traces = [r.trace for r in records]
+        traces.append(run_trace(device, stimulus, seed=round_seed))
+        record, merged, refused = _solve_round(cfg, round_no, traces, acc)
+        if refused is not None:
+            merged, challenger = _challenge(acc, challenger, refused, traces)
+            if merged is not None:
+                record.status = "merged"
+        if merged is not None:
+            before = acc.transition_count if acc is not None else 0
+            record.new_transitions = merged.transition_count - before
+            acc = merged
+        record.fraction = recovery_fraction(
             acc, cfg.state_count_guess, cfg.input_bits
         )
-        records.append(
-            RoundRecord(
-                round_no=round_no,
-                seed=round_seed,
-                status=status,
-                width=width,
-                solver_ms=solver_ms,
-                escalations=escalations,
-                new_transitions=(
-                    acc.transition_count - before if acc is not None else 0
-                ),
-                fraction=fraction,
-                attempts=tuple(attempts),
-            )
-        )
-        if cfg.keep_debug:
-            debug.append(RoundDebug(round_no, trace, assignment, accepted))
-        if fraction >= cfg.goal:
-            goal_met = True
+        records.append(record)
+        if record.fraction >= cfg.goal:
             break
-    total_ms = (time.perf_counter() - t_start) * 1000.0
     return AttackResult(
         recovered=acc,
         rounds=records,
         fraction=recovery_fraction(acc, cfg.state_count_guess, cfg.input_bits),
-        goal_met=goal_met,
-        total_ms=total_ms,
-        debug=debug,
+        goal_met=bool(records) and records[-1].fraction >= cfg.goal,
+        total_ms=(time.perf_counter() - t_start) * 1000.0,
     )
+
+
+def _solve_round(
+    cfg: AttackConfig,
+    round_no: int,
+    traces: list[Trace],
+    acc: PartialStg | None,
+) -> tuple[RoundRecord, PartialStg | None, PartialStg | None]:
+    """Solve the newest trace and fold it into ``acc``, widening on a misfit.
+
+    Returns the round's record (its new transitions and fraction still to
+    be filled in), the merged graph when the round merged, and the round's
+    graph when ``acc`` refused it.  Earlier traces pool into the
+    state-grouping guess only.
+    """
+    trace = traces[-1]
+    attempts: list[WidthAttempt] = []
+    solver_ms = 0.0
+    width = width_start = None
+    for escalations in range(_WIDTH_ESCALATIONS + 1):
+        t0 = time.perf_counter()
+        found = recover_encodings(
+            trace,
+            width_start=width_start,
+            timeout_ms=cfg.timeout_ms,
+            seed_traces=tuple(traces[:-1]),
+            dimacs_dir=cfg.dimacs_dir,
+            dimacs_prefix=f"round{round_no:02d}_",
+        )
+        solver_ms += (time.perf_counter() - t0) * 1000.0
+        attempts.extend(found.attempts)
+        assignment = found.assignment
+        if assignment is None:
+            status, merged, refused = "solver-failed", None, None
+            break
+        width = assignment.width
+        status, merged, refused = _fold_and_merge(
+            cfg, round_no, traces, assignment, acc
+        )
+        # Retry wider only when the state-grouping guess itself does not
+        # fit the width — the one case where the first satisfiable width
+        # demonstrably cannot separate all the states.  Anything else is a
+        # noise artifact: drop the round and let the pooled evidence
+        # sharpen the next one.
+        guessed = max(found.classes) + 1 if found.classes else None
+        if merged is not None or guessed is None or guessed <= (1 << width):
+            break
+        width_start = max(width + 1, (guessed - 1).bit_length())
+    record = RoundRecord(
+        round_no=round_no,
+        seed=trace.seed,
+        status=status,
+        width=width,
+        solver_ms=solver_ms,
+        escalations=escalations,
+        trace=trace,
+        assignment=assignment,
+        attempts=tuple(attempts),
+    )
+    return record, merged, refused
+
+
+def _fold_and_merge(
+    cfg: AttackConfig,
+    round_no: int,
+    traces: list[Trace],
+    assignment: EncodingAssignment,
+    acc: PartialStg | None,
+) -> tuple[str, PartialStg | None, PartialStg | None]:
+    """Fold the newest trace under ``assignment`` and merge it into ``acc``.
+
+    Returns (status, merged graph, graph ``acc`` refused); the merged graph
+    is set only for status ``"merged"``.  Both the fold and the merged
+    graph must replay every trace in ``traces``.
+    """
+    try:
+        graph = build_partial_stg(traces[-1], assignment, round_no=round_no)
+    except StgConflictError:
+        return "fold-rejected", None, None
+    if graph.state_count > cfg.state_count_guess:
+        # more states than the operator's upper bound: the model left
+        # same-state positions apart, so the fold is redundant even though
+        # it is deterministic
+        return "fold-rejected", None, None
+    if not replay_consistency(graph, traces).consistent:
+        return "replay-rejected", None, None
+    try:
+        merged = merge_rounds(acc, graph)
+    except StgConflictError:
+        return "merge-rejected", None, graph
+    if not replay_consistency(merged, traces).consistent:
+        # the fold replayed everything on its own, so the clash with the
+        # accumulated graph leaves either side suspect
+        return "replay-rejected", None, graph
+    return "merged", merged, None
+
+
+def _challenge(
+    acc: PartialStg | None,
+    challenger: PartialStg | None,
+    refused: PartialStg,
+    traces: list[Trace],
+) -> tuple[PartialStg | None, PartialStg | None]:
+    """Pool a graph ``acc`` refused into the challenger; maybe take over.
+
+    A dropped round may be right while the accumulated graph is wrong: a
+    wrong-but-deterministic early fold would win every later conflict by
+    seniority alone.  Refused graphs pool into a challenger graph, which
+    starts over from the newest one when they clash; when that mutually
+    consistent body strictly outgrows the accumulated graph and still
+    replays every captured trace, the bigger body of evidence takes over.
+    Artifact rounds rarely cohere with each other, so a healthy
+    accumulated graph is never displaced.
+
+    Returns (graph that takes over or None, challenger kept for later).
+    """
+    if challenger is None:
+        challenger = refused
+    else:
+        try:
+            challenger = merge_rounds(challenger, refused)
+        except StgConflictError:
+            challenger = refused
+    acc_count = acc.transition_count if acc is not None else 0
+    if challenger.transition_count > acc_count and replay_consistency(
+        challenger, traces
+    ).consistent:
+        return challenger, None
+    return None, challenger

@@ -13,14 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .channel import (
-    CalibrationTable,
-    DEFAULT_TABLE,
-    InferredHd,
-    NoiseModel,
-    infer_hd,
-    synthesize_current,
-)
+from .channel import InferredHd, NoiseModel, infer_hd, synthesize_current
 from .fsm import EncodedFsm, step
 
 
@@ -32,13 +25,11 @@ class BlackBoxDevice:
     was produced.
     """
 
-    def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int,
-                 table: CalibrationTable = DEFAULT_TABLE):
+    def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int):
         encoded.machine.require_complete()
         self._encoded = encoded
         self._noise = noise
         self._noise_seed = noise_seed
-        self._table = table
         self._rng = random.Random(noise_seed)
         self._state = encoded.machine.reset
 
@@ -50,10 +41,6 @@ class BlackBoxDevice:
     def output_bits(self) -> int:
         return self._encoded.machine.output_bits
 
-    @property
-    def table(self) -> CalibrationTable:
-        return self._table
-
     def reset(self) -> str:
         """Pulse reset: return to the reset state and report its output."""
         self._rng = random.Random(self._noise_seed)
@@ -64,7 +51,7 @@ class BlackBoxDevice:
         """Apply one input vector: the new output and the current reading."""
         res = step(self._encoded, self._state, vector)
         self._state = res.next_state
-        current = synthesize_current(res.hd, self._noise, self._rng, self._table)
+        current = synthesize_current(res.hd, self._noise, self._rng)
         return res.output, current
 
 
@@ -102,8 +89,10 @@ def choose_vector_count(state_count: int, input_bits: int, multiplier: float = 2
         raise ValueError(f"state count must be >= 1, got {state_count}")
     if input_bits < 1:
         raise ValueError(f"input bits must be >= 1, got {input_bits}")
-    if multiplier < 2.0:
-        raise ValueError(f"multiplier must be >= 2.0, got {multiplier}")
+    if not 2.0 <= multiplier < math.inf:  # NaN fails too
+        raise ValueError(
+            f"multiplier must be finite and >= 2.0, got {multiplier}"
+        )
     return math.ceil(multiplier * state_count * (1 << input_bits))
 
 
@@ -124,7 +113,7 @@ def run_trace(device: BlackBoxDevice, stimulus: list[int], seed: int) -> Trace:
         out, current = device.clock(vector)
         outputs.append(out)
         currents.append(current)
-        inferred.append(infer_hd(current, device.table))
+        inferred.append(infer_hd(current))
     return Trace(
         input_bits=device.input_bits,
         output_bits=device.output_bits,

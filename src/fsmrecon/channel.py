@@ -138,8 +138,7 @@ class CalibrationTable:
 DEFAULT_TABLE = CalibrationTable.default()
 
 
-def sample_error(hd: int, model: NoiseModel, rng: random.Random,
-                 table: CalibrationTable = DEFAULT_TABLE) -> int:
+def sample_error(hd: int, model: NoiseModel, rng: random.Random) -> int:
     """Banded-readout error for one clocking at actual distance ``hd``.
 
     Zero distance is reported exactly under every model, and a nonzero
@@ -158,11 +157,10 @@ def sample_error(hd: int, model: NoiseModel, rng: random.Random,
         else:
             err = -1
         return max(1, hd + err) - hd
-    return table.band_center(synthesize_current(hd, model, rng, table)) - hd
+    return DEFAULT_TABLE.band_center(synthesize_current(hd, model, rng)) - hd
 
 
-def synthesize_current(hd: int, model: NoiseModel, rng: random.Random,
-                       table: CalibrationTable = DEFAULT_TABLE) -> float:
+def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
     """Average supply current for one clocking at actual distance ``hd``.
 
     ``exact`` emits the band midpoint; ``table3`` shifts the band first and
@@ -174,19 +172,19 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random,
     if hd < 0:
         raise ValueError(f"hd must be >= 0, got {hd}")
     if model.kind == "exact":
-        return table.midpoint(hd)
+        return DEFAULT_TABLE.midpoint(hd)
     if model.kind == "table3":
-        return table.midpoint(hd + sample_error(hd, model, rng, table))
-    value = table.midpoint(hd) + rng.gauss(0.0, model.sigma)
-    zero_edge = table.bands[0][1]
+        return DEFAULT_TABLE.midpoint(hd + sample_error(hd, model, rng))
+    value = DEFAULT_TABLE.midpoint(hd) + rng.gauss(0.0, model.sigma)
+    zero_edge = DEFAULT_TABLE.bands[0][1]
     if hd == 0:
         return min(max(value, 0.0), math.nextafter(zero_edge, 0.0))
     return max(value, zero_edge)
 
 
-def infer_hd(current: float, table: CalibrationTable = DEFAULT_TABLE) -> InferredHd:
+def infer_hd(current: float) -> InferredHd:
     """Turn a current reading into a banded distance estimate."""
-    center = table.band_center(current)
+    center = DEFAULT_TABLE.band_center(current)
     if center == 0:
         return InferredHd(center=0, exact=True, lo=0, hi=0)
     return InferredHd(center=center, exact=False, lo=max(1, center - 1), hi=center + 1)

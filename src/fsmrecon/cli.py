@@ -23,7 +23,6 @@ from .attack import AttackConfig, attack, build_device
 from .capture import BlackBoxDevice, choose_vector_count, gen_stimulus, run_trace
 from .channel import NoiseModel, pearson
 from .fsm import (
-    Kiss2Error,
     MealyFsm,
     MooreFsm,
     assign_binary_encoding,
@@ -70,12 +69,8 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            machine = parse_kiss2(fh.read())
-    except (OSError, Kiss2Error) as exc:
-        print(f"convert: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.infile, "r", encoding="utf-8") as fh:
+        machine = parse_kiss2(fh.read())
     if isinstance(machine, MealyFsm):
         machine = moorify(machine, strategy=args.strategy)
     with open(args.outfile, "w", encoding="utf-8") as fh:
@@ -87,19 +82,22 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    try:
-        noise = NoiseModel(kind=args.noise, sigma=args.sigma)
-        machine, converted = _load_moore(args.target)
-        machine.require_complete()
-    except (OSError, ValueError) as exc:
-        print(f"attack: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    noise = NoiseModel(kind=args.noise, sigma=args.sigma)
+    machine, converted = _load_moore(args.target)
+    machine.require_complete()
+    vectors = (
+        args.vectors
+        if args.vectors is not None
+        else choose_vector_count(
+            machine.state_count, machine.input_bits, args.multiplier
+        )
+    )
     encoded = assign_binary_encoding(machine)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     cfg = AttackConfig(
         state_count_guess=machine.state_count,
         input_bits=machine.input_bits,
-        vectors_per_round=args.vectors,
+        vectors_per_round=vectors,
         multiplier=args.multiplier,
         goal=args.goal,
         max_rounds=args.rounds_max,
@@ -108,24 +106,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
         timeout_ms=args.timeout_ms,
         dimacs_dir=args.dimacs_dump,
     )
-    device = build_device(encoded, cfg)
-    try:
-        result = attack(device, cfg)
-    except ValueError as exc:
-        print(f"attack: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = attack(build_device(encoded, cfg), cfg)
 
     if args.recovered is not None and result.recovered is not None:
         with open(args.recovered, "w", encoding="utf-8") as fh:
             fh.write(serialize_kiss2(stg_to_moore(result.recovered)))
 
-    vectors = (
-        args.vectors
-        if args.vectors is not None
-        else choose_vector_count(
-            machine.state_count, machine.input_bits, args.multiplier
-        )
-    )
     report = {
         "command": "attack",
         "config": {
@@ -194,13 +180,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import equivalent
 
-    try:
-        candidate, _ = _load_moore(args.candidate)
-        reference, _ = _load_moore(args.reference)
-        verdict = equivalent(candidate, reference)
-    except (OSError, Kiss2Error, ValueError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    candidate, _ = _load_moore(args.candidate)
+    reference, _ = _load_moore(args.reference)
+    verdict = equivalent(candidate, reference)
     proven = verdict.equivalent and (
         verdict.coverage == "full" or args.partial
     )
@@ -259,16 +241,8 @@ def _calibration_device(seed: int, noise: NoiseModel) -> tuple:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.samples < 100:
-        print(
-            f"calibrate: need at least 100 samples, got {args.samples}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    try:
-        noise = NoiseModel(kind=args.noise, sigma=args.sigma)
-    except ValueError as exc:
-        print(f"calibrate: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"need at least 100 samples, got {args.samples}")
+    noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     t0 = time.perf_counter()
     encoded, device = _calibration_device(seed, noise)
@@ -412,7 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        # unusable input: unreadable or unwritable files, malformed
+        # machines, bad flag values.  A ModelViolationError is a defect,
+        # not an input problem, and keeps its traceback.
+        print(f"{args.cmd}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

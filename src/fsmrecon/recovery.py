@@ -367,7 +367,6 @@ def recover_encodings(
     trace: Trace,
     *,
     width_start: int | None = None,
-    width_steps: int = WIDTH_STEPS,
     timeout_ms: int | None = 1_000_000,
     seed_traces: list[Trace] | tuple[Trace, ...] = (),
     dimacs_dir: str | None = None,
@@ -375,7 +374,7 @@ def recover_encodings(
 ) -> RecoveryResult:
     """Find a register width and per-position values satisfying the trace.
 
-    Tries widths ``r0 .. r0 + width_steps`` where r0 defaults to the
+    Tries widths ``r0 .. r0 + WIDTH_STEPS`` where r0 defaults to the
     information-theoretic minimum for the outputs seen.  ``timeout_ms``
     bounds each individual solve.  At each width the phase seed is checked
     first by the direct constraint evaluator; when it passes it is returned
@@ -396,7 +395,7 @@ def recover_encodings(
     classes = merge_hypothesis(trace, seed_traces)
     result.classes = classes
 
-    for width in range(r0, r0 + width_steps + 1):
+    for width in range(r0, r0 + WIDTH_STEPS + 1):
         cs = build_constraints(trace, width)
         if cs.trivially_unsat:
             result.attempts.append(
@@ -439,11 +438,7 @@ def recover_encodings(
         phases = None if codes is None else build_phases(cnf, classes, codes)
 
         solver = CdclSolver(
-            cnf.n_vars,
-            cnf.clauses,
-            initial_phases=phases,
-            timeout_s=timeout_s,
-            assume_clean=True,
+            cnf.n_vars, cnf.clauses, initial_phases=phases, timeout_s=timeout_s
         )
         out = solver.solve()
         attempt = WidthAttempt(

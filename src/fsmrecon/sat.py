@@ -18,6 +18,7 @@ TIMEOUT = "timeout"
 
 _RESCALE_LIMIT = 1e100
 _VAR_DECAY = 0.95  # activity decay per conflict
+_RESTART_INTERVAL = 100  # conflicts per Luby unit between restarts
 
 
 @dataclass
@@ -47,19 +48,19 @@ def luby(i: int) -> int:
 
 
 class CdclSolver:
+    """Solver over clean clauses: literals in range, no tautologies, no
+    repeated literals (see :func:`solve_cnf` for raw input).  The solver
+    takes ownership of the clause lists and reorders their literals."""
+
     def __init__(
         self,
         n_vars: int,
         clauses: list[list[int]],
         *,
         initial_phases: dict[int, bool] | None = None,
-        restart_interval: int = 100,
         timeout_s: float | None = None,
-        assume_clean: bool = False,
     ):
         self.n_vars = n_vars
-        self.assume_clean = assume_clean
-        self.restart_interval = restart_interval
         self.timeout_s = timeout_s
         self.stats = SolverStats()
 
@@ -103,28 +104,15 @@ class CdclSolver:
 
     def _load_clause(self, lits: list[int]) -> bool:
         """Add an input clause; False when it makes the formula unsatisfiable."""
-        if self.assume_clean:
-            uniq = lits
-        else:
-            uniq = []
-            present = set()
-            for lit in lits:
-                if not 1 <= abs(lit) <= self.n_vars:
-                    raise ValueError(f"literal {lit} out of range")
-                if -lit in present:
-                    return True  # tautology
-                if lit not in present:
-                    present.add(lit)
-                    uniq.append(lit)
-        if not uniq:
+        if not lits:
             return False
-        if len(uniq) == 1:
-            return self._enqueue(uniq[0], -1)
+        if len(lits) == 1:
+            return self._enqueue(lits[0], -1)
         ci = len(self.clauses)
-        self.clauses.append(uniq)
+        self.clauses.append(lits)
         nv = self.n_vars
-        self.watches[uniq[0] + nv].append(ci)
-        self.watches[uniq[1] + nv].append(ci)
+        self.watches[lits[0] + nv].append(ci)
+        self.watches[lits[1] + nv].append(ci)
         return True
 
     # ------------------------------------------------------------ assigning
@@ -386,7 +374,7 @@ class CdclSolver:
 
         deadline = None if self.timeout_s is None else start + self.timeout_s
         restart_no = 0
-        limit = self.restart_interval * luby(0)
+        limit = _RESTART_INTERVAL * luby(0)
         since_restart = 0
         decay_mult = 1.0 / _VAR_DECAY
 
@@ -414,7 +402,7 @@ class CdclSolver:
                 restart_no += 1
                 stats.restarts += 1
                 since_restart = 0
-                limit = self.restart_interval * luby(restart_no)
+                limit = _RESTART_INTERVAL * luby(restart_no)
                 self._backtrack(0)
                 self._reduce_db()
                 if deadline is not None and time.monotonic() > deadline:
@@ -443,16 +431,24 @@ def solve_cnf(
     clauses: list[list[int]],
     *,
     initial_phases: dict[int, bool] | None = None,
-    restart_interval: int = 100,
     timeout_s: float | None = None,
 ) -> SolveOutcome:
-    """Solve a CNF given as (variable count, clause list of non-zero ints)."""
+    """Solve a CNF given as (variable count, clause list of non-zero ints).
+
+    The entry point for hand-written and DIMACS clauses: literals are
+    range-checked, tautologies dropped and repeated literals removed before
+    the solver sees them; the caller's lists are left untouched.
+    """
+    clean: list[list[int]] = []
+    for clause in clauses:
+        lits = dict.fromkeys(clause)  # first occurrences, in order
+        for lit in lits:
+            if not 1 <= abs(lit) <= n_vars:
+                raise ValueError(f"literal {lit} out of range")
+        if not any(-lit in lits for lit in lits):
+            clean.append(list(lits))
     solver = CdclSolver(
-        n_vars,
-        [list(c) for c in clauses],
-        initial_phases=initial_phases,
-        restart_interval=restart_interval,
-        timeout_s=timeout_s,
+        n_vars, clean, initial_phases=initial_phases, timeout_s=timeout_s
     )
     return solver.solve()
 

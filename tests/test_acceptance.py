@@ -259,28 +259,27 @@ def test_criterion_7_constraint_window_soundness():
             goal=1.0,
             max_rounds=15,
             seed=1,
-            keep_debug=True,
         )
         result = attack(build_device(enc, cfg), cfg)
         assert result.goal_met, f"{name}: attack fell short"
-        for dbg in result.debug:
-            if dbg.assignment is None:
+        for rnd in result.rounds:
+            if rnd.assignment is None:
                 continue
-            width = dbg.assignment.width
-            vals = dbg.assignment.values
-            for i, inf in enumerate(dbg.trace.inferred, start=1):
+            width = rnd.assignment.width
+            vals = rnd.assignment.values
+            for i, inf in enumerate(rnd.trace.inferred, start=1):
                 a, b = vals[i - 1], vals[i]
                 hd = bin(a ^ b).count("1")
                 if inf.center == 0:
                     assert a == b, (
-                        f"{name} round {dbg.round_no} step {i}: self-loop "
+                        f"{name} round {rnd.round_no} step {i}: self-loop "
                         f"positions got distinct encodings"
                     )
                 else:
                     lo = max(1, inf.center - 1)
                     hi = min(width, inf.center + 1)
                     assert lo <= hd <= hi, (
-                        f"{name} round {dbg.round_no} step {i}: HD {hd} "
+                        f"{name} round {rnd.round_no} step {i}: HD {hd} "
                         f"outside [{lo}, {hi}] for center {inf.center}"
                     )
                 pairs_checked += 1

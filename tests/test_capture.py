@@ -39,6 +39,12 @@ def test_vector_count_rejects_small_multiplier():
         choose_vector_count(4, 2, 1.5)
 
 
+@pytest.mark.parametrize("multiplier", [float("inf"), float("nan")])
+def test_vector_count_rejects_non_finite_multiplier(multiplier):
+    with pytest.raises(ValueError, match="multiplier"):
+        choose_vector_count(4, 2, multiplier)
+
+
 def test_stimulus_is_seed_deterministic_and_in_range():
     a = gen_stimulus(200, 3, seed=7)
     b = gen_stimulus(200, 3, seed=7)

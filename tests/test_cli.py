@@ -62,6 +62,26 @@ def test_convert_missing_file_exits_2(tmp_path):
     assert main(["convert", str(tmp_path / "nope"), str(tmp_path / "out")]) == 2
 
 
+def test_convert_unwritable_output_exits_2_with_one_line(
+    lion_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_exit_2(
+        capsys, ["convert", lion_path, UNWRITABLE], "no-such-dir"
+    )
+
+
+def test_convert_incomplete_mealy_table_exits_2_with_one_line(
+    tmp_path, capsys
+):
+    partial = tmp_path / "partial.kiss2"
+    # b is entered with two outputs, so the table is Mealy; (b, 1) is absent
+    partial.write_text(".i 1\n.o 1\n0 a b 0\n1 a b 1\n0 b a 1\n")
+    assert_one_line_exit_2(
+        capsys, ["convert", str(partial), str(tmp_path / "out")], "missing"
+    )
+
+
 # ------------------------------------------------------------------- attack
 
 
@@ -153,28 +173,62 @@ def test_attack_malformed_target_exits_2(tmp_path, capsys):
     assert "attack:" in capsys.readouterr().err
 
 
+def assert_one_line_exit_2(capsys, argv, word):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"{argv[0]}:") and word in out.err
+    assert out.err.count("\n") == 1
+
+
+# paths under a directory that does not exist cannot be written
+UNWRITABLE = "no-such-dir/out"
+
+
 @pytest.mark.parametrize(
     "flag, value, word",
     [("--sigma", "-1", "sigma"), ("--sigma", "inf", "sigma"),
      ("--sigma", "nan", "sigma"), ("--timeout-ms", "-5", "timeout"),
-     ("--timeout-ms", "0", "timeout")],
+     ("--timeout-ms", "0", "timeout"), ("--multiplier", "inf", "multiplier"),
+     ("--multiplier", "nan", "multiplier"),
+     ("--report", UNWRITABLE, "no-such-dir"),
+     ("--recovered", UNWRITABLE, "no-such-dir"),
+     ("--dimacs-dump", UNWRITABLE, "no-such-dir")],
 )
 def test_attack_unusable_flag_exits_2_with_one_line(
-    lion_path, capsys, flag, value, word
+    lion_path, tmp_path, monkeypatch, capsys, flag, value, word
 ):
-    assert main(["attack", "--target", lion_path, flag, value]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("attack:") and word in out.err
-    assert out.err.count("\n") == 1
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_exit_2(
+        capsys, ["attack", "--target", lion_path, "--seed", "1", flag, value],
+        word,
+    )
+
+
+def test_attack_model_violation_keeps_its_traceback(lion_path, monkeypatch):
+    from fsmrecon import cli
+    from fsmrecon.recovery import ModelViolationError
+
+    def violating(device, cfg):
+        raise ModelViolationError("model at width 2 violates Distinct(0, 1)")
+
+    monkeypatch.setattr(cli, "attack", violating)
+    with pytest.raises(ModelViolationError):
+        main(["attack", "--target", lion_path, "--seed", "1"])
 
 
 def test_calibrate_negative_sigma_exits_2_with_one_line(capsys):
-    assert main(["calibrate", "--sigma", "-1"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("calibrate:") and "sigma" in out.err
-    assert out.err.count("\n") == 1
+    assert_one_line_exit_2(capsys, ["calibrate", "--sigma", "-1"], "sigma")
+
+
+def test_calibrate_unwritable_report_exits_2_with_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_exit_2(
+        capsys, ["calibrate", "--seed", "1", "--report", UNWRITABLE],
+        "no-such-dir",
+    )
 
 
 def test_attack_defaults_echo_effective_vector_count(lion_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import machine_trace, synthetic_trace, true_state_sequence
-from fsmrecon import benchmarks
+from fsmrecon import benchmarks, recovery
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
@@ -220,7 +220,6 @@ def solve_on_seed_phases(trace, classes, width):
         cnf.n_vars,
         cnf.clauses,
         initial_phases=build_phases(cnf, classes, codes),
-        assume_clean=True,
     ).solve()
     values = decode_positions(cnf, out.model) if out.status == SAT else None
     return out, values
@@ -260,10 +259,11 @@ def test_recovered_values_respect_identical_steps():
             assert max(1, inf.lo) <= hd <= min(result.assignment.width, inf.hi)
 
 
-def test_width_cap_reported_when_probes_exhaust():
+def test_width_cap_reported_when_probes_exhaust(monkeypatch):
+    monkeypatch.setattr(recovery, "WIDTH_STEPS", 0)
     # three pairwise-distinct outputs cannot share the two width-1 codes
     trace = synthetic_trace(["00", "01", "10"], [1, 1], input_bits=1)
-    result = recover_encodings(trace, width_start=1, width_steps=0)
+    result = recover_encodings(trace, width_start=1)
     assert not result.success
     assert result.reason == "width-cap"
     assert [a.status for a in result.attempts] == ["unsat"]

@@ -5,6 +5,7 @@ import itertools
 import random
 
 from conftest import synthetic_trace
+from fsmrecon import sat
 from fsmrecon.cnf import decode_positions, encode_cnf
 from fsmrecon.constraints import build_constraints, evaluate
 from fsmrecon.sat import (
@@ -132,25 +133,27 @@ def test_random_instances_match_brute_force():
             assert check_model(clauses, out.model)
 
 
-def test_small_restart_interval_still_correct():
+def test_small_restart_interval_still_correct(monkeypatch):
+    monkeypatch.setattr(sat, "_RESTART_INTERVAL", 1)
     rng = random.Random(777)
     for _ in range(10):
         n = 9
         clauses = random_3sat(rng, n, 40)
         expected = brute_force_sat(n, clauses)
-        out = solve_cnf(n, clauses, restart_interval=1)
+        out = solve_cnf(n, clauses)
         assert (out.status == SAT) == expected
         if out.status == SAT:
             assert check_model(clauses, out.model)
 
 
-def test_clause_reduction_keeps_solver_correct():
+def test_clause_reduction_keeps_solver_correct(monkeypatch):
+    monkeypatch.setattr(sat, "_RESTART_INTERVAL", 2)
     rng = random.Random(5150)
     for _ in range(8):
         n = 10
         clauses = random_3sat(rng, n, 44)
         expected = brute_force_sat(n, clauses)
-        solver = CdclSolver(n, [list(c) for c in clauses], restart_interval=2)
+        solver = CdclSolver(n, [list(c) for c in clauses])
         solver.reduce_budget = 4  # force frequent reductions
         out = solver.solve()
         assert (out.status == SAT) == expected

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from fsmrecon import recovery
 from fsmrecon.constraints import (
     ConstraintSet,
     HdRange,
@@ -358,10 +359,13 @@ def test_solver_width_matches_exhaustive_minimum():
         checked += 1
 
 
-def test_solver_and_enumeration_agree_nothing_fits_a_contradiction():
+def test_solver_and_enumeration_agree_nothing_fits_a_contradiction(
+    monkeypatch,
+):
+    monkeypatch.setattr(recovery, "WIDTH_STEPS", 3)
     # a zero-distance step between differing outputs can never be satisfied
     trace = synthetic_trace(["0", "1"], [0])
     assert brute_force_min_width(build_constraints(trace, 4), 4) is None
-    result = recover_encodings(trace, width_steps=3)
+    result = recover_encodings(trace)
     assert not result.success
     assert all(a.status == "unsat" for a in result.attempts)

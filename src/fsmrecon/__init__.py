@@ -10,7 +10,7 @@ the rest:
 - ``cnf`` / ``sat`` — CNF encoding, DIMACS round-trip, the CDCL solver
 - ``recovery`` — minimal-width encoding search over one or more traces
 - ``congruence`` — union-find with determinism closure, shared by recovery and stg
-- ``stg`` — folding traces into partial state-transition graphs, merging rounds
+- ``stg`` — folding traces into partial ``MooreFsm`` graphs, merging rounds
 - ``attack`` — the round loop tying everything together
 - ``verify`` — replay consistency, behavioral equivalence, brute-force width
 - ``benchmarks`` — bundled KISS2 machines used by the tests and docs
@@ -32,7 +32,7 @@ from .fsm import (
     serialize_kiss2,
 )
 from .recovery import EncodingAssignment, RecoveryResult, recover_encodings
-from .stg import PartialStg, StgConflictError, build_partial_stg, merge_rounds, stg_to_moore
+from .stg import StgConflictError, build_partial_stg, merge_rounds
 from .verify import brute_force_min_width, equivalent, replay_consistency
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "MealyFsm",
     "MooreFsm",
     "NoiseModel",
-    "PartialStg",
     "RecoveryResult",
     "StgConflictError",
     "Trace",
@@ -72,5 +71,4 @@ __all__ = [
     "replay_consistency",
     "run_trace",
     "serialize_kiss2",
-    "stg_to_moore",
 ]

@@ -32,10 +32,9 @@ from .capture import (
     run_trace,
 )
 from .channel import NoiseModel
-from .fsm import EncodedFsm
+from .fsm import EncodedFsm, MooreFsm, transition_count
 from .recovery import EncodingAssignment, WidthAttempt, recover_encodings
 from .stg import (
-    PartialStg,
     StgConflictError,
     build_partial_stg,
     merge_rounds,
@@ -52,10 +51,10 @@ class AttackConfig:
     """Everything one attack run needs besides the device itself.
 
     ``state_count_guess`` is the operator's upper bound X on the number of
-    states; together with ``input_bits`` it sets the transition total
-    X * 2**input_bits that the recovery fraction is measured against.
-    ``vectors_per_round`` overrides the default stimulus length of
-    ceil(multiplier * X * 2**input_bits).  The constraint set grows
+    states; together with the device's input width I it sets the
+    transition total X * 2**I that the recovery fraction is measured
+    against.  ``vectors_per_round`` overrides the default stimulus length
+    of ceil(multiplier * X * 2**I).  The constraint set grows
     linearly with the round length, but a width whose phase seed fails is
     encoded to a CNF that grows quadratically (one distinctness clause per
     pair of positions with differing outputs), so attacks on large machines
@@ -66,7 +65,6 @@ class AttackConfig:
     """
 
     state_count_guess: int
-    input_bits: int
     vectors_per_round: int | None = None
     multiplier: float = 2.0
     goal: float = 0.90
@@ -108,13 +106,14 @@ class RoundRecord:
 class AttackResult:
     """Outcome of an attack run.
 
-    ``recovered`` is None when no round merged.  ``fraction`` is
-    |transitions| / (X * 2**input_bits) for the final graph; ``goal_met``
+    ``recovered`` is the accumulated graph, a partial :class:`MooreFsm`
+    with states ``s0 .. s{n-1}`` and reset 0, or None when no round
+    merged.  ``fraction`` is |transitions| / (X * 2**I) for it; ``goal_met``
     says whether the loop stopped because the goal was reached rather than
     because rounds ran out.
     """
 
-    recovered: PartialStg | None
+    recovered: MooreFsm | None
     rounds: list[RoundRecord]
     fraction: float
     goal_met: bool
@@ -145,11 +144,6 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
     if cfg.timeout_ms < 1:
         raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
-    if cfg.input_bits != device.input_bits:
-        raise ValueError(
-            f"config says {cfg.input_bits} input bits, device has "
-            f"{device.input_bits}"
-        )
     if cfg.vectors_per_round is not None:
         if cfg.vectors_per_round < 1:
             raise ValueError(
@@ -157,7 +151,7 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
             )
         return cfg.vectors_per_round
     return choose_vector_count(
-        cfg.state_count_guess, cfg.input_bits, cfg.multiplier
+        cfg.state_count_guess, device.input_bits, cfg.multiplier
     )
 
 
@@ -173,13 +167,13 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
     """
     n_vectors = _validate(cfg, device)
     master = random.Random(cfg.seed)
-    acc: PartialStg | None = None
-    challenger: PartialStg | None = None
+    acc: MooreFsm | None = None
+    challenger: MooreFsm | None = None
     records: list[RoundRecord] = []
     t_start = time.perf_counter()
     for round_no in range(cfg.max_rounds):
         round_seed = master.getrandbits(32)
-        stimulus = gen_stimulus(n_vectors, cfg.input_bits, round_seed)
+        stimulus = gen_stimulus(n_vectors, device.input_bits, round_seed)
         traces = [r.trace for r in records]
         traces.append(run_trace(device, stimulus, seed=round_seed))
         record, merged, refused = _solve_round(cfg, round_no, traces, acc)
@@ -188,20 +182,21 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
             if merged is not None:
                 record.status = "merged"
         if merged is not None:
-            before = acc.transition_count if acc is not None else 0
-            record.new_transitions = merged.transition_count - before
+            before = transition_count(acc) if acc is not None else 0
+            record.new_transitions = transition_count(merged) - before
             acc = merged
         record.fraction = recovery_fraction(
-            acc, cfg.state_count_guess, cfg.input_bits
+            acc, cfg.state_count_guess, device.input_bits
         )
         records.append(record)
         if record.fraction >= cfg.goal:
             break
+    fraction = records[-1].fraction if records else 0.0
     return AttackResult(
         recovered=acc,
         rounds=records,
-        fraction=recovery_fraction(acc, cfg.state_count_guess, cfg.input_bits),
-        goal_met=bool(records) and records[-1].fraction >= cfg.goal,
+        fraction=fraction,
+        goal_met=fraction >= cfg.goal,
         total_ms=(time.perf_counter() - t_start) * 1000.0,
     )
 
@@ -210,8 +205,8 @@ def _solve_round(
     cfg: AttackConfig,
     round_no: int,
     traces: list[Trace],
-    acc: PartialStg | None,
-) -> tuple[RoundRecord, PartialStg | None, PartialStg | None]:
+    acc: MooreFsm | None,
+) -> tuple[RoundRecord, MooreFsm | None, MooreFsm | None]:
     """Solve the newest trace and fold it into ``acc``, widening on a misfit.
 
     Returns the round's record (its new transitions and fraction still to
@@ -240,9 +235,7 @@ def _solve_round(
             status, merged, refused = "solver-failed", None, None
             break
         width = assignment.width
-        status, merged, refused = _fold_and_merge(
-            cfg, round_no, traces, assignment, acc
-        )
+        status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
         # Retry wider only when the state-grouping guess itself does not
         # fit the width — the one case where the first satisfiable width
         # demonstrably cannot separate all the states.  Anything else is a
@@ -268,11 +261,10 @@ def _solve_round(
 
 def _fold_and_merge(
     cfg: AttackConfig,
-    round_no: int,
     traces: list[Trace],
     assignment: EncodingAssignment,
-    acc: PartialStg | None,
-) -> tuple[str, PartialStg | None, PartialStg | None]:
+    acc: MooreFsm | None,
+) -> tuple[str, MooreFsm | None, MooreFsm | None]:
     """Fold the newest trace under ``assignment`` and merge it into ``acc``.
 
     Returns (status, merged graph, graph ``acc`` refused); the merged graph
@@ -280,7 +272,7 @@ def _fold_and_merge(
     graph must replay every trace in ``traces``.
     """
     try:
-        graph = build_partial_stg(traces[-1], assignment, round_no=round_no)
+        graph = build_partial_stg(traces[-1], assignment)
     except StgConflictError:
         return "fold-rejected", None, None
     if graph.state_count > cfg.state_count_guess:
@@ -302,11 +294,11 @@ def _fold_and_merge(
 
 
 def _challenge(
-    acc: PartialStg | None,
-    challenger: PartialStg | None,
-    refused: PartialStg,
+    acc: MooreFsm | None,
+    challenger: MooreFsm | None,
+    refused: MooreFsm,
     traces: list[Trace],
-) -> tuple[PartialStg | None, PartialStg | None]:
+) -> tuple[MooreFsm | None, MooreFsm | None]:
     """Pool a graph ``acc`` refused into the challenger; maybe take over.
 
     A dropped round may be right while the accumulated graph is wrong: a
@@ -327,8 +319,8 @@ def _challenge(
             challenger = merge_rounds(challenger, refused)
         except StgConflictError:
             challenger = refused
-    acc_count = acc.transition_count if acc is not None else 0
-    if challenger.transition_count > acc_count and replay_consistency(
+    acc_count = transition_count(acc) if acc is not None else 0
+    if transition_count(challenger) > acc_count and replay_consistency(
         challenger, traces
     ).consistent:
         return challenger, None

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import secrets
 import sys
+import tempfile
 import time
 
 from . import __version__
@@ -31,8 +33,8 @@ from .fsm import (
     parse_kiss2,
     serialize_kiss2,
     step,
+    transition_count,
 )
-from .stg import stg_to_moore
 
 EXIT_OK = 0
 EXIT_DIFFERENT = 1
@@ -54,6 +56,26 @@ def _load_moore(path: str) -> tuple[MooreFsm, bool]:
     if isinstance(machine, MealyFsm):
         return moorify(machine), True
     return machine, False
+
+
+def _require_writable(files: list[str | None], directory: str | None) -> None:
+    """Raise OSError now for an output path the command could not write later.
+
+    A file that does not exist yet is created and removed again, so a
+    check leaves nothing behind; an existing one is opened for append and
+    left as it was.
+    """
+    for path in files:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+    if directory is not None:
+        with tempfile.NamedTemporaryFile(dir=directory):
+            pass
 
 
 def _emit(report: dict, path: str | None) -> None:
@@ -92,11 +114,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
             machine.state_count, machine.input_bits, args.multiplier
         )
     )
+    # an attack can run for minutes; an unusable output path must stop it
+    # before it starts, not throw its result away at the end
+    _require_writable([args.report, args.recovered], args.dimacs_dump)
     encoded = assign_binary_encoding(machine)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     cfg = AttackConfig(
         state_count_guess=machine.state_count,
-        input_bits=machine.input_bits,
         vectors_per_round=vectors,
         multiplier=args.multiplier,
         goal=args.goal,
@@ -110,13 +134,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     if args.recovered is not None and result.recovered is not None:
         with open(args.recovered, "w", encoding="utf-8") as fh:
-            fh.write(serialize_kiss2(stg_to_moore(result.recovered)))
+            fh.write(serialize_kiss2(result.recovered))
 
     report = {
         "command": "attack",
         "config": {
             "goal": cfg.goal,
-            "input_bits": cfg.input_bits,
+            "input_bits": machine.input_bits,
             "max_rounds": cfg.max_rounds,
             "multiplier": cfg.multiplier,
             "noise": args.noise,
@@ -155,7 +179,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             ),
             "total_ms": 0.0 if args.deterministic else result.total_ms,
             "transitions": (
-                result.recovered.transition_count if result.recovered else 0
+                transition_count(result.recovered) if result.recovered else 0
             ),
         },
         "artifacts": {

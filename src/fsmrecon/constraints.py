@@ -104,8 +104,8 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     """Constraints for ``trace`` at register width ``width``.
 
     Consecutive positions get an Identical constraint when the channel read
-    an exact zero, otherwise the inference window [max(1, center-1),
-    min(width, center+1)].  A window that empties after clamping (the width
+    an exact zero, otherwise the channel's inference window [``lo``,
+    min(width, ``hi``)].  A window that empties after clamping (the width
     cannot carry the observed distance) marks the set trivially
     unsatisfiable but is still recorded.  Output groups come from
     :func:`output_groups`.  The set is O(N).
@@ -116,14 +116,13 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     trivially_unsat = False
     for k, inf in enumerate(trace.inferred):
         i, j = k, k + 1
-        if inf.center == 0:
+        if inf.exact:
             constraints.append(Identical(i, j))
         else:
-            lo = max(1, inf.center - 1)
-            hi = min(width, inf.center + 1)
-            if lo > hi:
+            hi = min(width, inf.hi)
+            if inf.lo > hi:
                 trivially_unsat = True
-            constraints.append(HdRange(i, j, lo, hi))
+            constraints.append(HdRange(i, j, inf.lo, hi))
     groups = output_groups(trace.outputs)
     return ConstraintSet(
         width=width,

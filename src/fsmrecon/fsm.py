@@ -107,7 +107,9 @@ class MooreFsm:
 
     ``outputs[s]`` is the vector emitted while the machine sits in state
     ``s``; by convention the output observed on a transition is the output
-    of the state being entered.
+    of the state being entered.  ``delta`` may be partial: a graph
+    recovered by an attack is a MooreFsm with states ``s0 .. s{n-1}``,
+    reset 0 and only the transitions observed so far.
     """
 
     input_bits: int

@@ -1,9 +1,10 @@
 """Independent correctness oracles.
 
 Three checks that share no machinery with the recovery pipeline: replaying
-captured traces against a recovered graph, behavioral equivalence of two
-machines by product traversal, and exhaustive minimal-width search over a
-constraint set.  Each is deliberately brute-force and simple so it can
+captured traces against a machine (a recovered graph is a partial
+:class:`~fsmrecon.fsm.MooreFsm`), behavioral equivalence of two machines by
+product traversal, and exhaustive minimal-width search over a constraint
+set.  Each is deliberately brute-force and simple so it can
 arbitrate when the clever path (CNF encoding, CDCL search, folding) is in
 question.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from .capture import Trace
 from .constraints import ConstraintSet, HdRange, evaluate
 from .fsm import MooreFsm
-from .stg import PartialStg
 
 # Hard ceiling on R * (N+1) for exhaustive assignment enumeration: 2**24
 # candidate assignments is the most a test-suite call should ever pay for.
@@ -35,11 +35,11 @@ class ReplayIssue:
 
 @dataclass
 class ReplayVerdict:
-    """Outcome of replaying traces through a partial graph.
+    """Outcome of replaying traces through a possibly partial machine.
 
-    ``checked_steps`` counts positions whose output the graph could be held
-    to; ``skipped_steps`` counts positions past a transition the graph does
-    not contain (the walk loses its footing there and the rest of that
+    ``checked_steps`` counts positions whose output the machine could be
+    held to; ``skipped_steps`` counts positions past a transition the
+    machine does not contain (the walk loses its footing there and the rest of that
     trace is unverifiable).
     """
 
@@ -67,45 +67,43 @@ class EquivalenceVerdict:
     skipped_edges: int = 0
 
 
-def replay_consistency(stg: PartialStg, traces: list[Trace]) -> ReplayVerdict:
-    """Walk each trace through ``stg`` from reset and compare outputs.
+def replay_consistency(machine: MooreFsm, traces: list[Trace]) -> ReplayVerdict:
+    """Walk each trace through ``machine`` from its reset and compare outputs.
 
-    Passes iff every step the graph can follow emits the trace's output.
+    Passes iff every step the machine can follow emits the trace's output.
     A step whose transition is absent (legitimately possible in a partial
-    graph) ends that trace's walk; the remaining positions count as
-    skipped, never as failures.
+    recovered graph) ends that trace's walk; the remaining positions count
+    as skipped, never as failures.
     """
+    outputs, delta = machine.outputs, machine.delta
     issues: list[ReplayIssue] = []
     checked = 0
     skipped = 0
     for t_idx, trace in enumerate(traces):
         if (trace.input_bits, trace.output_bits) != (
-            stg.input_bits,
-            stg.output_bits,
+            machine.input_bits,
+            machine.output_bits,
         ):
             raise ValueError(
                 f"trace {t_idx} arity ({trace.input_bits} in, "
-                f"{trace.output_bits} out) does not match the graph "
-                f"({stg.input_bits} in, {stg.output_bits} out)"
+                f"{trace.output_bits} out) does not match the machine "
+                f"({machine.input_bits} in, {machine.output_bits} out)"
             )
-        if stg.state_count == 0:
-            skipped += trace.n_steps + 1
-            continue
-        cur = 0
-        if stg.outputs[0] != trace.outputs[0]:
+        cur = machine.reset
+        if outputs[cur] != trace.outputs[0]:
             issues.append(
-                ReplayIssue(t_idx, 0, stg.outputs[0], trace.outputs[0])
+                ReplayIssue(t_idx, 0, outputs[cur], trace.outputs[0])
             )
         checked += 1
         for k in range(1, trace.n_steps + 1):
-            nxt = stg.transitions.get((cur, trace.stimulus[k - 1]))
+            nxt = delta.get((cur, trace.stimulus[k - 1]))
             if nxt is None:
                 skipped += trace.n_steps + 1 - k
                 break
             cur = nxt
-            if stg.outputs[cur] != trace.outputs[k]:
+            if outputs[cur] != trace.outputs[k]:
                 issues.append(
-                    ReplayIssue(t_idx, k, stg.outputs[cur], trace.outputs[k])
+                    ReplayIssue(t_idx, k, outputs[cur], trace.outputs[k])
                 )
             checked += 1
     return ReplayVerdict(
@@ -116,7 +114,7 @@ def replay_consistency(stg: PartialStg, traces: list[Trace]) -> ReplayVerdict:
     )
 
 
-def equivalent(a: MooreFsm | PartialStg, b: MooreFsm) -> EquivalenceVerdict:
+def equivalent(a: MooreFsm, b: MooreFsm) -> EquivalenceVerdict:
     """Behavioral equivalence by breadth-first product traversal.
 
     Starting from the reset pair, every reached state pair must emit the
@@ -127,33 +125,28 @@ def equivalent(a: MooreFsm | PartialStg, b: MooreFsm) -> EquivalenceVerdict:
     incomplete, and equivalence is only claimed over what both machines
     define.
     """
-    if isinstance(a, PartialStg):
-        a_reset, a_outputs, a_lookup = 0, a.outputs, a.transitions
-    else:
-        a_reset, a_outputs, a_lookup = a.reset, a.outputs, a.delta
-    a_in, a_out = a.input_bits, a.output_bits
-    if (a_in, a_out) != (b.input_bits, b.output_bits):
+    if (a.input_bits, a.output_bits) != (b.input_bits, b.output_bits):
         raise ValueError(
-            f"machines disagree on arity: ({a_in} in, {a_out} out) "
-            f"vs ({b.input_bits} in, {b.output_bits} out)"
+            f"machines disagree on arity: ({a.input_bits} in, "
+            f"{a.output_bits} out) vs ({b.input_bits} in, {b.output_bits} out)"
         )
 
     skipped = 0
-    visited = {(a_reset, b.reset)}
+    visited = {(a.reset, b.reset)}
     queue: deque[tuple[int, int, tuple[int, ...]]] = deque(
-        [(a_reset, b.reset, ())]
+        [(a.reset, b.reset, ())]
     )
     while queue:
         sa, sb, path = queue.popleft()
-        if a_outputs[sa] != b.outputs[sb]:
+        if a.outputs[sa] != b.outputs[sb]:
             return EquivalenceVerdict(
                 equivalent=False,
                 counterexample=list(path),
                 coverage="partial" if skipped else "full",
                 skipped_edges=skipped,
             )
-        for vec in range(1 << a_in):
-            ta = a_lookup.get((sa, vec))
+        for vec in range(1 << a.input_bits):
+            ta = a.delta.get((sa, vec))
             tb = b.delta.get((sb, vec))
             if ta is None or tb is None:
                 skipped += 1

@@ -255,7 +255,6 @@ def test_criterion_7_constraint_window_soundness():
         enc = encoded_fixture(name)
         cfg = AttackConfig(
             state_count_guess=enc.machine.state_count,
-            input_bits=enc.machine.input_bits,
             goal=1.0,
             max_rounds=15,
             seed=1,

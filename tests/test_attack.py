@@ -17,7 +17,7 @@ from fsmrecon.attack import (
 )
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
-from fsmrecon.stg import PartialStg
+from fsmrecon.fsm import MooreFsm, transition_count
 from fsmrecon.verify import equivalent, replay_consistency
 
 SMALL_BENCHMARKS = ["lion", "train4", "dk27", "mc", "bbtas", "shiftreg"]
@@ -27,7 +27,6 @@ def run_attack(name, *, seed=1, goal=1.0, max_rounds=10, **kw):
     enc = encoded_fixture(name)
     cfg = AttackConfig(
         state_count_guess=enc.machine.state_count,
-        input_bits=enc.machine.input_bits,
         goal=goal,
         max_rounds=max_rounds,
         seed=seed,
@@ -111,7 +110,7 @@ def test_fraction_is_non_decreasing_across_rounds():
 def test_new_transition_counts_telescope_to_the_total():
     _, _, res = run_attack("shiftreg", max_rounds=15)
     assert sum(r.new_transitions for r in res.rounds) == \
-        res.recovered.transition_count
+        transition_count(res.recovered)
 
 
 def test_rejected_rounds_do_not_abort_the_attack():
@@ -151,7 +150,7 @@ def test_identical_seeds_give_identical_results():
     assert [(r.status, r.width, r.fraction) for r in a.rounds] == \
         [(r.status, r.width, r.fraction) for r in b.rounds]
     assert a.recovered.outputs == b.recovered.outputs
-    assert a.recovered.transitions == b.recovered.transitions
+    assert a.recovered.delta == b.recovered.delta
 
 
 def test_different_seeds_give_different_stimuli():
@@ -173,8 +172,10 @@ def test_final_graph_replays_every_captured_trace():
 def test_recovered_graph_endpoints_are_known_states():
     enc, _, res = run_attack("dk27", max_rounds=15)
     g = res.recovered
-    assert len(g.outputs) == g.state_count  # id 0 is the reset state
-    for (state, vec), dst in g.transitions.items():
+    assert len(g.outputs) == g.state_count
+    assert g.states == [f"s{i}" for i in range(g.state_count)]
+    assert g.reset == 0
+    for (state, vec), dst in g.delta.items():
         assert 0 <= state < g.state_count and 0 <= dst < g.state_count
         assert 0 <= vec < (1 << enc.machine.input_bits)
 
@@ -185,9 +186,10 @@ def test_recovered_graph_endpoints_are_known_states():
 # the state and input 0 keeps it.
 
 
-def stg(outputs, transitions):
-    return PartialStg(input_bits=1, output_bits=1, outputs=list(outputs),
-                      transitions=dict(transitions))
+def stg(outputs, delta):
+    return MooreFsm(input_bits=1, output_bits=1,
+                    states=[f"s{i}" for i in range(len(outputs))], reset=0,
+                    delta=dict(delta), outputs=list(outputs))
 
 
 TOGGLE_WALK = synthetic_trace(["0", "1", "0", "0"], [1, 1, 0],
@@ -202,7 +204,7 @@ def test_challenger_pools_consistent_refused_graphs():
                            [TOGGLE_WALK])
     assert won is None
     assert pool.outputs == ["0", "1"]
-    assert pool.transitions == {(0, 0): 0, (0, 1): 1}
+    assert pool.delta == {(0, 0): 0, (0, 1): 1}
 
 
 def test_challenger_restarts_from_the_new_graph_on_a_clash():
@@ -238,7 +240,7 @@ def test_pooled_challenger_takes_over_once_it_outgrows_the_graph():
     won, pool = _challenge(acc, pool, stg(["0", "1"], {(0, 1): 1, (1, 1): 0}),
                            [TOGGLE_WALK])
     assert pool is None
-    assert won.transitions == {(0, 1): 1, (1, 1): 0}
+    assert won.delta == {(0, 1): 1, (1, 1): 0}
 
 
 # ---------------------------------------------------------------- bookkeeping
@@ -267,9 +269,8 @@ def test_build_device_wires_the_configured_channel():
 
     enc = encoded_fixture("lion")
     stimulus = gen_stimulus(40, 2, seed=9)
-    plain = AttackConfig(state_count_guess=4, input_bits=2)
-    noisy = AttackConfig(state_count_guess=4, input_bits=2,
-                         noise=NoiseModel.gaussian(12.0))
+    plain = AttackConfig(state_count_guess=4)
+    noisy = AttackConfig(state_count_guess=4, noise=NoiseModel.gaussian(12.0))
     exact_currents = run_trace(build_device(enc, plain), stimulus, 9).currents
     again = run_trace(build_device(enc, plain), stimulus, 9).currents
     blurred = run_trace(build_device(enc, noisy), stimulus, 9).currents
@@ -298,18 +299,10 @@ def test_total_time_covers_the_rounds():
 )
 def test_malformed_config_is_rejected(field, value):
     enc = encoded_fixture("lion")
-    cfg = AttackConfig(state_count_guess=4, input_bits=2)
+    cfg = AttackConfig(state_count_guess=4)
     setattr(cfg, field, value)
     with pytest.raises(ValueError):
-        attack(build_device(enc, AttackConfig(4, 2)), cfg)
-
-
-def test_input_arity_mismatch_is_rejected():
-    enc = encoded_fixture("lion")  # 2 input bits
-    cfg = AttackConfig(state_count_guess=4, input_bits=3)
-    device = build_device(enc, AttackConfig(4, 2))
-    with pytest.raises(ValueError, match="input bits"):
-        attack(device, cfg)
+        attack(build_device(enc, AttackConfig(4)), cfg)
 
 
 # ---------------------------------------------------------------- pinned

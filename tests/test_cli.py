@@ -115,13 +115,16 @@ def test_attack_table3_ten_state_machine(opus_path, tmp_path):
 
 
 def test_attack_zero_rounds_exits_3(lion_path, tmp_path, capsys):
+    recovered = tmp_path / "recovered.kiss2"
     code = main([
         "attack", "--target", lion_path, "--rounds-max", "0", "--seed", "1",
+        "--recovered", str(recovered),
     ])
     assert code == 3
     rep = json.loads(capsys.readouterr().out)
     assert rep["result"]["fraction"] == 0.0
     assert rep["artifacts"]["recovered"] is None
+    assert not recovered.exists()  # nothing recovered, nothing written
 
 
 def test_attack_goal_missed_still_writes_partial_report(tmp_path):
@@ -183,6 +186,7 @@ def assert_one_line_exit_2(capsys, argv, word):
 
 # paths under a directory that does not exist cannot be written
 UNWRITABLE = "no-such-dir/out"
+PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
 
 
 @pytest.mark.parametrize(
@@ -193,16 +197,34 @@ UNWRITABLE = "no-such-dir/out"
      ("--multiplier", "nan", "multiplier"),
      ("--report", UNWRITABLE, "no-such-dir"),
      ("--recovered", UNWRITABLE, "no-such-dir"),
-     ("--dimacs-dump", UNWRITABLE, "no-such-dir")],
+     ("--dimacs-dump", UNWRITABLE, "no-such-dir"),
+     # a directory where a file goes, and a file where a directory goes
+     ("--report", ".", "directory"),
+     ("--recovered", ".", "directory"),
+     ("--dimacs-dump", "lion.kiss2", "directory")],
 )
 def test_attack_unusable_flag_exits_2_with_one_line(
     lion_path, tmp_path, monkeypatch, capsys, flag, value, word
 ):
+    from fsmrecon import cli
+
     monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def recording_attack(device, cfg):
+        calls.append(cfg)
+        return real_attack(device, cfg)
+
+    real_attack = cli.attack
+    monkeypatch.setattr(cli, "attack", recording_attack)
     assert_one_line_exit_2(
         capsys, ["attack", "--target", lion_path, "--seed", "1", flag, value],
         word,
     )
+    if flag in PATH_FLAGS:
+        # an unusable output path stops the attack before it starts
+        assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lion.kiss2"]
 
 
 def test_attack_model_violation_keeps_its_traceback(lion_path, monkeypatch):

@@ -114,9 +114,7 @@ def test_merging_true_folds_reproduces_the_machine(
         values = tuple(
             enc.encodings[s].value for s in true_state_sequence(enc, stim)
         )
-        graph = build_partial_stg(
-            trace, EncodingAssignment(enc.width, values), round_no=round_no
-        )
+        graph = build_partial_stg(trace, EncodingAssignment(enc.width, values))
         acc = merge_rounds(acc, graph)
         traces.append(trace)
     verdict = replay_consistency(acc, traces)

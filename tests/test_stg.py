@@ -4,30 +4,40 @@ import pytest
 
 from conftest import machine_trace, synthetic_trace
 from fsmrecon.channel import NoiseModel
-from fsmrecon.fsm import parse_kiss2, serialize_kiss2
+from fsmrecon.fsm import MooreFsm, parse_kiss2, serialize_kiss2, transition_count
 from fsmrecon.recovery import EncodingAssignment, recover_encodings
 from fsmrecon.stg import (
-    PartialStg,
     StgConflictError,
     build_partial_stg,
     fold_states,
     merge_rounds,
     recovery_fraction,
-    stg_to_moore,
 )
+
+
+def graph(input_bits, outputs, delta):
+    """A hand-built recovered graph: one output bit, reset 0."""
+    return MooreFsm(
+        input_bits=input_bits,
+        output_bits=1,
+        states=[f"s{i}" for i in range(len(outputs))],
+        reset=0,
+        delta=delta,
+        outputs=outputs,
+    )
 
 
 def replay(stg, stimulus):
     """Outputs of walking the graph from reset; raises KeyError on gaps."""
-    outs = [stg.outputs[0]]
-    s = 0
+    outs = [stg.outputs[stg.reset]]
+    s = stg.reset
     for vec in stimulus:
-        s = stg.transitions[(s, vec)]
+        s = stg.delta[(s, vec)]
         outs.append(stg.outputs[s])
     return outs
 
 
-def recovered_graph(name, steps, seed, noise=None, round_no=0, pool_seeds=()):
+def recovered_graph(name, steps, seed, noise=None, pool_seeds=()):
     """Recover one round's graph; pool_seeds add grouping evidence the way
     consecutive attack rounds do, for machines one walk underdetermines."""
     pool = [
@@ -36,7 +46,7 @@ def recovered_graph(name, steps, seed, noise=None, round_no=0, pool_seeds=()):
     enc, trace = machine_trace(name, steps, seed, noise=noise)
     result = recover_encodings(trace, seed_traces=tuple(pool))
     assert result.success
-    return trace, build_partial_stg(trace, result.assignment, round_no)
+    return trace, build_partial_stg(trace, result.assignment)
 
 
 # ----------------------------------------------------------------- folding
@@ -69,12 +79,6 @@ def test_round_graph_replays_its_trace():
     assert stg.state_count <= 4  # never more states than the machine has
 
 
-def test_round_graph_records_provenance():
-    trace, stg = recovered_graph("lion", 80, seed=21, round_no=3)
-    assert set(stg.provenance.values()) == {3}
-    assert set(stg.provenance) == set(stg.transitions)
-
-
 def test_nondeterministic_fold_is_rejected():
     trace = synthetic_trace(
         ["0", "0", "1"], [0, 1], input_bits=1, stimulus=[0, 0]
@@ -92,17 +96,17 @@ def test_merge_into_empty_copies():
     _, stg = recovered_graph("lion", 60, seed=2, pool_seeds=(90, 91))
     merged = merge_rounds(None, stg)
     assert merged == stg
-    merged.transitions[(10**6, 0)] = 0  # key no real graph contains
-    assert merged.transitions != stg.transitions  # a copy, not a view
+    merged.delta[(10**6, 0)] = 0  # key no real graph contains
+    assert merged.delta != stg.delta  # a copy, not a view
 
 
 def test_merge_unifies_resets_and_extends_coverage():
-    t1, g1 = recovered_graph("dk27", 120, seed=31, round_no=0,
-                             pool_seeds=(90, 91, 92))
-    t2, g2 = recovered_graph("dk27", 120, seed=77, round_no=1,
-                             pool_seeds=(90, 91, 92))
+    t1, g1 = recovered_graph("dk27", 120, seed=31, pool_seeds=(90, 91, 92))
+    t2, g2 = recovered_graph("dk27", 120, seed=77, pool_seeds=(90, 91, 92))
     merged = merge_rounds(g1, g2)
-    assert merged.transition_count >= max(g1.transition_count, g2.transition_count)
+    assert transition_count(merged) >= max(
+        transition_count(g1), transition_count(g2)
+    )
     # both traces replay on the merged graph
     assert replay(merged, t1.stimulus) == t1.outputs
     assert replay(merged, t2.stimulus) == t2.outputs
@@ -110,68 +114,51 @@ def test_merge_unifies_resets_and_extends_coverage():
 
 def test_merge_converges_to_true_machine_size():
     acc = None
-    for rnd, seed in enumerate((11, 22, 33)):
-        _, g = recovered_graph("mc", 200, seed=seed, round_no=rnd)
+    for seed in (11, 22, 33):
+        _, g = recovered_graph("mc", 200, seed=seed)
         acc = merge_rounds(acc, g)
     assert acc.state_count == 4
-    assert acc.transition_count == 4 * 8  # complete coverage
+    assert transition_count(acc) == 4 * 8  # complete coverage
     assert recovery_fraction(acc, 4, 3) == 1.0
 
 
 def test_merge_rejects_reset_output_clash():
-    a = PartialStg(1, 1, outputs=["0"], transitions={})
-    b = PartialStg(1, 1, outputs=["1"], transitions={})
+    a = graph(1, ["0"], {})
+    b = graph(1, ["1"], {})
     with pytest.raises(StgConflictError):
         merge_rounds(a, b)
 
 
 def test_merge_rejects_clash_found_by_closure():
     # identical first step, conflicting outputs one step deeper
-    a = PartialStg(1, 1, outputs=["0", "1"], transitions={(0, 0): 1})
-    b = PartialStg(1, 1, outputs=["0", "0"], transitions={(0, 0): 1})
+    a = graph(1, ["0", "1"], {(0, 0): 1})
+    b = graph(1, ["0", "0"], {(0, 0): 1})
     with pytest.raises(StgConflictError):
         merge_rounds(a, b)
 
 
 def test_merge_closure_unifies_forced_chains():
     # graphs describe the same two-state flip machine with different ids
-    a = PartialStg(1, 1, outputs=["0", "1"], transitions={(0, 1): 1, (1, 1): 0})
-    b = PartialStg(
-        1, 1, outputs=["0", "1", "0"],
-        transitions={(0, 1): 1, (1, 1): 2, (2, 1): 1},
-    )
+    a = graph(1, ["0", "1"], {(0, 1): 1, (1, 1): 0})
+    b = graph(1, ["0", "1", "0"], {(0, 1): 1, (1, 1): 2, (2, 1): 1})
     merged = merge_rounds(a, b)
     # state 2 of b is forced onto state 0: the merge stays two states
     assert merged.state_count == 2
-    assert merged.transitions == {(0, 1): 1, (1, 1): 0}
+    assert merged.delta == {(0, 1): 1, (1, 1): 0}
+    assert (merged.states, merged.reset) == (["s0", "s1"], 0)
 
 
 def test_merge_rejects_arity_mismatch():
-    a = PartialStg(1, 1, outputs=["0"], transitions={})
-    b = PartialStg(2, 1, outputs=["0"], transitions={})
+    a = graph(1, ["0"], {})
+    b = graph(2, ["0"], {})
     with pytest.raises(StgConflictError):
         merge_rounds(a, b)
 
 
-def test_merge_keeps_earliest_provenance():
-    a = PartialStg(
-        1, 1, outputs=["0", "1"],
-        transitions={(0, 1): 1}, provenance={(0, 1): 0},
-    )
-    b = PartialStg(
-        1, 1, outputs=["0", "1"],
-        transitions={(0, 1): 1, (1, 0): 1}, provenance={(0, 1): 4, (1, 0): 4},
-    )
-    merged = merge_rounds(a, b)
-    assert merged.provenance[(0, 1)] == 0
-    assert merged.provenance[(1, 0)] == 4
-
-
 def test_merge_is_deterministic():
-    _, g1 = recovered_graph("bbtas", 150, seed=3, round_no=0,
-                            pool_seeds=(90, 91, 92))
+    _, g1 = recovered_graph("bbtas", 150, seed=3, pool_seeds=(90, 91, 92))
     _, g2 = recovered_graph(
-        "bbtas", 150, seed=9, noise=NoiseModel.table3(), round_no=1,
+        "bbtas", 150, seed=9, noise=NoiseModel.table3(),
         pool_seeds=(93, 94, 95),
     )
     assert merge_rounds(g1, g2) == merge_rounds(g1, g2)
@@ -181,7 +168,7 @@ def test_merge_is_deterministic():
 
 
 def test_fraction_counts_against_full_transition_space():
-    stg = PartialStg(2, 1, outputs=["0"], transitions={(0, 0): 0, (0, 1): 0})
+    stg = graph(2, ["0"], {(0, 0): 0, (0, 1): 0})
     assert recovery_fraction(stg, 4, 2) == 2 / 16
     assert recovery_fraction(None, 4, 2) == 0.0
     with pytest.raises(ValueError):
@@ -193,12 +180,8 @@ def test_fraction_counts_against_full_transition_space():
 
 def test_recovered_graph_serializes_and_parses_back():
     acc = None
-    for rnd, seed in enumerate((11, 22, 33)):
-        _, g = recovered_graph("mc", 200, seed=seed, round_no=rnd)
+    for seed in (11, 22, 33):
+        _, g = recovered_graph("mc", 200, seed=seed)
         acc = merge_rounds(acc, g)
-    moore = stg_to_moore(acc)
-    text = serialize_kiss2(moore)
-    back = parse_kiss2(text)
-    assert back.delta == moore.delta
-    assert back.outputs == moore.outputs
-    assert back.reset == 0
+    back = parse_kiss2(serialize_kiss2(acc))
+    assert back == acc

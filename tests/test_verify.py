@@ -13,9 +13,9 @@ from fsmrecon.constraints import (
     build_constraints,
     evaluate,
 )
-from fsmrecon.fsm import MooreFsm
+from fsmrecon.fsm import MooreFsm, transition_count
 from fsmrecon.recovery import recover_encodings
-from fsmrecon.stg import PartialStg, build_partial_stg
+from fsmrecon.stg import build_partial_stg
 from fsmrecon.verify import (
     brute_force_min_width,
     equivalent,
@@ -34,14 +34,16 @@ def true_fold_graph(name, steps, seed):
     outputs = [""] * len(dense)
     for pos, sid in enumerate(ids):
         outputs[sid] = trace.outputs[pos]
-    transitions = {}
+    delta = {}
     for k in range(trace.n_steps):
-        transitions[(ids[k], trace.stimulus[k])] = ids[k + 1]
-    stg = PartialStg(
+        delta[(ids[k], trace.stimulus[k])] = ids[k + 1]
+    stg = MooreFsm(
         input_bits=trace.input_bits,
         output_bits=trace.output_bits,
+        states=[f"s{i}" for i in range(len(outputs))],
+        reset=0,
+        delta=delta,
         outputs=outputs,
-        transitions=transitions,
     )
     return stg, trace, enc
 
@@ -80,15 +82,6 @@ def run_outputs(machine, seq):
     return outs
 
 
-def walk_stg_outputs(stg, seq):
-    s = 0
-    outs = [stg.outputs[0]]
-    for vec in seq:
-        s = stg.transitions[(s, vec)]
-        outs.append(stg.outputs[s])
-    return outs
-
-
 # ---------------------------------------------------------------- replay
 
 
@@ -115,7 +108,7 @@ def test_replay_flags_flipped_output_with_step_index():
 def test_replay_fresh_exact_traces_pass_on_recovered_graph():
     stg, enc = recovered_graph("mc", 250, 5)
     full = enc.machine.state_count * (1 << enc.machine.input_bits)
-    assert stg.transition_count == full
+    assert transition_count(stg) == full
     fresh = [machine_trace("mc", 100, s)[1] for s in (501, 502)]
     verdict = replay_consistency(stg, fresh)
     assert verdict.consistent
@@ -127,8 +120,8 @@ def test_replay_skips_unverifiable_tail_after_missing_transition():
     fresh = machine_trace("lion", 60, 777)[1]
     pruned = replace(
         stg,
-        transitions={
-            k: v for k, v in stg.transitions.items() if k != (0, fresh.stimulus[0])
+        delta={
+            k: v for k, v in stg.delta.items() if k != (0, fresh.stimulus[0])
         },
     )
     verdict = replay_consistency(pruned, [fresh])
@@ -156,13 +149,23 @@ def test_replay_arity_mismatch_raises():
         replay_consistency(stg, [other])
 
 
-def test_replay_on_empty_graph_skips_everything():
-    empty = PartialStg(input_bits=1, output_bits=1, outputs=[], transitions={})
-    trace = synthetic_trace(["0", "1"], [2])
-    verdict = replay_consistency(empty, [trace])
+def test_replay_walks_from_the_machine_reset(lion_encoded):
+    m = lion_encoded.machine
+    trace = machine_trace("lion", 60, 4)[1]
+    # the same machine with its states reversed: the reset is no longer 0
+    n = m.state_count
+    flipped = MooreFsm(
+        input_bits=m.input_bits,
+        output_bits=m.output_bits,
+        states=m.states[::-1],
+        reset=n - 1 - m.reset,
+        delta={(n - 1 - s, v): n - 1 - t for (s, v), t in m.delta.items()},
+        outputs=m.outputs[::-1],
+    )
+    assert flipped.reset != 0
+    verdict = replay_consistency(flipped, [trace])
     assert verdict.consistent
-    assert verdict.checked_steps == 0
-    assert verdict.skipped_steps == 2
+    assert verdict.checked_steps == trace.n_steps + 1
 
 
 # ----------------------------------------------------------- equivalence
@@ -235,10 +238,10 @@ def test_reset_divergence_gives_empty_counterexample():
 
 def test_partial_graph_skips_missing_transitions():
     stg, _, enc = true_fold_graph("lion", 150, 3)
-    drop = next(iter(sorted(stg.transitions)))
+    drop = next(iter(sorted(stg.delta)))
     pruned = replace(
         stg,
-        transitions={k: v for k, v in stg.transitions.items() if k != drop},
+        delta={k: v for k, v in stg.delta.items() if k != drop},
     )
     verdict = equivalent(pruned, enc.machine)
     assert verdict.equivalent
@@ -248,7 +251,7 @@ def test_partial_graph_skips_missing_transitions():
 
 def test_complete_recovered_graph_is_fully_equivalent():
     stg, enc = recovered_graph("mc", 250, 5)
-    assert stg.transition_count == enc.machine.state_count * (
+    assert transition_count(stg) == enc.machine.state_count * (
         1 << enc.machine.input_bits
     )
     verdict = equivalent(stg, enc.machine)
@@ -267,7 +270,7 @@ def test_partial_graph_output_fault_is_certified():
     verdict = equivalent(corrupted, enc.machine)
     assert not verdict.equivalent
     ce = verdict.counterexample
-    assert walk_stg_outputs(corrupted, ce)[-1] != run_outputs(enc.machine, ce)[-1]
+    assert run_outputs(corrupted, ce)[-1] != run_outputs(enc.machine, ce)[-1]
 
 
 def test_equivalence_arity_mismatch_raises():

@@ -81,10 +81,13 @@ class RoundRecord:
 
     ``trace`` is the round's capture; later rounds pool it as evidence and
     replay it as a check.  ``assignment`` is the last solution the round's
-    solver found, kept when its fold was rejected too; it is None when the
-    last solve failed.  ``escalations`` counts wider-register retries, and
-    ``attempts`` lists every width tried across them.  ``new_transitions``
-    and ``fraction`` describe the accumulated graph after the round.
+    solver found, kept when its fold was rejected too, and ``width`` is its
+    width; both are None when the last solve failed.  ``solver_ms`` is the
+    wall time of the width search, the state-grouping guess included, so
+    it is not solver time alone.  ``escalations`` counts wider-register
+    retries, and ``attempts`` lists every width tried across them.
+    ``new_transitions`` and ``fraction`` describe the accumulated graph
+    after the round.
     """
 
     round_no: int
@@ -217,7 +220,7 @@ def _solve_round(
     trace = traces[-1]
     attempts: list[WidthAttempt] = []
     solver_ms = 0.0
-    width = width_start = None
+    width_start = classes = None
     for escalations in range(_WIDTH_ESCALATIONS + 1):
         t0 = time.perf_counter()
         found = recover_encodings(
@@ -225,6 +228,7 @@ def _solve_round(
             width_start=width_start,
             timeout_ms=cfg.timeout_ms,
             seed_traces=tuple(traces[:-1]),
+            classes=classes,
             dimacs_dir=cfg.dimacs_dir,
             dimacs_prefix=f"round{round_no:02d}_",
         )
@@ -234,22 +238,24 @@ def _solve_round(
         if assignment is None:
             status, merged, refused = "solver-failed", None, None
             break
-        width = assignment.width
         status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
+        if classes is None:
+            # every escalation solves the same trace under the same guess
+            classes = found.classes
+            guessed = max(classes) + 1
         # Retry wider only when the state-grouping guess itself does not
         # fit the width — the one case where the first satisfiable width
         # demonstrably cannot separate all the states.  Anything else is a
         # noise artifact: drop the round and let the pooled evidence
         # sharpen the next one.
-        guessed = max(found.classes) + 1 if found.classes else None
-        if merged is not None or guessed is None or guessed <= (1 << width):
+        if merged is not None or guessed <= (1 << assignment.width):
             break
-        width_start = max(width + 1, (guessed - 1).bit_length())
+        width_start = max(assignment.width + 1, (guessed - 1).bit_length())
     record = RoundRecord(
         round_no=round_no,
         seed=trace.seed,
         status=status,
-        width=width,
+        width=assignment.width if assignment is not None else None,
         solver_ms=solver_ms,
         escalations=escalations,
         trace=trace,

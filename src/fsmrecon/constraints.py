@@ -9,6 +9,11 @@ different register values; that rule is kept as a partition of the
 positions by output (one group id per position), not as pairs, so a set
 holds N chain constraints plus N+1 group ids.  Solving these constraints
 at a given width yields one candidate register value per position.
+
+Two lower bounds on that width come straight from the trace: :func:`r_min`
+counts distinct outputs, and :func:`forced_width`, never below it, also
+counts output groups that a nonzero step splits in two.  The width search
+starts at the latter.
 """
 
 from __future__ import annotations
@@ -89,9 +94,33 @@ class ConstraintSet:
 
 
 def r_min(trace: Trace) -> int:
-    """Smallest width worth trying: distinct outputs force distinct values."""
+    """Smallest width the outputs alone allow: distinct outputs force
+    distinct values.  :func:`forced_width` is never below it."""
     unique = len(set(trace.outputs))
     return max(1, math.ceil(math.log2(unique))) if unique > 1 else 1
+
+
+def forced_width(trace: Trace) -> int:
+    """Smallest width the trace leaves possible, by a clique bound.
+
+    Positions that must hold different values form a graph: positions in
+    different output groups, and the two ends of every step whose window
+    has ``lo >= 1``.  With zero-step runs merged, it is complete between
+    output groups and, inside one group, has only step edges between
+    consecutive runs, so no triangle.  Its largest clique is therefore
+    ``G + D``: the G output groups, plus one for each group that holds
+    both ends of such a step.  A clique of k positions needs k codes, so
+    every narrower width is unsatisfiable (Heule & Verwer, "Exact DFA
+    Identification Using SAT Solvers", ICGI 2010).
+    """
+    groups = output_groups(trace.outputs)
+    doubled = {
+        groups[k]
+        for k, inf in enumerate(trace.inferred)
+        if inf.lo >= 1 and groups[k] == groups[k + 1]
+    }
+    k = max(groups) + 1 + len(doubled)
+    return max(1, (k - 1).bit_length())
 
 
 def output_groups(outputs: list[str]) -> list[int]:

@@ -1,6 +1,8 @@
 """Recovering per-position register values from one trace.
 
-Pipeline: derive constraints at a candidate register width, check the
+Pipeline: starting at the width the trace forces
+(:func:`~fsmrecon.constraints.forced_width`, so no narrower width needs a
+refutation), derive constraints at a candidate register width, check the
 phase seed against them, and only when the seed fails encode to CNF and
 solve; on refutation grow the width by one and retry.  The seed comes from
 grouping trace positions into guessed state classes (greedy state merging
@@ -26,12 +28,12 @@ from .constraints import (
     HdRange,
     build_constraints,
     find_violation,
+    forced_width,
     output_groups,
-    r_min,
 )
 from .sat import SAT, TIMEOUT, UNSAT, CdclSolver
 
-WIDTH_STEPS = 16  # probe r_min .. r_min + WIDTH_STEPS
+WIDTH_STEPS = 16  # probe r0 .. r0 + WIDTH_STEPS, r0 the forced width by default
 _SEED_MAX_WIDTH = 12  # beyond this the class-code domain is too large
 _SEARCH_BUDGET = 500_000
 
@@ -369,13 +371,16 @@ def recover_encodings(
     width_start: int | None = None,
     timeout_ms: int | None = 1_000_000,
     seed_traces: list[Trace] | tuple[Trace, ...] = (),
+    classes: list[int] | None = None,
     dimacs_dir: str | None = None,
     dimacs_prefix: str = "",
 ) -> RecoveryResult:
     """Find a register width and per-position values satisfying the trace.
 
-    Tries widths ``r0 .. r0 + WIDTH_STEPS`` where r0 defaults to the
-    information-theoretic minimum for the outputs seen.  ``timeout_ms``
+    Tries widths ``r0 .. r0 + WIDTH_STEPS`` where r0 defaults to
+    :func:`~fsmrecon.constraints.forced_width`: every narrower width is
+    provably unsatisfiable, so none is tried, refuted or dumped, and the
+    first satisfiable width is the same as from width 1.  ``timeout_ms``
     bounds each individual solve.  At each width the phase seed is checked
     first by the direct constraint evaluator; when it passes it is returned
     (status ``"seed"``) with no CNF built and no solver call, unless
@@ -385,14 +390,17 @@ def recover_encodings(
     ``seed_traces`` are earlier captures from the same device that sharpen
     the state-grouping guess behind phase seeding; they never contribute
     constraints, so the solved problem is the same with or without them.
+    ``classes``, when given, is that guess (the ``classes`` of an earlier
+    result on the same trace and seed traces), and it is not recomputed.
     """
-    r0 = width_start if width_start is not None else r_min(trace)
+    r0 = width_start if width_start is not None else forced_width(trace)
     if r0 < 1:
         raise ValueError("width_start must be at least 1")
     timeout_s = None if timeout_ms is None else timeout_ms / 1000.0
     result = RecoveryResult(success=False, assignment=None)
 
-    classes = merge_hypothesis(trace, seed_traces)
+    if classes is None:
+        classes = merge_hypothesis(trace, seed_traces)
     result.classes = classes
 
     for width in range(r0, r0 + WIDTH_STEPS + 1):

@@ -1,13 +1,14 @@
 """End-to-end attack-loop behavior: termination, accounting, invariants."""
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import encoded_fixture, synthetic_trace
-from fsmrecon import benchmarks
+from fsmrecon import benchmarks, recovery
 from fsmrecon.attack import (
     AttackConfig,
     AttackResult,
@@ -18,7 +19,11 @@ from fsmrecon.attack import (
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
 from fsmrecon.fsm import MooreFsm, transition_count
+from fsmrecon.recovery import EncodingAssignment, RecoveryResult
 from fsmrecon.verify import equivalent, replay_consistency
+
+# the package exports the ``attack`` function under the module's name
+attack_mod = importlib.import_module("fsmrecon.attack")
 
 SMALL_BENCHMARKS = ["lion", "train4", "dk27", "mc", "bbtas", "shiftreg"]
 
@@ -131,6 +136,54 @@ def test_escalation_is_bounded_and_recorded():
             # the retry happened because 8 hypothesis classes cannot fit
             # the narrower register, so the merged width must hold them
             assert r.width >= 3
+
+
+def test_escalations_reuse_the_round_state_guess(monkeypatch):
+    calls = []
+    depth = 0
+    guess = recovery.merge_hypothesis
+
+    def counting(trace, extra=()):
+        nonlocal depth
+        if depth == 0:  # its own fallback re-enters through the module
+            calls.append(trace.seed)
+        depth += 1
+        try:
+            return guess(trace, extra)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(recovery, "merge_hypothesis", counting)
+    _, _, res = run_attack("shiftreg", seed=1, max_rounds=15)
+    assert any(r.escalations > 0 for r in res.rounds)
+    assert calls == [r.seed for r in res.rounds]
+
+
+def test_failed_escalation_reports_no_width(monkeypatch):
+    # the width-1 solution folds every position into one state, which
+    # clashes on outputs; the guess's three classes need a wider register,
+    # and the wider solve fails
+    widths = []
+
+    def fake_recover(trace, *, width_start=None, **kw):
+        widths.append(width_start)
+        if width_start is None:
+            n = trace.n_steps + 1
+            return RecoveryResult(
+                success=True,
+                assignment=EncodingAssignment(width=1, values=(0,) * n),
+                classes=[k % 3 for k in range(n)],
+            )
+        return RecoveryResult(success=False, assignment=None, reason="timeout")
+
+    monkeypatch.setattr(attack_mod, "recover_encodings", fake_recover)
+    _, _, res = run_attack("lion", max_rounds=1)
+    (rec,) = res.rounds
+    assert widths == [None, 2]
+    assert rec.status == "solver-failed"
+    assert rec.escalations == 1
+    assert rec.assignment is None
+    assert rec.width is None
 
 
 def test_round_seeds_are_distinct_and_reproducible():

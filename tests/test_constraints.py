@@ -19,8 +19,10 @@ from fsmrecon.constraints import (
     build_constraints,
     evaluate,
     find_violation,
+    forced_width,
     r_min,
 )
+from fsmrecon.verify import brute_force_min_width
 
 
 def test_consecutive_constraints_follow_the_channel():
@@ -92,6 +94,57 @@ def test_minimal_width_from_distinct_output_count(n_outputs, want):
     outputs = [format(k % n_outputs, "04b") for k in range(n_outputs)]
     trace = synthetic_trace(outputs, [1] * (len(outputs) - 1))
     assert r_min(trace) == want
+
+
+@pytest.mark.parametrize(
+    "outputs,centers,want",
+    [
+        (["0"], [], 1),
+        (["0", "1"], [1], 1),
+        # a nonzero step inside one output group needs a third code
+        (["0", "0", "1"], [1, 1], 2),
+        # a zero step holds one value, so it splits nothing
+        (["0", "0", "1"], [0, 1], 1),
+        # a group split by two steps still needs only two codes of its own
+        (["0", "0", "0"], [1, 1], 1),
+        (["0", "0", "0", "1"], [1, 1, 2], 2),
+        # steps between groups add nothing to the group count
+        (["0", "1", "0", "1"], [1, 2, 1], 1),
+        # two split groups among three: 3 + 2 codes
+        (["00", "00", "01", "01", "10"], [2, 1, 1, 1], 3),
+        (["00", "00", "01", "10", "11"], [1, 1, 1, 1], 3),
+        (["00", "01", "10", "11"], [1, 1, 1], 2),
+    ],
+)
+def test_forced_width_counts_output_groups_a_step_splits(outputs, centers, want):
+    trace = synthetic_trace(outputs, centers)
+    assert forced_width(trace) == want
+    assert forced_width(trace) >= r_min(trace)
+
+
+@st.composite
+def small_traces(draw):
+    """Acceptance criterion 5's instances: N+1 <= 5 positions, 1-2 output
+    bits, centers 0-3, zero only between equal outputs."""
+    out_bits = draw(st.integers(1, 2))
+    codes = draw(
+        st.lists(st.integers(0, (1 << out_bits) - 1), min_size=2, max_size=5)
+    )
+    outputs = [format(c, f"0{out_bits}b") for c in codes]
+    centers = [
+        draw(st.integers(0 if a == b else 1, 3))
+        for a, b in zip(outputs, outputs[1:])
+    ]
+    return synthetic_trace(outputs, centers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_traces())
+def test_forced_width_never_exceeds_the_enumerated_minimum(trace):
+    cap = 4
+    w_star = brute_force_min_width(build_constraints(trace, cap), cap)
+    if w_star is not None:
+        assert forced_width(trace) <= w_star
 
 
 def test_counts_summary():

@@ -12,7 +12,12 @@ from fsmrecon import benchmarks, recovery
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
-from fsmrecon.constraints import build_constraints, evaluate, r_min
+from fsmrecon.constraints import (
+    build_constraints,
+    evaluate,
+    forced_width,
+    r_min,
+)
 from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
 from fsmrecon.recovery import (
     build_phases,
@@ -230,10 +235,16 @@ def test_recover_lion_exact_walk_finds_minimal_width():
     result = recover_encodings(trace)
     assert result.success
     assert result.assignment.width == 2
-    # the probe at width 1 must have been refuted, not skipped
-    assert [a.status for a in result.attempts] == ["unsat", "seed"]
+    # the trace forces width 2, so width 1 is never tried
+    assert forced_width(trace) == 2
+    assert [a.status for a in result.attempts] == ["seed"]
     cs = build_constraints(trace, 2)
     assert evaluate(cs, list(result.assignment.values))
+    # started below the bound, width 1 is refuted, not skipped, and the
+    # answer is the same
+    probed = recover_encodings(trace, width_start=1)
+    assert [a.status for a in probed.attempts] == ["unsat", "seed"]
+    assert probed.assignment == result.assignment
 
 
 @pytest.mark.parametrize("name", ["dk27", "bbtas", "train4", "mc"])
@@ -319,10 +330,11 @@ def test_dimacs_dump_writes_parseable_files(tmp_path):
 
 
 def test_dimacs_dump_leaves_results_unchanged(tmp_path):
-    # lion at this seed is refuted at width 1, then solved by its seed
+    # lion at this seed, started at width 1, is refuted there, then solved
+    # by its seed
     enc, trace = machine_trace("lion", 300, seed=12)
-    plain = recover_encodings(trace)
-    dumped = recover_encodings(trace, dimacs_dir=str(tmp_path))
+    plain = recover_encodings(trace, width_start=1)
+    dumped = recover_encodings(trace, width_start=1, dimacs_dir=str(tmp_path))
     assert [a.status for a in plain.attempts] == ["unsat", "seed"]
     assert dumped.assignment == plain.assignment
     assert [a.status for a in dumped.attempts] == [
@@ -420,18 +432,9 @@ def test_seed_answers_equal_solver_answers_on_bundled_machines(name, kind):
     )
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n_states=st.integers(min_value=1, max_value=6),
-    input_bits=st.integers(min_value=1, max_value=2),
-    output_bits=st.integers(min_value=1, max_value=3),
-    kind=st.sampled_from(["exact", "table3", "gaussian"]),
-    n_extra=st.integers(min_value=0, max_value=2),
-)
-@settings(max_examples=100, deadline=None)
-def test_seed_answers_equal_solver_answers_on_random_walks(
-    seed, n_states, input_bits, output_bits, kind, n_extra
-):
+def random_walks(seed, n_states, input_bits, output_bits, kind, n_extra):
+    """1 + ``n_extra`` walks from reset of a seeded random complete Moore
+    machine, captured under the ``kind`` channel."""
     rng = random.Random(seed)
     machine = MooreFsm(
         input_bits,
@@ -448,7 +451,7 @@ def test_seed_answers_equal_solver_answers_on_random_walks(
     )
     enc = assign_binary_encoding(machine)
     device = BlackBoxDevice(enc, NoiseModel(kind=kind), noise_seed=seed)
-    walks = [
+    return [
         run_trace(
             device,
             gen_stimulus(rng.randint(1, 60), input_bits, rng.randrange(2**32)),
@@ -456,9 +459,48 @@ def test_seed_answers_equal_solver_answers_on_random_walks(
         )
         for k in range(1 + n_extra)
     ]
+
+
+random_walk_args = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_states=st.integers(min_value=1, max_value=6),
+    input_bits=st.integers(min_value=1, max_value=2),
+    output_bits=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["exact", "table3", "gaussian"]),
+    n_extra=st.integers(min_value=0, max_value=2),
+)
+
+
+@given(**random_walk_args)
+@settings(max_examples=100, deadline=None)
+def test_seed_answers_equal_solver_answers_on_random_walks(**args):
+    walks = random_walks(**args)
     result = recover_encodings(walks[0], seed_traces=walks[1:])
     assert result.success
     assert_seed_is_the_solver_answer(walks[0], result)
+
+
+@given(**random_walk_args)
+@settings(max_examples=100, deadline=None)
+def test_starting_at_the_forced_width_skips_only_refuted_widths(**args):
+    walks = random_walks(**args)
+    bound = forced_width(walks[0])
+    assert bound >= r_min(walks[0])
+    full = recover_encodings(walks[0], width_start=1, seed_traces=walks[1:])
+    assert full.success
+    assert full.assignment.width >= bound
+    # every width below the bound is refuted when it is tried ...
+    assert all(
+        a.status in ("unsat", "infeasible-window")
+        for a in full.attempts
+        if a.width < bound
+    )
+    # ... so starting at the bound returns the same answer
+    fast = recover_encodings(walks[0], seed_traces=walks[1:])
+    assert fast.assignment == full.assignment
+    assert [a.width for a in fast.attempts] == [
+        a.width for a in full.attempts if a.width >= bound
+    ]
 
 
 def test_hypothesis_stays_exact_on_long_unique_output_walks():

@@ -87,9 +87,38 @@ def _window_meet(
 
 # Ceiling on positions fed to the evidence-driven merge search below; its
 # trial merges copy the whole union-find per candidate, so cost grows
-# roughly quadratically.  Captures past the ceiling either validate via the
-# output-grouping fast path or settle for plain output grouping.
+# roughly quadratically.  Captures past the ceiling either pass the
+# one-pass output-grouping check or settle for plain output grouping.
 _MERGE_MAX_POSITIONS = 2000
+
+
+def _outputs_identify_states(walks: list[Trace]) -> bool:
+    """Whether grouping the pooled positions by output is a consistent guess.
+
+    Determinism closure never joins two outputs, so closing the output
+    partition either fails or returns it unchanged, and it fails exactly
+    when one (output, input) pair steps to two successor outputs or over
+    distance windows with no common point.  Add the rule that a nonzero
+    step never joins one class to itself, and one dictionary pass decides
+    it, with no union-find.
+    """
+    seen: dict[tuple[str, int], tuple[str, int, int]] = {}
+    for w in walks:
+        outs = w.outputs
+        for out, nxt, vec, inf in zip(outs, outs[1:], w.stimulus, w.inferred):
+            if inf.center > 0 and out == nxt:
+                return False
+            key = (out, vec)
+            prev = seen.get(key)
+            if prev is None:
+                seen[key] = (nxt, inf.lo, inf.hi)
+                continue
+            to, lo, hi = prev
+            lo, hi = max(lo, inf.lo), min(hi, inf.hi)
+            if to != nxt or lo > hi:
+                return False
+            seen[key] = (to, lo, hi)
+    return True
 
 
 def merge_hypothesis(
@@ -97,10 +126,12 @@ def merge_hypothesis(
 ) -> list[int]:
     """Guess which trace positions share a state, by evidence-driven merging.
 
-    Grouping by output vector is tried first, validated by determinism
-    closure over the distance windows and the rule that a nonzero-distance
-    step never collapses into a self-loop; it is exact whenever every state
-    owns its output vector, at near-linear cost.  Failing that, positions joined by exact zero-distance
+    Grouping by output vector is tried first, in one dictionary pass over
+    every walk with no union-find.  It holds when each (output, input) pair
+    steps to one successor output, the distance windows of those steps
+    share a point, and no step with a nonzero distance joins two equal
+    outputs; it is exact whenever every state owns its output vector.
+    Failing that, positions joined by exact zero-distance
     steps are one node from the start, and determinism closure runs over
     them: one node stepped by one input reaches one node.  A core of
     confirmed-distinct classes then grows outward: any frontier node that
@@ -126,11 +157,19 @@ def merge_hypothesis(
             trace.output_bits,
         ):
             raise ValueError("pooled traces must share input/output arity")
+    if _outputs_identify_states(walks):
+        return output_groups(trace.outputs)
     offsets = []
     total = 0
     for w in walks:
         offsets.append(total)
         total += w.n_steps + 1
+    if total > _MERGE_MAX_POSITIONS:
+        # the merge search below is too costly here: shed the optional
+        # pooled evidence first, past that settle for output grouping
+        if extra and n <= _MERGE_MAX_POSITIONS:
+            return merge_hypothesis(trace)
+        return output_groups(trace.outputs)
     outs: list[str] = []
     succs: dict[int, dict[int, tuple[int, tuple[int, int]]]] = {}
     nonzero: list[int] = []
@@ -149,30 +188,6 @@ def merge_hypothesis(
     def chains_intact(c: Congruence) -> bool:
         find = c.find
         return all(find(k) != find(k + 1) for k in nonzero)
-
-    # Fast path: when grouping positions by output vector survives
-    # determinism closure (windows included) and keeps every
-    # nonzero-distance step's endpoints apart, the outputs alone identify
-    # the states — always true when each state owns its output vector.
-    # One linear pass, so it also carries large captures that the
-    # evidence-driven search below could not afford.
-    fast = cong.copy()
-    head_of: dict[str, int] = {}
-    consistent = True
-    for p in range(total):
-        head = head_of.setdefault(outs[p], p)
-        if head != p and fast.merge(head, p) < 0:
-            consistent = False
-            break
-    if consistent and chains_intact(fast):
-        return fast.classes(n)
-
-    if total > _MERGE_MAX_POSITIONS:
-        # the merge search below is too costly here: shed the optional
-        # pooled evidence first, past that settle for output grouping
-        if extra and n <= _MERGE_MAX_POSITIONS:
-            return merge_hypothesis(trace)
-        return output_groups(trace.outputs)
 
     # every walk begins at the same physical reset state
     for off in offsets[1:]:

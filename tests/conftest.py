@@ -5,7 +5,13 @@ import pytest
 from fsmrecon import benchmarks
 from fsmrecon.capture import Trace
 from fsmrecon.channel import DEFAULT_TABLE, InferredHd
-from fsmrecon.fsm import MooreFsm, assign_binary_encoding, moorify, parse_kiss2
+from fsmrecon.fsm import (
+    MooreFsm,
+    assign_binary_encoding,
+    int_to_bits,
+    moorify,
+    parse_kiss2,
+)
 
 
 def make_inferred(center: int) -> InferredHd:
@@ -37,6 +43,24 @@ def encoded_fixture(name: str):
     if not isinstance(m, MooreFsm):
         m = moorify(m)
     return assign_binary_encoding(m)
+
+
+def random_moore(rng, n_states, input_bits, output_bits) -> MooreFsm:
+    """A complete Moore machine drawn from ``rng``: random reset, successors
+    and outputs, so states may share outputs and some may be unreachable."""
+    return MooreFsm(
+        input_bits,
+        output_bits,
+        [f"q{k}" for k in range(n_states)],
+        rng.randrange(n_states),
+        {
+            (s, v): rng.randrange(n_states)
+            for s in range(n_states)
+            for v in range(1 << input_bits)
+        },
+        [int_to_bits(rng.randrange(1 << output_bits), output_bits)
+         for _ in range(n_states)],
+    )
 
 
 @pytest.fixture

@@ -3,11 +3,14 @@
 import hashlib
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import encoded_fixture, synthetic_trace
+from conftest import encoded_fixture, random_moore, synthetic_trace
 from fsmrecon import benchmarks, recovery
 from fsmrecon.attack import (
     AttackConfig,
@@ -18,8 +21,9 @@ from fsmrecon.attack import (
 )
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
-from fsmrecon.fsm import MooreFsm, transition_count
+from fsmrecon.fsm import MooreFsm, assign_binary_encoding, transition_count
 from fsmrecon.recovery import EncodingAssignment, RecoveryResult
+from fsmrecon.stg import recovery_fraction
 from fsmrecon.verify import equivalent, replay_consistency
 
 # the package exports the ``attack`` function under the module's name
@@ -231,6 +235,53 @@ def test_recovered_graph_endpoints_are_known_states():
     for (state, vec), dst in g.delta.items():
         assert 0 <= state < g.state_count and 0 <= dst < g.state_count
         assert 0 <= vec < (1 << enc.machine.input_bits)
+
+
+def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
+    """A 4-round, goal-1.0 attack on a seeded random complete Moore machine,
+    with the machine's state count as the operator's bound X."""
+    machine = random_moore(
+        random.Random(seed), n_states, input_bits, output_bits
+    )
+    cfg = AttackConfig(
+        state_count_guess=n_states,
+        vectors_per_round=vectors,
+        goal=1.0,
+        max_rounds=4,
+        seed=seed,
+        noise=NoiseModel(kind=kind),
+    )
+    return attack(build_device(assign_binary_encoding(machine), cfg), cfg)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_states=st.integers(min_value=1, max_value=4),
+    input_bits=st.integers(min_value=1, max_value=2),
+    output_bits=st.integers(min_value=1, max_value=2),
+    kind=st.sampled_from(["exact", "table3", "gaussian"]),
+    vectors=st.integers(min_value=4, max_value=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_attack_accounting_holds_on_random_machines(**args):
+    # Neither replay of the traces after the last merge nor a fraction
+    # that never falls is asserted: a wrong early graph can outlive the
+    # rounds it refuses, and a merge that collapses duplicate states loses
+    # transitions.
+    res = random_attack(**args)
+    merged = [i for i, r in enumerate(res.rounds) if r.status == "merged"]
+    if merged:
+        traces = [r.trace for r in res.rounds[: merged[-1] + 1]]
+        assert replay_consistency(res.recovered, traces).consistent
+        total = transition_count(res.recovered)
+    else:
+        assert res.recovered is None
+        total = 0
+    assert res.fraction == recovery_fraction(
+        res.recovered, args["n_states"], args["input_bits"]
+    )
+    assert sum(r.new_transitions for r in res.rounds) == total
+    assert res.goal_met == (res.fraction >= 1.0)
 
 
 # ---------------------------------------------------------------- challenger

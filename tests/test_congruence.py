@@ -5,11 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import true_state_sequence
+from conftest import random_moore, true_state_sequence
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.congruence import Congruence
-from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
+from fsmrecon.fsm import assign_binary_encoding
 from fsmrecon.recovery import EncodingAssignment, _window_meet
 from fsmrecon.stg import build_partial_stg, merge_rounds
 from fsmrecon.verify import equivalent, replay_consistency
@@ -90,19 +90,7 @@ def test_merging_true_folds_reproduces_the_machine(
     # identifies states through input paths shared from reset, so correct
     # folds can merge into more states than the machine has
     rng = random.Random(seed)
-    machine = MooreFsm(
-        input_bits,
-        output_bits,
-        [f"q{k}" for k in range(n_states)],
-        rng.randrange(n_states),
-        {
-            (s, v): rng.randrange(n_states)
-            for s in range(n_states)
-            for v in range(1 << input_bits)
-        },
-        [int_to_bits(rng.randrange(1 << output_bits), output_bits)
-         for _ in range(n_states)],
-    )
+    machine = random_moore(rng, n_states, input_bits, output_bits)
     enc = assign_binary_encoding(machine)
     device = BlackBoxDevice(enc, NoiseModel.exact(), noise_seed=seed)
     traces = []

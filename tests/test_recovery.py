@@ -2,23 +2,31 @@
 seeding, seed-solved widths, and the width-probing solve loop."""
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import machine_trace, synthetic_trace, true_state_sequence
+from conftest import (
+    machine_trace,
+    random_moore,
+    synthetic_trace,
+    true_state_sequence,
+)
 from fsmrecon import benchmarks, recovery
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
+from fsmrecon.congruence import Congruence
 from fsmrecon.constraints import (
     build_constraints,
     evaluate,
     forced_width,
+    output_groups,
     r_min,
 )
-from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
+from fsmrecon.fsm import assign_binary_encoding
 from fsmrecon.recovery import (
     build_phases,
     class_hulls,
@@ -436,19 +444,7 @@ def random_walks(seed, n_states, input_bits, output_bits, kind, n_extra):
     """1 + ``n_extra`` walks from reset of a seeded random complete Moore
     machine, captured under the ``kind`` channel."""
     rng = random.Random(seed)
-    machine = MooreFsm(
-        input_bits,
-        output_bits,
-        [f"q{k}" for k in range(n_states)],
-        rng.randrange(n_states),
-        {
-            (s, v): rng.randrange(n_states)
-            for s in range(n_states)
-            for v in range(1 << input_bits)
-        },
-        [int_to_bits(rng.randrange(1 << output_bits), output_bits)
-         for _ in range(n_states)],
-    )
+    machine = random_moore(rng, n_states, input_bits, output_bits)
     enc = assign_binary_encoding(machine)
     device = BlackBoxDevice(enc, NoiseModel(kind=kind), noise_seed=seed)
     return [
@@ -521,3 +517,120 @@ def test_oversized_low_information_walks_degrade_to_output_grouping():
     groups = {}
     expected = [groups.setdefault(o, len(groups)) for o in trace.outputs]
     assert classes == expected
+
+
+# ------------------------------------------------ one-pass output grouping
+
+
+def closure_output_grouping(trace, extra):
+    """The union-find form of the output-grouping check: close the output
+    partition of every pooled position under determinism, windows
+    included, and keep each nonzero step's ends apart.  Classes of the
+    trace's positions, or None when grouping by output fails."""
+    outs, succs, nonzero = [], {}, []
+    for w in (trace, *extra):
+        off = len(outs)
+        outs.extend(w.outputs)
+        for k, inf in enumerate(w.inferred):
+            succs[off + k] = {w.stimulus[k]: (off + k + 1, (inf.lo, inf.hi))}
+            if inf.center > 0:
+                nonzero.append(off + k)
+    closed = Congruence(outs, succs, recovery._window_meet)
+    head_of = {}
+    for p, out in enumerate(outs):
+        head = head_of.setdefault(out, p)
+        if head != p and closed.merge(head, p) < 0:
+            return None
+    if any(closed.find(k) == closed.find(k + 1) for k in nonzero):
+        return None
+    return closed.classes(trace.n_steps + 1)
+
+
+def evidence_search(trace, extra=()):
+    """``merge_hypothesis`` with output grouping refused: the
+    evidence-driven search alone.  Walks here stay under the position cap,
+    so the search never re-enters ``merge_hypothesis``."""
+    with mock.patch.object(
+        recovery, "_outputs_identify_states", return_value=False
+    ):
+        return merge_hypothesis(trace, extra)
+
+
+pooled_walk_args = dict(
+    random_walk_args,
+    n_states=st.integers(min_value=1, max_value=8),
+    n_extra=st.integers(min_value=0, max_value=3),
+)
+
+
+@given(**pooled_walk_args)
+# walks where only the window intersection, only the nonzero-step rule, or
+# only the input in the key decides against output grouping
+@example(seed=5950, n_states=8, input_bits=1, output_bits=3, kind="table3",
+         n_extra=2)
+@example(seed=74, n_states=2, input_bits=2, output_bits=1, kind="table3",
+         n_extra=1)
+@example(seed=13, n_states=5, input_bits=2, output_bits=3, kind="gaussian",
+         n_extra=1)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_output_grouping_agrees_with_the_closure(**args):
+    walks = random_walks(**args)
+    trace, extra = walks[0], walks[1:]
+    reference = closure_output_grouping(trace, extra)
+    assert recovery._outputs_identify_states(walks) == (reference is not None)
+    classes = merge_hypothesis(trace, extra)
+    if reference is not None:
+        assert classes == reference == output_groups(trace.outputs)
+    else:
+        assert classes == evidence_search(trace, extra)
+
+
+def assert_only_pooling_breaks_output_grouping(trace, extra, expected):
+    for walk in (trace, extra):
+        assert closure_output_grouping(walk, ()) is not None
+    assert closure_output_grouping(trace, (extra,)) is None
+    assert expected != output_groups(trace.outputs)
+    assert merge_hypothesis(trace, (extra,)) == expected
+    assert evidence_search(trace, (extra,)) == expected
+
+
+def test_pooled_walks_with_two_successor_outputs_take_the_search():
+    # root --1--> "10" in the trace, root --1--> "11" in the extra walk:
+    # the "00" at position 2 shares the root's output, not its state
+    trace = synthetic_trace(
+        ["00", "01", "00", "10"], [1, 1, 1], stimulus=[0, 1, 1]
+    )
+    extra = synthetic_trace(["00", "11"], [1], stimulus=[1])
+    assert_only_pooling_breaks_output_grouping(trace, extra, [0, 1, 2, 3])
+
+
+def test_pooled_walks_with_disjoint_windows_take_the_search():
+    # the root's input-1 step moves [1, 2] in the trace, [3, 5] in the
+    # extra walk
+    trace = synthetic_trace(
+        ["00", "01", "00", "10"], [1, 1, 1], stimulus=[0, 1, 1]
+    )
+    extra = synthetic_trace(["00", "10"], [4], stimulus=[1])
+    assert_only_pooling_breaks_output_grouping(trace, extra, [0, 1, 2, 3])
+
+
+def test_pooled_nonzero_step_between_equal_outputs_takes_the_search():
+    # the extra walk leaves the root under input 1 for another "00" state;
+    # the trace's zero step on the same key then belongs to that state
+    trace = synthetic_trace(
+        ["00", "01", "00", "00"], [1, 1, 0], stimulus=[0, 1, 1]
+    )
+    extra = synthetic_trace(["00", "00"], [2], stimulus=[1])
+    assert closure_output_grouping(trace, ()) is not None
+    assert closure_output_grouping(trace, (extra,)) is None
+    assert merge_hypothesis(trace, (extra,)) == [0, 1, 2, 2]
+    assert evidence_search(trace, (extra,)) == [0, 1, 2, 2]
+
+
+def test_pooled_walks_that_keep_output_grouping_return_it():
+    trace = synthetic_trace(
+        ["00", "01", "00", "10"], [1, 1, 2], stimulus=[0, 1, 1]
+    )
+    extra = synthetic_trace(["00", "10", "01"], [2, 1], stimulus=[1, 0])
+    assert closure_output_grouping(trace, (extra,)) == [0, 1, 0, 2]
+    assert merge_hypothesis(trace, (extra,)) == output_groups(trace.outputs)

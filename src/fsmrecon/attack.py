@@ -3,27 +3,30 @@
 Each round drives the device with fresh random vectors from reset and
 passes the walk through three stages.  ``_solve_round`` solves the round's
 constraint system for state encodings at the minimal register width and
-retries wider while the state-grouping guess has more classes than the
-width has codes — the first satisfiable width demonstrably cannot separate
-all the states then.  ``_fold_and_merge`` folds each solution into a
-partial transition graph and merges that graph into the accumulated
-machine.  A round is dropped when its solution folds or merges
-inconsistently, when the fold needs more states than the operator's upper
-bound, or when the folded or merged graph fails to replay every trace
-captured so far; a dropped round costs coverage, never soundness.
-``_challenge`` pools the graphs the accumulated machine refused and lets
-that pool take over once it is the bigger, still consistent body of
-evidence.  The round history is one list of records; earlier rounds'
-traces are pooled from it as evidence for the next round's state-grouping
-guess, which sharpens the phase seed and contributes no constraints.
+retries once, wider, when the solution does not merge and the state guess
+has more classes than the width has codes — the first satisfiable width
+demonstrably cannot separate all the states then.  ``_fold_and_merge``
+folds each solution into a partial transition graph and merges that graph
+into the accumulated machine.  A round is dropped when its solution folds
+or merges inconsistently, when the fold needs more states than the
+operator's upper bound, or when the folded or merged graph fails to replay
+every trace captured so far; a dropped round costs coverage, never
+soundness.  ``_challenge`` pools the graphs the accumulated machine
+refused and lets that pool take over once it is the bigger, still
+consistent body of evidence.  The round history is one list of records;
+earlier rounds' traces are pooled from it as evidence for the next round's
+state-grouping guess, which sharpens the phase seed and contributes no
+constraints.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
 
+from . import recovery
 from .capture import (
     BlackBoxDevice,
     Trace,
@@ -42,9 +45,6 @@ from .stg import (
 )
 from .verify import replay_consistency
 
-# wider-register retries a round gets when its state guess does not fit
-_WIDTH_ESCALATIONS = 2
-
 
 @dataclass
 class AttackConfig:
@@ -54,7 +54,7 @@ class AttackConfig:
     states; together with the device's input width I it sets the
     transition total X * 2**I that the recovery fraction is measured
     against.  ``vectors_per_round`` overrides the default stimulus length
-    of ceil(multiplier * X * 2**I).  The constraint set grows
+    of ceil(2 * X * 2**I).  The constraint set grows
     linearly with the round length, but a width whose phase seed fails is
     encoded to a CNF that grows quadratically (one distinctness clause per
     pair of positions with differing outputs), so attacks on large machines
@@ -66,7 +66,6 @@ class AttackConfig:
 
     state_count_guess: int
     vectors_per_round: int | None = None
-    multiplier: float = 2.0
     goal: float = 0.90
     max_rounds: int = 20
     seed: int = 0
@@ -81,13 +80,13 @@ class RoundRecord:
 
     ``trace`` is the round's capture; later rounds pool it as evidence and
     replay it as a check.  ``assignment`` is the last solution the round's
-    solver found, kept when its fold was rejected too, and ``width`` is its
-    width; both are None when the last solve failed.  ``solver_ms`` is the
+    solver found, kept when its fold was rejected too, and None when the
+    last solve failed; ``width`` is read from it.  ``solver_ms`` is the
     wall time of the width search, the state-grouping guess included, so
-    it is not solver time alone.  ``escalations`` counts wider-register
-    retries, and ``attempts`` lists every width tried across them.
-    ``new_transitions`` and ``fraction`` describe the accumulated graph
-    after the round.
+    it is not solver time alone.  ``escalations`` is 1 when the round
+    retried at a wider register and 0 otherwise, and ``attempts`` lists
+    every width tried across both solves.  ``new_transitions`` and
+    ``fraction`` describe the accumulated graph after the round.
     """
 
     round_no: int
@@ -95,7 +94,6 @@ class RoundRecord:
     # "merged" | "fold-rejected" | "merge-rejected" | "replay-rejected"
     # | "solver-failed"
     status: str
-    width: int | None
     solver_ms: float
     escalations: int
     trace: Trace
@@ -103,6 +101,10 @@ class RoundRecord:
     attempts: tuple[WidthAttempt, ...] = ()
     new_transitions: int = 0
     fraction: float = 0.0
+
+    @property
+    def width(self) -> int | None:
+        return self.assignment.width if self.assignment is not None else None
 
 
 @dataclass
@@ -153,9 +155,7 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
                 f"vectors per round must be >= 1, got {cfg.vectors_per_round}"
             )
         return cfg.vectors_per_round
-    return choose_vector_count(
-        cfg.state_count_guess, device.input_bits, cfg.multiplier
-    )
+    return choose_vector_count(cfg.state_count_guess, device.input_bits)
 
 
 def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
@@ -210,7 +210,7 @@ def _solve_round(
     traces: list[Trace],
     acc: MooreFsm | None,
 ) -> tuple[RoundRecord, MooreFsm | None, MooreFsm | None]:
-    """Solve the newest trace and fold it into ``acc``, widening on a misfit.
+    """Solve the newest trace and fold it into ``acc``, once wider on a misfit.
 
     Returns the round's record (its new transitions and fraction still to
     be filled in), the merged graph when the round merged, and the round's
@@ -218,44 +218,42 @@ def _solve_round(
     state-grouping guess only.
     """
     trace = traces[-1]
-    attempts: list[WidthAttempt] = []
-    solver_ms = 0.0
-    width_start = classes = None
-    for escalations in range(_WIDTH_ESCALATIONS + 1):
+    t0 = time.perf_counter()
+    classes = recovery.merge_hypothesis(trace, traces[:-1])
+    solve = functools.partial(
+        recover_encodings,
+        trace,
+        timeout_ms=cfg.timeout_ms,
+        classes=classes,
+        dimacs_dir=cfg.dimacs_dir,
+        dimacs_prefix=f"round{round_no:02d}_",
+    )
+    found = solve()
+    solver_ms = (time.perf_counter() - t0) * 1000.0
+    attempts = list(found.attempts)
+    assignment = found.assignment
+    status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
+    # Retry wider only when the state-grouping guess itself does not fit
+    # the width — the one case where the first satisfiable width
+    # demonstrably cannot separate all the states.  Anything else is a
+    # noise artifact: drop the round and let the pooled evidence sharpen
+    # the next one.  The retry starts at the narrowest width with a code
+    # per guessed class and never returns a narrower one, so the guess
+    # always fits its answer and a second retry could never run.
+    fit = max(classes).bit_length()
+    escalations = 0
+    if merged is None and assignment is not None and assignment.width < fit:
+        escalations = 1
         t0 = time.perf_counter()
-        found = recover_encodings(
-            trace,
-            width_start=width_start,
-            timeout_ms=cfg.timeout_ms,
-            seed_traces=tuple(traces[:-1]),
-            classes=classes,
-            dimacs_dir=cfg.dimacs_dir,
-            dimacs_prefix=f"round{round_no:02d}_",
-        )
+        found = solve(width_start=fit)
         solver_ms += (time.perf_counter() - t0) * 1000.0
-        attempts.extend(found.attempts)
+        attempts += found.attempts
         assignment = found.assignment
-        if assignment is None:
-            status, merged, refused = "solver-failed", None, None
-            break
         status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
-        if classes is None:
-            # every escalation solves the same trace under the same guess
-            classes = found.classes
-            guessed = max(classes) + 1
-        # Retry wider only when the state-grouping guess itself does not
-        # fit the width — the one case where the first satisfiable width
-        # demonstrably cannot separate all the states.  Anything else is a
-        # noise artifact: drop the round and let the pooled evidence
-        # sharpen the next one.
-        if merged is not None or guessed <= (1 << assignment.width):
-            break
-        width_start = max(assignment.width + 1, (guessed - 1).bit_length())
     record = RoundRecord(
         round_no=round_no,
         seed=trace.seed,
         status=status,
-        width=assignment.width if assignment is not None else None,
         solver_ms=solver_ms,
         escalations=escalations,
         trace=trace,
@@ -268,15 +266,18 @@ def _solve_round(
 def _fold_and_merge(
     cfg: AttackConfig,
     traces: list[Trace],
-    assignment: EncodingAssignment,
+    assignment: EncodingAssignment | None,
     acc: MooreFsm | None,
 ) -> tuple[str, MooreFsm | None, MooreFsm | None]:
     """Fold the newest trace under ``assignment`` and merge it into ``acc``.
 
     Returns (status, merged graph, graph ``acc`` refused); the merged graph
     is set only for status ``"merged"``.  Both the fold and the merged
-    graph must replay every trace in ``traces``.
+    graph must replay every trace in ``traces``.  No assignment means the
+    solve failed.
     """
+    if assignment is None:
+        return "solver-failed", None, None
     try:
         graph = build_partial_stg(traces[-1], assignment)
     except StgConflictError:

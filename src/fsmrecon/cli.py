@@ -122,7 +122,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     cfg = AttackConfig(
         state_count_guess=machine.state_count,
         vectors_per_round=vectors,
-        multiplier=args.multiplier,
         goal=args.goal,
         max_rounds=args.rounds_max,
         seed=seed,
@@ -142,7 +141,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "goal": cfg.goal,
             "input_bits": machine.input_bits,
             "max_rounds": cfg.max_rounds,
-            "multiplier": cfg.multiplier,
+            "multiplier": args.multiplier,
             "noise": args.noise,
             "seed": seed,
             "sigma": args.sigma,

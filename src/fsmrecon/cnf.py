@@ -77,6 +77,10 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     def counter_window(ds: list[int], lo: int, hi: int) -> None:
         """Sequential-counter register asserting lo <= sum(ds) <= hi."""
         nonlocal n_vars
+        if hi == 0:
+            # a register of rank 0 tracks nothing: forbid every bit instead
+            clauses.extend([-d] for d in ds)
+            return
         n = len(ds)
         track = hi if hi < n else lo  # highest register rank we consult
         if track == 0:

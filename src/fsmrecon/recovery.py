@@ -31,7 +31,7 @@ from .constraints import (
     forced_width,
     output_groups,
 )
-from .sat import SAT, TIMEOUT, UNSAT, CdclSolver
+from .sat import SAT, TIMEOUT, UNSAT, CdclSolver, SolverStats
 
 WIDTH_STEPS = 16  # probe r0 .. r0 + WIDTH_STEPS, r0 the forced width by default
 _SEED_MAX_WIDTH = 12  # beyond this the class-code domain is too large
@@ -52,25 +52,23 @@ class EncodingAssignment:
 
 @dataclass
 class WidthAttempt:
+    """One width tried; ``stats`` is the solve's, None when no solver ran."""
+
     width: int
     status: str  # "seed" | "sat" | "unsat" | "timeout" | "infeasible-window"
     seeded: bool = False
     n_vars: int = 0
     n_clauses: int = 0
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    elapsed_s: float = 0.0
+    stats: SolverStats | None = None
 
 
 @dataclass
 class RecoveryResult:
-    success: bool
+    """The solution, or None when the last attempt timed out or the widths
+    ran out; ``attempts`` tells which."""
+
     assignment: EncodingAssignment | None
     attempts: list[WidthAttempt] = field(default_factory=list)
-    reason: str = ""  # "timeout" or "width-cap" when unsuccessful
-    classes: list[int] | None = None  # partition used for seeding
 
 
 # ----------------------------------------------------------- partitioning
@@ -385,7 +383,6 @@ def recover_encodings(
     *,
     width_start: int | None = None,
     timeout_ms: int | None = 1_000_000,
-    seed_traces: list[Trace] | tuple[Trace, ...] = (),
     classes: list[int] | None = None,
     dimacs_dir: str | None = None,
     dimacs_prefix: str = "",
@@ -402,21 +399,19 @@ def recover_encodings(
     ``dimacs_dir`` asks for the width's CNF to be written.  Otherwise the
     solver runs, and its model is re-validated by the same evaluator before
     being trusted.
-    ``seed_traces`` are earlier captures from the same device that sharpen
-    the state-grouping guess behind phase seeding; they never contribute
-    constraints, so the solved problem is the same with or without them.
-    ``classes``, when given, is that guess (the ``classes`` of an earlier
-    result on the same trace and seed traces), and it is not recomputed.
+    ``classes`` is the state-grouping guess behind phase seeding, one class
+    per trace position; when omitted it is :func:`merge_hypothesis` of the
+    trace alone.  A guess pooled from earlier captures of the same device
+    (``merge_hypothesis(trace, earlier)``) is usually sharper; it never
+    contributes constraints, so the solved problem is the same either way.
     """
     r0 = width_start if width_start is not None else forced_width(trace)
     if r0 < 1:
         raise ValueError("width_start must be at least 1")
     timeout_s = None if timeout_ms is None else timeout_ms / 1000.0
-    result = RecoveryResult(success=False, assignment=None)
-
+    result = RecoveryResult(assignment=None)
     if classes is None:
-        classes = merge_hypothesis(trace, seed_traces)
-    result.classes = classes
+        classes = merge_hypothesis(trace)
 
     for width in range(r0, r0 + WIDTH_STEPS + 1):
         cs = build_constraints(trace, width)
@@ -450,7 +445,6 @@ def recover_encodings(
                         n_clauses=len(cnf.clauses) if cnf else 0,
                     )
                 )
-                result.success = True
                 result.assignment = EncodingAssignment(
                     width=width, values=tuple(seed)
                 )
@@ -464,19 +458,16 @@ def recover_encodings(
             cnf.n_vars, cnf.clauses, initial_phases=phases, timeout_s=timeout_s
         )
         out = solver.solve()
-        attempt = WidthAttempt(
-            width=width,
-            status=out.status,
-            seeded=phases is not None,
-            n_vars=cnf.n_vars,
-            n_clauses=len(cnf.clauses),
-            conflicts=out.stats.conflicts,
-            decisions=out.stats.decisions,
-            propagations=out.stats.propagations,
-            restarts=out.stats.restarts,
-            elapsed_s=out.stats.elapsed_s,
+        result.attempts.append(
+            WidthAttempt(
+                width=width,
+                status=out.status,
+                seeded=phases is not None,
+                n_vars=cnf.n_vars,
+                n_clauses=len(cnf.clauses),
+                stats=out.stats,
+            )
         )
-        result.attempts.append(attempt)
 
         if out.status == SAT:
             values = decode_positions(cnf, out.model)
@@ -485,15 +476,12 @@ def recover_encodings(
                 raise ModelViolationError(
                     f"model at width {width} violates {violation!r}"
                 )
-            result.success = True
             result.assignment = EncodingAssignment(
                 width=width, values=tuple(values)
             )
             return result
         if out.status == TIMEOUT:
-            result.reason = "timeout"
             return result
         assert out.status == UNSAT
 
-    result.reason = "width-cap"
     return result

@@ -151,7 +151,9 @@ def test_criterion_5_solver_minimality_oracle():
         if w_star is None or w_star > 3:
             continue
         result = recover_encodings(trace)
-        assert result.success, f"instance {attempts}: solver failed"
+        assert result.assignment is not None, (
+            f"instance {attempts}: solver failed"
+        )
         assert result.assignment.width == w_star, (
             f"instance {attempts}: solver width {result.assignment.width} "
             f"!= enumerated minimum {w_star}"

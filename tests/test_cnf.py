@@ -149,6 +149,11 @@ def test_decode_positions_reads_msb_first():
         (3, 2, 3),
         (3, 3, 3),
         (3, 1, 3),
+        (1, 0, 0),
+        (2, 0, 0),
+        (3, 0, 0),
+        (2, 0, 1),
+        (3, 0, 2),
     ],
 )
 def test_single_window_matches_evaluator(width, lo, hi):

@@ -241,7 +241,7 @@ def solve_on_seed_phases(trace, classes, width):
 def test_recover_lion_exact_walk_finds_minimal_width():
     enc, trace = machine_trace("lion", 300, seed=12)
     result = recover_encodings(trace)
-    assert result.success
+    assert result.assignment is not None
     assert result.assignment.width == 2
     # the trace forces width 2, so width 1 is never tried
     assert forced_width(trace) == 2
@@ -259,7 +259,7 @@ def test_recover_lion_exact_walk_finds_minimal_width():
 def test_recover_under_banded_noise(name):
     enc, trace = machine_trace(name, 250, seed=2024, noise=NoiseModel.table3())
     result = recover_encodings(trace)
-    assert result.success
+    assert result.assignment is not None
     width = result.assignment.width
     cs = build_constraints(trace, width)
     assert evaluate(cs, list(result.assignment.values))
@@ -283,8 +283,7 @@ def test_width_cap_reported_when_probes_exhaust(monkeypatch):
     # three pairwise-distinct outputs cannot share the two width-1 codes
     trace = synthetic_trace(["00", "01", "10"], [1, 1], input_bits=1)
     result = recover_encodings(trace, width_start=1)
-    assert not result.success
-    assert result.reason == "width-cap"
+    assert result.assignment is None
     assert [a.status for a in result.attempts] == ["unsat"]
 
 
@@ -293,7 +292,7 @@ def test_infeasible_windows_are_skipped_then_solved():
     result = recover_encodings(trace, width_start=1)
     statuses = [a.status for a in result.attempts]
     assert statuses[:4] == ["infeasible-window"] * 4
-    assert result.success
+    assert result.assignment is not None
     assert result.assignment.width == 5
     hd = (result.assignment.values[0] ^ result.assignment.values[1]).bit_count()
     assert hd == 5
@@ -315,15 +314,14 @@ def test_timeout_is_surfaced(monkeypatch):
     monkeypatch.setattr(mod, "search_class_codes", lambda *a: None)
     trace = synthetic_trace(["0", "1"], [1])
     result = recover_encodings(trace)
-    assert not result.success
-    assert result.reason == "timeout"
+    assert result.assignment is None
     assert result.attempts[-1].status == "timeout"
 
 
 def test_dimacs_dump_writes_parseable_files(tmp_path):
     enc, trace = machine_trace("lion", 60, seed=3)
     result = recover_encodings(trace, dimacs_dir=str(tmp_path), dimacs_prefix="r0_")
-    assert result.success
+    assert result.assignment is not None
     files = sorted(p.name for p in tmp_path.iterdir())
     widths = [a.width for a in result.attempts]
     assert files == sorted(
@@ -358,8 +356,14 @@ def test_recovery_is_deterministic():
     b = recover_encodings(trace)
     assert a.assignment == b.assignment
     assert [x.status for x in a.attempts] == [x.status for x in b.attempts]
-    assert [x.conflicts for x in a.attempts] == [x.conflicts for x in b.attempts]
-    assert [x.decisions for x in a.attempts] == [x.decisions for x in b.attempts]
+
+    def counters(result):
+        return [
+            None if x.stats is None else (x.stats.conflicts, x.stats.decisions)
+            for x in result.attempts
+        ]
+
+    assert counters(a) == counters(b)
 
 
 def test_seeding_yields_conflict_free_descent_at_scale():
@@ -394,14 +398,15 @@ def test_seeding_yields_conflict_free_descent_at_scale():
         ],
         seed=0,
     )
+    classes = merge_hypothesis(trace)
     result = recover_encodings(trace)
-    assert result.success
+    assert result.assignment is not None
     attempt = result.attempts[-1]
     assert attempt.status == "seed"
     assert attempt.seeded
     # the solver, given the seed as phases at that width, descends to the
     # same values without a conflict
-    out, values = solve_on_seed_phases(trace, result.classes, attempt.width)
+    out, values = solve_on_seed_phases(trace, classes, attempt.width)
     assert out.status == SAT
     assert out.stats.conflicts == 0
     assert tuple(values) == result.assignment.values
@@ -414,13 +419,13 @@ _SOLVER_ANSWERED = {("shiftreg", "exact")}
 
 
 
-def assert_seed_is_the_solver_answer(trace, result) -> bool:
-    """Every "seed" attempt returned what the solver would have: True when
-    there was one."""
+def assert_seed_is_the_solver_answer(trace, classes, result) -> bool:
+    """Every "seed" attempt returned what the solver would have under the
+    state guess ``classes``: True when there was one."""
     seeded = [a for a in result.attempts if a.status == "seed"]
     for attempt in seeded:
-        assert attempt.seeded and attempt.conflicts == 0
-        out, values = solve_on_seed_phases(trace, result.classes, attempt.width)
+        assert attempt.seeded and attempt.stats is None  # no solver ran
+        out, values = solve_on_seed_phases(trace, classes, attempt.width)
         assert out.status == SAT
         assert out.stats.conflicts == 0
         assert tuple(values) == result.assignment.values
@@ -433,9 +438,10 @@ def test_seed_answers_equal_solver_answers_on_bundled_machines(name, kind):
     noise = NoiseModel.exact() if kind == "exact" else NoiseModel.table3()
     enc, trace = machine_trace(name, 80, seed=5, noise=noise)
     _, extra = machine_trace(name, 40, seed=6, noise=noise)
-    result = recover_encodings(trace, seed_traces=[extra])
-    assert result.success
-    assert assert_seed_is_the_solver_answer(trace, result) == (
+    classes = merge_hypothesis(trace, [extra])
+    result = recover_encodings(trace, classes=classes)
+    assert result.assignment is not None
+    assert assert_seed_is_the_solver_answer(trace, classes, result) == (
         (name, kind) not in _SOLVER_ANSWERED
     )
 
@@ -471,9 +477,10 @@ random_walk_args = dict(
 @settings(max_examples=100, deadline=None)
 def test_seed_answers_equal_solver_answers_on_random_walks(**args):
     walks = random_walks(**args)
-    result = recover_encodings(walks[0], seed_traces=walks[1:])
-    assert result.success
-    assert_seed_is_the_solver_answer(walks[0], result)
+    classes = merge_hypothesis(walks[0], walks[1:])
+    result = recover_encodings(walks[0], classes=classes)
+    assert result.assignment is not None
+    assert_seed_is_the_solver_answer(walks[0], classes, result)
 
 
 @given(**random_walk_args)
@@ -482,8 +489,9 @@ def test_starting_at_the_forced_width_skips_only_refuted_widths(**args):
     walks = random_walks(**args)
     bound = forced_width(walks[0])
     assert bound >= r_min(walks[0])
-    full = recover_encodings(walks[0], width_start=1, seed_traces=walks[1:])
-    assert full.success
+    classes = merge_hypothesis(walks[0], walks[1:])
+    full = recover_encodings(walks[0], width_start=1, classes=classes)
+    assert full.assignment is not None
     assert full.assignment.width >= bound
     # every width below the bound is refuted when it is tried ...
     assert all(
@@ -492,7 +500,7 @@ def test_starting_at_the_forced_width_skips_only_refuted_widths(**args):
         if a.width < bound
     )
     # ... so starting at the bound returns the same answer
-    fast = recover_encodings(walks[0], seed_traces=walks[1:])
+    fast = recover_encodings(walks[0], classes=classes)
     assert fast.assignment == full.assignment
     assert [a.width for a in fast.attempts] == [
         a.width for a in full.attempts if a.width >= bound

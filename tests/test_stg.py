@@ -5,7 +5,11 @@ import pytest
 from conftest import machine_trace, synthetic_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.fsm import MooreFsm, parse_kiss2, serialize_kiss2, transition_count
-from fsmrecon.recovery import EncodingAssignment, recover_encodings
+from fsmrecon.recovery import (
+    EncodingAssignment,
+    merge_hypothesis,
+    recover_encodings,
+)
 from fsmrecon.stg import (
     StgConflictError,
     build_partial_stg,
@@ -44,8 +48,8 @@ def recovered_graph(name, steps, seed, noise=None, pool_seeds=()):
         machine_trace(name, steps, s, noise=noise)[1] for s in pool_seeds
     ]
     enc, trace = machine_trace(name, steps, seed, noise=noise)
-    result = recover_encodings(trace, seed_traces=tuple(pool))
-    assert result.success
+    result = recover_encodings(trace, classes=merge_hypothesis(trace, pool))
+    assert result.assignment is not None
     return trace, build_partial_stg(trace, result.assignment)
 
 

@@ -51,7 +51,7 @@ def true_fold_graph(name, steps, seed):
 def recovered_graph(name, steps, seed):
     enc, trace = machine_trace(name, steps, seed)
     result = recover_encodings(trace)
-    assert result.success
+    assert result.assignment is not None
     return build_partial_stg(trace, result.assignment), enc
 
 
@@ -355,7 +355,7 @@ def test_solver_width_matches_exhaustive_minimum():
         if w_star is None or w_star > 3:
             continue
         result = recover_encodings(trace)
-        assert result.success
+        assert result.assignment is not None
         assert result.assignment.width == w_star
         probe = build_constraints(trace, w_star)
         assert evaluate(probe, list(result.assignment.values))
@@ -370,5 +370,5 @@ def test_solver_and_enumeration_agree_nothing_fits_a_contradiction(
     trace = synthetic_trace(["0", "1"], [0])
     assert brute_force_min_width(build_constraints(trace, 4), 4) is None
     result = recover_encodings(trace)
-    assert not result.success
+    assert result.assignment is None
     assert all(a.status == "unsat" for a in result.attempts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import InferredHd, NoiseModel, infer_hd, synthesize_current
 from .fsm import EncodedFsm, step
@@ -57,15 +57,19 @@ class BlackBoxDevice:
 
 @dataclass
 class Trace:
-    """One capture run: N input vectors, N+1 outputs, N current readings."""
+    """One capture run: N input vectors, N+1 outputs, N current readings.
+
+    ``inferred`` is not passed in: it is ``infer_hd`` of each current,
+    computed when the trace is built.
+    """
 
     input_bits: int
     output_bits: int
     stimulus: list[int]
     outputs: list[str]
     currents: list[float]
-    inferred: list[InferredHd]
     seed: int
+    inferred: list[InferredHd] = field(init=False)
 
     @property
     def n_steps(self) -> int:
@@ -75,8 +79,9 @@ class Trace:
         n = len(self.stimulus)
         if len(self.outputs) != n + 1:
             raise ValueError(f"expected {n + 1} outputs, got {len(self.outputs)}")
-        if len(self.currents) != n or len(self.inferred) != n:
-            raise ValueError("currents/inferred must have one entry per step")
+        if len(self.currents) != n:
+            raise ValueError("currents must have one entry per step")
+        self.inferred = [infer_hd(c) for c in self.currents]
 
 
 def choose_vector_count(state_count: int, input_bits: int, multiplier: float = 2.0) -> int:
@@ -108,18 +113,15 @@ def run_trace(device: BlackBoxDevice, stimulus: list[int], seed: int) -> Trace:
     """Reset the device and replay ``stimulus``, recording everything seen."""
     outputs = [device.reset()]
     currents: list[float] = []
-    inferred: list[InferredHd] = []
     for vector in stimulus:
         out, current = device.clock(vector)
         outputs.append(out)
         currents.append(current)
-        inferred.append(infer_hd(current))
     return Trace(
         input_bits=device.input_bits,
         output_bits=device.output_bits,
         stimulus=list(stimulus),
         outputs=outputs,
         currents=currents,
-        inferred=inferred,
         seed=seed,
     )

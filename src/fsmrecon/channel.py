@@ -57,57 +57,29 @@ class NoiseModel:
 class InferredHd:
     """A banded distance estimate: the center band plus a +/-1 window.
 
-    ``lo``/``hi`` bound the actual distance given the one-band error budget;
-    ``hi`` still needs clamping to the register width by the constraint
-    builder.  A zero center is exact — self-loops are always identified.
+    ``lo``/``hi`` bound the actual distance given the one-band error budget.
+    A zero center is exact (``lo == hi == 0``): self-loops are always
+    identified.  The top band has no upper edge, so its window is open
+    above (``hi`` is ``math.inf``); the constraint builder clamps ``hi`` to
+    the register width.
     """
 
     center: int
-    exact: bool
     lo: int
-    hi: int
+    hi: int | float
 
 
 @dataclass(frozen=True)
 class CalibrationTable:
     """Average-current bands ``[lo, hi) -> distance center``.
 
-    Bands must start at 0, be contiguous, end in an unbounded band, and
+    The bands start at 0, are contiguous, end in an unbounded band, and
     carry consecutive centers 0, 1, 2, ...  Synthesis emits a band's
     midpoint; distances beyond the top band extrapolate by the width of the
-    last finite band.
+    last finite band.  ``DEFAULT_TABLE`` is the device's table.
     """
 
     bands: tuple[tuple[float, float, int], ...]
-
-    def __post_init__(self):
-        if len(self.bands) < 2:
-            raise ValueError("calibration table needs at least two bands")
-        if self.bands[0][0] != 0:
-            raise ValueError("first band must start at 0")
-        if not math.isinf(self.bands[-1][1]):
-            raise ValueError("last band must be unbounded")
-        for k, (lo, hi, center) in enumerate(self.bands):
-            if not lo < hi:
-                raise ValueError(f"band {k} is empty: [{lo}, {hi})")
-            if center != k:
-                raise ValueError(f"band {k} must carry center {k}, got {center}")
-            if k + 1 < len(self.bands) and hi != self.bands[k + 1][0]:
-                raise ValueError(f"bands {k} and {k + 1} are not contiguous")
-
-    @classmethod
-    def default(cls) -> "CalibrationTable":
-        return cls(
-            bands=(
-                (0.0, 40.0, 0),
-                (40.0, 95.0, 1),
-                (95.0, 140.0, 2),
-                (140.0, 170.0, 3),
-                (170.0, 205.0, 4),
-                (205.0, 230.0, 5),
-                (230.0, math.inf, 6),
-            )
-        )
 
     @property
     def top_center(self) -> int:
@@ -135,7 +107,17 @@ class CalibrationTable:
         return top_lo + step * (hd - self.top_center)
 
 
-DEFAULT_TABLE = CalibrationTable.default()
+DEFAULT_TABLE = CalibrationTable(
+    bands=(
+        (0.0, 40.0, 0),
+        (40.0, 95.0, 1),
+        (95.0, 140.0, 2),
+        (140.0, 170.0, 3),
+        (170.0, 205.0, 4),
+        (205.0, 230.0, 5),
+        (230.0, math.inf, 6),
+    )
+)
 
 
 def sample_error(hd: int, model: NoiseModel, rng: random.Random) -> int:
@@ -186,8 +168,9 @@ def infer_hd(current: float) -> InferredHd:
     """Turn a current reading into a banded distance estimate."""
     center = DEFAULT_TABLE.band_center(current)
     if center == 0:
-        return InferredHd(center=0, exact=True, lo=0, hi=0)
-    return InferredHd(center=center, exact=False, lo=max(1, center - 1), hi=center + 1)
+        return InferredHd(center=0, lo=0, hi=0)
+    hi = math.inf if center == DEFAULT_TABLE.top_center else center + 1
+    return InferredHd(center=center, lo=max(1, center - 1), hi=hi)
 
 
 def pearson(xs, ys) -> float:

@@ -299,7 +299,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         k: (100.0 * v / len(nonzero) if nonzero else 0.0)
         for k, v in buckets.items()
     }
-    hd0_exact = sum(1 for inf in zero if inf.center == 0 and inf.exact)
+    hd0_exact = sum(1 for inf in zero if inf.center == 0)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     report = {
         "command": "calibrate",

@@ -145,7 +145,7 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     trivially_unsat = False
     for k, inf in enumerate(trace.inferred):
         i, j = k, k + 1
-        if inf.exact:
+        if inf.center == 0:
             constraints.append(Identical(i, j))
         else:
             hi = min(width, inf.hi)

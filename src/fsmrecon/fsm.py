@@ -44,43 +44,6 @@ def int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 
 
-def bits_to_int(bits: str) -> int:
-    """Parse an msb-first '0'/'1' string into an int."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a binary vector: {bits!r}")
-    return int(bits, 2)
-
-
-@dataclass(frozen=True)
-class StateEncoding:
-    """A state register value: ``width`` flip-flops holding ``value``."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"encoding width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(
-                f"encoding value {self.value} does not fit in {self.width} bits"
-            )
-
-    @property
-    def bits(self) -> str:
-        return int_to_bits(self.value, self.width)
-
-    def __str__(self) -> str:
-        return self.bits
-
-
-def hamming(a: StateEncoding, b: StateEncoding) -> int:
-    """Hamming distance between two equal-width register values."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return (a.value ^ b.value).bit_count()
-
-
 @dataclass
 class MealyFsm:
     """Transition-table machine whose outputs live on the edges."""
@@ -137,14 +100,13 @@ class MooreFsm:
 
 @dataclass
 class EncodedFsm:
-    """A Moore machine together with one register value per state."""
+    """A Moore machine with its state register: ``encodings[s]`` is the
+    ``width``-bit value the register holds while the machine is in state
+    ``s``."""
 
     machine: MooreFsm
-    encodings: list[StateEncoding]
-
-    @property
-    def width(self) -> int:
-        return self.encodings[0].width
+    encodings: list[int]
+    width: int
 
 
 @dataclass(frozen=True)
@@ -406,10 +368,10 @@ def moorify(m: MealyFsm, strategy: str = "first") -> MooreFsm:
 def assign_binary_encoding(m: MooreFsm) -> EncodedFsm:
     """Give state k the register value k, at the minimal width for the state count."""
     m.require_complete()
-    width = max(1, math.ceil(math.log2(m.state_count)))
     return EncodedFsm(
         machine=m,
-        encodings=[StateEncoding(k, width) for k in range(m.state_count)],
+        encodings=list(range(m.state_count)),
+        width=max(1, math.ceil(math.log2(m.state_count))),
     )
 
 
@@ -430,5 +392,5 @@ def step(e: EncodedFsm, state: int, vector: int) -> StepResult:
     return StepResult(
         next_state=nxt,
         output=m.outputs[nxt],
-        hd=hamming(e.encodings[state], e.encodings[nxt]),
+        hd=(e.encodings[state] ^ e.encodings[nxt]).bit_count(),
     )

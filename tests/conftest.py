@@ -4,7 +4,7 @@ import pytest
 
 from fsmrecon import benchmarks
 from fsmrecon.capture import Trace
-from fsmrecon.channel import DEFAULT_TABLE, InferredHd
+from fsmrecon.channel import DEFAULT_TABLE
 from fsmrecon.fsm import (
     MooreFsm,
     assign_binary_encoding,
@@ -14,14 +14,12 @@ from fsmrecon.fsm import (
 )
 
 
-def make_inferred(center: int) -> InferredHd:
-    if center == 0:
-        return InferredHd(center=0, exact=True, lo=0, hi=0)
-    return InferredHd(center=center, exact=False, lo=max(1, center - 1), hi=center + 1)
-
-
 def synthetic_trace(outputs, centers, seed=0, input_bits=1, stimulus=None) -> Trace:
-    """A hand-built trace: outputs per position, inferred centers per step."""
+    """A hand-built trace: outputs per position, band centers per step.
+
+    Each step's current is its center's band midpoint, so the trace reads
+    back the given centers; a center past the top band reads as the top.
+    """
     outputs = list(outputs)
     centers = list(centers)
     assert len(outputs) == len(centers) + 1
@@ -32,7 +30,6 @@ def synthetic_trace(outputs, centers, seed=0, input_bits=1, stimulus=None) -> Tr
         stimulus=list(stimulus) if stimulus is not None else [0] * len(centers),
         outputs=outputs,
         currents=[DEFAULT_TABLE.midpoint(c) for c in centers],
-        inferred=[make_inferred(c) for c in centers],
         seed=seed,
     )
 

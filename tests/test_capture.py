@@ -1,9 +1,12 @@
 """Capture: device behavior, stimulus sizing and trace recording."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from conftest import encoded_fixture
 from fsmrecon import benchmarks
 from fsmrecon.capture import (
     BlackBoxDevice,
@@ -12,7 +15,8 @@ from fsmrecon.capture import (
     gen_stimulus,
     run_trace,
 )
-from fsmrecon.channel import NoiseModel, pearson
+from fsmrecon.channel import NOISE_KINDS, NoiseModel, pearson
+from fsmrecon.cli import main
 from fsmrecon.fsm import assign_binary_encoding, moorify, parse_kiss2
 
 
@@ -113,7 +117,7 @@ def test_exact_channel_inferred_centers_match_actual_distances():
     state = m.reset
     for k, v in enumerate(stim):
         nxt = m.delta[(state, v)]
-        actual = (enc.encodings[state].value ^ enc.encodings[nxt].value).bit_count()
+        actual = (enc.encodings[state] ^ enc.encodings[nxt]).bit_count()
         assert trace.inferred[k].center == actual
         state = nxt
 
@@ -127,10 +131,10 @@ def test_window_always_contains_actual_distance_under_table3():
     state = m.reset
     for k, v in enumerate(stim):
         nxt = m.delta[(state, v)]
-        actual = (enc.encodings[state].value ^ enc.encodings[nxt].value).bit_count()
+        actual = (enc.encodings[state] ^ enc.encodings[nxt]).bit_count()
         inf = trace.inferred[k]
         if actual == 0:
-            assert inf.center == 0 and inf.exact
+            assert (inf.center, inf.lo, inf.hi) == (0, 0, 0)
         else:
             assert inf.lo <= actual <= min(inf.hi, enc.width)
         state = nxt
@@ -142,3 +146,56 @@ def test_distance_current_correlation_on_a_machine_walk():
     trace = run_trace(device, stim, seed=13)
     centers = [inf.center for inf in trace.inferred]
     assert pearson(centers, trace.currents) >= 0.93
+
+
+# ---------------------------------------------------------------------------
+# pinned device output
+# ---------------------------------------------------------------------------
+
+
+# sha256 over what the simulated device emits.  ``captures``: outputs,
+# ``repr`` of the currents and the band centers of a 300-step capture of
+# every bundled machine under every noise kind (noise seed 3, stimulus seed
+# 4).  ``calibrate``: the ``--deterministic`` report of ``calibrate
+# --samples 2000 --seed 7`` under every noise kind, Python version removed.
+# Centers, not windows, are hashed, so a change to the window rule alone
+# does not move these.
+PINNED_DEVICE = {
+    "captures": (
+        "3eda344dc84f4dd7170ec747bb7f8c98"
+        "df64d134796ec9018d823559675edbec"
+    ),
+    "calibrate": (
+        "76d1ad6c4c7127538c63a45c8f3e2a95"
+        "cc39fc5b8b30e95e40a9f54782d9d74c"
+    ),
+}
+
+
+def _capture_digest():
+    h = hashlib.sha256()
+    for name in benchmarks.names():
+        enc = encoded_fixture(name)
+        stim = gen_stimulus(300, enc.machine.input_bits, 4)
+        for kind in NOISE_KINDS:
+            trace = run_trace(BlackBoxDevice(enc, NoiseModel(kind), 3), stim, 4)
+            h.update("".join(trace.outputs).encode())
+            h.update(repr(trace.currents).encode())
+            h.update(bytes(inf.center for inf in trace.inferred))
+    return h.hexdigest()
+
+
+def _calibrate_digest(capsys):
+    h = hashlib.sha256()
+    for kind in NOISE_KINDS:
+        main(["calibrate", "--samples", "2000", "--seed", "7",
+              "--noise", kind, "--deterministic"])
+        rep = json.loads(capsys.readouterr().out)
+        del rep["versions"]["python"]
+        h.update(json.dumps(rep, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_device_output_is_pinned(capsys):
+    got = {"captures": _capture_digest(), "calibrate": _calibrate_digest(capsys)}
+    assert got == PINNED_DEVICE

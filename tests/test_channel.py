@@ -60,6 +60,16 @@ def test_negative_current_rejected():
         DEFAULT_TABLE.band_center(-1.0)
 
 
+_TABLE_RULES = {
+    "contiguous": lambda b: all(lo < hi for lo, hi, _ in b)
+    and all(x[1] == y[0] for x, y in zip(b, b[1:])),
+    "unbounded": lambda b: math.isinf(b[-1][1]),
+    "center": lambda b: [c for _, _, c in b] == list(range(len(b))),
+    "start at 0": lambda b: b[0][0] == 0,
+    "two bands": lambda b: len(b) >= 2,
+}
+
+
 @pytest.mark.parametrize(
     "bands,err",
     [
@@ -72,8 +82,13 @@ def test_negative_current_rejected():
     ids=["contiguous", "unbounded", "center", "start at 0", "two bands"],
 )
 def test_table_validation_errors(bands, err):
-    with pytest.raises(ValueError, match=err):
-        CalibrationTable(bands=bands)
+    """``DEFAULT_TABLE`` is the only table, so its shape is checked here
+    rather than by a constructor: bands start at 0, are nonempty and
+    contiguous, end unbounded, and carry the centers 0, 1, 2, ...  Each
+    case's malformed table breaks its rule, so the rule can fail."""
+    rule = _TABLE_RULES[err]
+    assert rule(DEFAULT_TABLE.bands)
+    assert not rule(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +102,38 @@ def test_exact_synthesis_inverts_to_the_same_band():
     for hd in range(7):
         got = infer_hd(synthesize_current(hd, model, rng))
         assert got.center == hd
-        assert got.exact == (hd == 0)
+        assert got.lo <= hd <= got.hi
     # distances beyond the top band saturate at the top center
     assert infer_hd(synthesize_current(9, model, rng)).center == 6
 
 
 def test_zero_center_is_exact_with_degenerate_window():
-    assert infer_hd(10.0) == InferredHd(center=0, exact=True, lo=0, hi=0)
+    assert infer_hd(10.0) == InferredHd(center=0, lo=0, hi=0)
 
 
-@pytest.mark.parametrize("center,lo,hi", [(1, 1, 2), (2, 1, 3), (3, 2, 4), (6, 5, 7)])
+@pytest.mark.parametrize(
+    "center,lo,hi", [(1, 1, 2), (2, 1, 3), (3, 2, 4), (5, 4, 6)]
+)
 def test_nonzero_window_is_plus_minus_one_with_floor_at_one(center, lo, hi):
     got = infer_hd(DEFAULT_TABLE.midpoint(center))
     assert (got.center, got.lo, got.hi) == (center, lo, hi)
-    assert not got.exact
+
+
+@pytest.mark.parametrize("current", [230.0, 255.0, 1e6])
+def test_top_band_window_is_open_above(current):
+    assert infer_hd(current) == InferredHd(center=6, lo=5, hi=math.inf)
+
+
+@pytest.mark.parametrize("kind", ["exact", "table3"])
+def test_window_contains_the_distance_at_every_distance(kind):
+    """The one-band error budget holds past the top band too: a distance
+    of 8 or more reads as the top band, whose window has no upper edge."""
+    model = NoiseModel(kind=kind)
+    rng = random.Random(12)
+    for hd in range(13):
+        for _ in range(200):
+            got = infer_hd(synthesize_current(hd, model, rng))
+            assert got.lo <= hd <= got.hi, (hd, got)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 from conftest import (
     cnf_projection_status,
     machine_trace,
-    make_inferred,
     synthetic_trace,
 )
 from fsmrecon.channel import NoiseModel

@@ -100,7 +100,7 @@ def test_merging_true_folds_reproduces_the_machine(
         stim = gen_stimulus(steps, input_bits, rng.randrange(2**32))
         trace = run_trace(device, stim, seed=round_no)
         values = tuple(
-            enc.encodings[s].value for s in true_state_sequence(enc, stim)
+            enc.encodings[s] for s in true_state_sequence(enc, stim)
         )
         graph = build_partial_stg(trace, EncodingAssignment(enc.width, values))
         acc = merge_rounds(acc, graph)

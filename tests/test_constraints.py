@@ -22,6 +22,7 @@ from fsmrecon.constraints import (
     forced_width,
     r_min,
 )
+from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
 from fsmrecon.verify import brute_force_min_width
 
 
@@ -222,11 +223,31 @@ def test_true_encodings_satisfy_constraints_at_true_width(name, kind):
     trace = run_trace(device, stim, seed=55)
     cs = build_constraints(trace, width=enc.width)
     state = m.reset
-    values = [enc.encodings[state].value]
+    values = [enc.encodings[state]]
     for v in stim:
         state = m.delta[(state, v)]
-        values.append(enc.encodings[state].value)
+        values.append(enc.encodings[state])
     assert find_violation(cs, values) is None
+
+
+def test_true_encodings_satisfy_constraints_past_the_top_band():
+    """A 129-state machine (width 8) stepping 127 -> 128 flips all eight
+    register bits; the top band reads it, and its window must admit 8."""
+    n = 129
+    m = MooreFsm(
+        input_bits=1,
+        output_bits=8,
+        states=[f"s{k}" for k in range(n)],
+        reset=126,
+        delta={(s, v): (s + 1) % n for s in range(n) for v in (0, 1)},
+        outputs=[int_to_bits(k, 8) for k in range(n)],
+    )
+    enc = assign_binary_encoding(m)
+    assert enc.width == 8
+    trace = run_trace(BlackBoxDevice(enc, NoiseModel.exact(), 0), [0, 0], 0)
+    cs = build_constraints(trace, width=8)
+    assert cs.constraints[1] == HdRange(1, 2, 5, 8)
+    assert find_violation(cs, [126, 127, 128]) is None
 
 
 def _pairwise_clash(groups, values):

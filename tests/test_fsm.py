@@ -16,10 +16,7 @@ from fsmrecon.fsm import (
     MealyFsm,
     MooreFsm,
     NondeterminismError,
-    StateEncoding,
     assign_binary_encoding,
-    bits_to_int,
-    hamming,
     int_to_bits,
     moorify,
     parse_kiss2,
@@ -44,32 +41,15 @@ def hamming_oracle(a: int, b: int, width: int) -> int:
 
 
 def test_hamming_matches_bit_loop_oracle_width_8():
+    """``step`` reports the popcount distance between register codes."""
     rng = random.Random(80_801)
+    m = MooreFsm(
+        1, 1, ["a", "b"], 0, {(s, v): v for s in (0, 1) for v in (0, 1)}, ["0", "1"]
+    )
     for _ in range(1000):
         a, b = rng.randrange(256), rng.randrange(256)
-        got = hamming(StateEncoding(a, 8), StateEncoding(b, 8))
+        got = step(EncodedFsm(m, [a, b], 8), 0, 1).hd
         assert got == hamming_oracle(a, b, 8)
-
-
-@given(
-    width=st.integers(min_value=1, max_value=16),
-    data=st.data(),
-)
-def test_hamming_is_a_metric(width, data):
-    vals = st.integers(min_value=0, max_value=(1 << width) - 1)
-    a = StateEncoding(data.draw(vals), width)
-    b = StateEncoding(data.draw(vals), width)
-    c = StateEncoding(data.draw(vals), width)
-    assert hamming(a, a) == 0
-    assert (hamming(a, b) == 0) == (a.value == b.value)
-    assert hamming(a, b) == hamming(b, a)
-    assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-    assert 0 <= hamming(a, b) <= width
-
-
-def test_hamming_width_mismatch_rejected():
-    with pytest.raises(ValueError, match="width mismatch"):
-        hamming(StateEncoding(1, 2), StateEncoding(1, 3))
 
 
 @given(width=st.integers(min_value=1, max_value=16), data=st.data())
@@ -77,12 +57,11 @@ def test_bit_string_round_trip(width, data):
     value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
     s = int_to_bits(value, width)
     assert len(s) == width
-    assert bits_to_int(s) == value
+    assert int(s, 2) == value
 
 
 def test_int_to_bits_is_msb_first():
     assert int_to_bits(4, 3) == "100"
-    assert StateEncoding(4, 3).bits == "100"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +256,7 @@ def test_binary_encoding_width(nstates, width):
     )
     enc = assign_binary_encoding(m)
     assert enc.width == width
-    assert [e.value for e in enc.encodings] == list(range(nstates))
+    assert enc.encodings == list(range(nstates))
 
 
 def test_binary_encoding_requires_complete():

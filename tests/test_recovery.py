@@ -22,6 +22,7 @@ from fsmrecon.congruence import Congruence
 from fsmrecon.constraints import (
     build_constraints,
     evaluate,
+    find_violation,
     forced_width,
     output_groups,
     r_min,
@@ -318,6 +319,20 @@ def test_timeout_is_surfaced(monkeypatch):
     assert result.attempts[-1].status == "timeout"
 
 
+def test_exhausted_seed_search_falls_back_to_an_unseeded_solve(monkeypatch):
+    monkeypatch.setattr(recovery, "_SEARCH_BUDGET", 1)
+    _, trace = machine_trace("dk27", 60, seed=5)
+    classes = merge_hypothesis(trace)
+    width = forced_width(trace)
+    hulls = class_hulls(build_constraints(trace, width), classes)
+    assert search_class_codes(max(classes) + 1, width, hulls) is None
+    result = recover_encodings(trace)
+    attempt = result.attempts[-1]
+    assert (attempt.status, attempt.seeded) == ("sat", False)
+    cs = build_constraints(trace, result.assignment.width)
+    assert find_violation(cs, list(result.assignment.values)) is None
+
+
 def test_dimacs_dump_writes_parseable_files(tmp_path):
     enc, trace = machine_trace("lion", 60, seed=3)
     result = recover_encodings(trace, dimacs_dir=str(tmp_path), dimacs_prefix="r0_")
@@ -370,7 +385,7 @@ def test_seeding_yields_conflict_free_descent_at_scale():
     import random
 
     from fsmrecon.capture import Trace
-    from fsmrecon.channel import DEFAULT_TABLE, InferredHd
+    from fsmrecon.channel import DEFAULT_TABLE
 
     # a deterministic 13-state machine with a unique output per state
     rng = random.Random(11)
@@ -390,12 +405,6 @@ def test_seeding_yields_conflict_free_descent_at_scale():
         stimulus=stimulus,
         outputs=[outputs[s] for s in seq],
         currents=[DEFAULT_TABLE.midpoint(c) for c in centers],
-        inferred=[
-            InferredHd(center=c, exact=(c == 0), lo=max(1, c - 1), hi=c + 1)
-            if c
-            else InferredHd(center=0, exact=True, lo=0, hi=0)
-            for c in centers
-        ],
         seed=0,
     )
     classes = merge_hypothesis(trace)
@@ -525,6 +534,25 @@ def test_oversized_low_information_walks_degrade_to_output_grouping():
     groups = {}
     expected = [groups.setdefault(o, len(groups)) for o in trace.outputs]
     assert classes == expected
+
+
+def test_oversized_pooled_walks_are_shed_before_the_search(monkeypatch):
+    # pooled walks past the merge-search ceiling: the optional pooled
+    # evidence goes first, and the trace alone still takes the search
+    monkeypatch.setattr(recovery, "_MERGE_MAX_POSITIONS", 60)
+    extra = tuple(machine_trace("shiftreg", 30, seed)[1] for seed in (1, 2))
+    _, trace = machine_trace("shiftreg", 30, seed=3)
+    assert not recovery._outputs_identify_states([trace, *extra])
+    calls = []
+    search = recovery.merge_hypothesis
+
+    def spy(t, pooled=()):
+        calls.append(len(pooled))
+        return search(t, pooled)
+
+    monkeypatch.setattr(recovery, "merge_hypothesis", spy)
+    assert spy(trace, extra) == search(trace)
+    assert calls == [2, 0]
 
 
 # ------------------------------------------------ one-pass output grouping

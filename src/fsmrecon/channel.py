@@ -120,26 +120,22 @@ DEFAULT_TABLE = CalibrationTable(
 )
 
 
-def sample_error(hd: int, model: NoiseModel, rng: random.Random) -> int:
-    """Banded-readout error for one clocking at actual distance ``hd``.
+def sample_error(hd: int, rng: random.Random) -> int:
+    """``table3`` band error for one clocking at actual distance ``hd``.
 
-    Zero distance is reported exactly under every model, and a nonzero
-    distance never collapses to zero (the reported band is floored at 1).
+    Zero distance is reported exactly, and a nonzero distance never
+    collapses to zero (the reported band is floored at 1).
     """
-    if hd < 0:
-        raise ValueError(f"hd must be >= 0, got {hd}")
-    if hd == 0 or model.kind == "exact":
+    if hd == 0:
         return 0
-    if model.kind == "table3":
-        u = rng.random()
-        if u < BAND_ERROR_P0:
-            err = 0
-        elif u < BAND_ERROR_P0 + BAND_ERROR_PLUS1:
-            err = 1
-        else:
-            err = -1
-        return max(1, hd + err) - hd
-    return DEFAULT_TABLE.band_center(synthesize_current(hd, model, rng)) - hd
+    u = rng.random()
+    if u < BAND_ERROR_P0:
+        err = 0
+    elif u < BAND_ERROR_P0 + BAND_ERROR_PLUS1:
+        err = 1
+    else:
+        err = -1
+    return max(1, hd + err) - hd
 
 
 def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
@@ -156,7 +152,7 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
     if model.kind == "exact":
         return DEFAULT_TABLE.midpoint(hd)
     if model.kind == "table3":
-        return DEFAULT_TABLE.midpoint(hd + sample_error(hd, model, rng))
+        return DEFAULT_TABLE.midpoint(hd + sample_error(hd, rng))
     value = DEFAULT_TABLE.midpoint(hd) + rng.gauss(0.0, model.sigma)
     zero_edge = DEFAULT_TABLE.bands[0][1]
     if hd == 0:

@@ -149,9 +149,16 @@ def test_noise_model_validation():
             NoiseModel(kind="gaussian", sigma=sigma)
 
 
+def read_error(hd, model, rng):
+    """How far the band read back from one synthesized clocking lies from
+    the actual distance."""
+    return infer_hd(synthesize_current(hd, model, rng)).center - hd
+
+
 def test_exact_model_never_errs():
     rng = random.Random(1)
-    assert all(sample_error(hd, NoiseModel.exact(), rng) == 0 for hd in range(10))
+    hds = range(DEFAULT_TABLE.top_center + 1)  # past the top band it saturates
+    assert all(read_error(hd, NoiseModel.exact(), rng) == 0 for hd in hds)
 
 
 @pytest.mark.parametrize("kind,sigma", [("exact", 10.0), ("table3", 10.0), ("gaussian", 10.0), ("gaussian", 50.0)])
@@ -159,7 +166,7 @@ def test_zero_distance_is_noiseless_under_every_model(kind, sigma):
     model = NoiseModel(kind=kind, sigma=sigma)
     rng = random.Random(2)
     for _ in range(500):
-        assert sample_error(0, model, rng) == 0
+        assert read_error(0, model, rng) == 0
         current = synthesize_current(0, model, rng)
         assert 0.0 <= current < 40.0
         assert infer_hd(current).center == 0
@@ -171,7 +178,7 @@ def test_nonzero_distance_never_reads_back_as_zero(kind):
     rng = random.Random(3)
     for hd in (1, 2, 3):
         for _ in range(300):
-            assert hd + sample_error(hd, model, rng) >= 1
+            assert hd + read_error(hd, model, rng) >= 1
             assert synthesize_current(hd, model, rng) >= 40.0
 
 
@@ -181,7 +188,7 @@ def test_banded_error_histogram_at_hd3():
     counts = {-1: 0, 0: 0, 1: 0}
     n = 10_000
     for _ in range(n):
-        counts[sample_error(3, NoiseModel.table3(), rng)] += 1
+        counts[sample_error(3, rng)] += 1
     assert abs(counts[0] / n * 100 - 85.2) <= 2.0
     assert abs(counts[1] / n * 100 - 12.0) <= 2.0
     assert abs(counts[-1] / n * 100 - 2.8) <= 2.0
@@ -189,7 +196,7 @@ def test_banded_error_histogram_at_hd3():
 
 def test_banded_error_floors_at_distance_one():
     rng = random.Random(4)
-    errs = {sample_error(1, NoiseModel.table3(), rng) for _ in range(2000)}
+    errs = {sample_error(1, rng) for _ in range(2000)}
     assert errs == {0, 1}  # a -1 draw at hd 1 is floored back to band 1
 
 
@@ -212,7 +219,7 @@ def test_gaussian_default_sigma_stays_within_one_band():
     model = NoiseModel.gaussian()
     for hd in (1, 2, 3, 4):
         for _ in range(500):
-            assert abs(sample_error(hd, model, rng)) <= 1
+            assert abs(read_error(hd, model, rng)) <= 1
 
 
 # ---------------------------------------------------------------------------

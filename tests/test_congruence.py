@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,15 +65,57 @@ def test_smaller_id_becomes_root_in_either_order():
         assert c.classes(4) == [0, 1, 2, 1]
 
 
-def test_merging_a_copy_leaves_the_original_untouched():
-    edges = {0: {0: (2, 0)}, 1: {0: (3, 1), 1: (3, 1)}}
-    original = Congruence(["a", "a", "b", "b"], edges, keep_first)
-    trial = original.copy()
-    assert trial.merge(0, 1) == 2
-    assert trial.classes(4) == [0, 0, 1, 1]
-    assert trial.edges[0] == {0: (2, 0), 1: (3, 1)}
-    assert original.classes(4) == [0, 1, 2, 3]
-    assert original.edges == {0: {0: (2, 0)}, 1: {0: (3, 1), 1: (3, 1)}}
+def snapshot(c):
+    return list(c.parent), {r: dict(m) for r, m in c.edges.items()}
+
+
+@pytest.mark.parametrize(
+    "edges,score",
+    [
+        # 0 and 1 merge, then their successors 2 and 3, which have no edges
+        ({0: {0: (2, (1, 1))}, 1: {0: (3, (1, 2)), 1: (3, (1, 1))}}, 2),
+        # 0 and 1 merge, then 2 and 3 clash on the window of their input-1
+        # step: refused with the first two unions done
+        ({0: {0: (2, (1, 1))}, 1: {0: (3, (1, 1))},
+          2: {1: (4, (1, 1))}, 3: {1: (5, (2, 2))}}, -1),
+    ],
+    ids=["merged", "refused-partway"],
+)
+def test_undo_restores_parent_and_edges_exactly(edges, score):
+    c = Congruence(["a", "a", "b", "b", "c", "c"], edges, _window_meet)
+    before = snapshot(c)
+    assert c.merge(0, 1) == score
+    assert c.find(1) == 0 and c.find(3) == 2
+    c.undo()
+    assert snapshot(c) == before
+    c.undo()
+    assert snapshot(c) == before
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # 1's step moves onto 0 and closes a loop that moves distance 1
+        {1: {0: (0, (1, 1))}},
+        # 0's own step leads into 1, which has no out-edges
+        {0: {0: (1, (2, 2))}},
+    ],
+    ids=["moved-edge", "into-edgeless-root"],
+)
+def test_a_nonzero_self_loop_is_refused_only_under_the_loop_label(edges):
+    def fresh():
+        return {src: dict(m) for src, m in edges.items()}
+
+    looped = Congruence(["a", "a"], fresh(), _window_meet, loop=(0, 0))
+    assert looped.merge(0, 1) == -1
+    # the round merge passes no loop label, so the same union stands
+    assert Congruence(["a", "a"], fresh(), _window_meet).merge(0, 1) == 1
+
+
+def test_a_zero_self_loop_is_accepted():
+    c = Congruence(["a", "a"], {1: {0: (0, (0, 0))}}, _window_meet, (0, 0))
+    assert c.merge(0, 1) == 1
+    assert c.edges == {0: {0: (0, (0, 0))}}
 
 
 @given(

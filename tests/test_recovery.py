@@ -599,15 +599,23 @@ pooled_walk_args = dict(
 )
 
 
+def pooled_walk_examples(test):
+    """Walks where only the window intersection, only the nonzero-step
+    rule, or only the input in the key decides against output grouping."""
+    for args in (
+        dict(seed=5950, n_states=8, input_bits=1, output_bits=3,
+             kind="table3", n_extra=2),
+        dict(seed=74, n_states=2, input_bits=2, output_bits=1,
+             kind="table3", n_extra=1),
+        dict(seed=13, n_states=5, input_bits=2, output_bits=3,
+             kind="gaussian", n_extra=1),
+    ):
+        test = example(**args)(test)
+    return test
+
+
 @given(**pooled_walk_args)
-# walks where only the window intersection, only the nonzero-step rule, or
-# only the input in the key decides against output grouping
-@example(seed=5950, n_states=8, input_bits=1, output_bits=3, kind="table3",
-         n_extra=2)
-@example(seed=74, n_states=2, input_bits=2, output_bits=1, kind="table3",
-         n_extra=1)
-@example(seed=13, n_states=5, input_bits=2, output_bits=3, kind="gaussian",
-         n_extra=1)
+@pooled_walk_examples
 @settings(max_examples=200, deadline=None)
 def test_one_pass_output_grouping_agrees_with_the_closure(**args):
     walks = random_walks(**args)
@@ -619,6 +627,75 @@ def test_one_pass_output_grouping_agrees_with_the_closure(**args):
         assert classes == reference == output_groups(trace.outputs)
     else:
         assert classes == evidence_search(trace, extra)
+
+
+def copy_and_rescan_search(trace, extra):
+    """The evidence-driven search with each trial merge run on a copy of
+    the union-find, and the nonzero-step rule checked by rescanning every
+    nonzero step after the closure instead of inside it."""
+    walks = [trace, *extra]
+    outs, succs, nonzero, offsets = [], {}, [], []
+    for w in walks:
+        off = len(outs)
+        offsets.append(off)
+        outs.extend(w.outputs)
+        for k, inf in enumerate(w.inferred):
+            succs[off + k] = {w.stimulus[k]: (off + k + 1, (inf.lo, inf.hi))}
+            if inf.center > 0:
+                nonzero.append(off + k)
+    cong = Congruence(outs, succs, recovery._window_meet)
+
+    def copied(c):
+        twin = Congruence(outs, {r: dict(m) for r, m in c.edges.items()},
+                          c.meet)
+        twin.parent = list(c.parent)
+        return twin
+
+    def intact(c):
+        return all(c.find(k) != c.find(k + 1) for k in nonzero)
+
+    merged = all(cong.merge(0, off) >= 0 for off in offsets[1:]) and all(
+        cong.merge(off + k, off + k + 1) >= 0
+        for w, off in zip(walks, offsets)
+        for k, inf in enumerate(w.inferred)
+        if inf.center == 0
+    )
+    if not merged or not intact(cong):
+        return output_groups(trace.outputs)
+    red = [cong.find(0)]
+    while True:
+        red = [r for r in red if cong.find(r) == r]
+        frontier = sorted(
+            {cong.find(t) for r in red for t, _ in cong.edges.get(r, {}).values()}
+            - set(red)
+        )
+        if not frontier:
+            return cong.classes(trace.n_steps + 1)
+        trials = []
+        for bi, node in enumerate(frontier):
+            found = False
+            for ri, cand in enumerate(red):
+                if outs[cand] != outs[node]:
+                    continue
+                trial = copied(cong)
+                score = trial.merge(cand, node)
+                if score >= 0 and intact(trial):
+                    found = True
+                    trials.append(((score, -bi, -ri), trial))
+            if not found:
+                red.append(node)
+                break
+        else:
+            cong = max(trials, key=lambda kt: kt[0])[1]
+
+
+@given(**pooled_walk_args)
+@pooled_walk_examples
+@settings(max_examples=200, deadline=None)
+def test_evidence_search_matches_the_copy_and_rescan_search(**args):
+    walks = random_walks(**args)
+    trace, extra = walks[0], walks[1:]
+    assert evidence_search(trace, extra) == copy_and_rescan_search(trace, extra)
 
 
 def assert_only_pooling_breaks_output_grouping(trace, extra, expected):

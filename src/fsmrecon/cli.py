@@ -107,13 +107,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     machine, converted = _load_moore(args.target)
     machine.require_complete()
-    vectors = (
-        args.vectors
-        if args.vectors is not None
-        else choose_vector_count(
-            machine.state_count, machine.input_bits, args.multiplier
-        )
+    # checked even when --vectors overrides it: the report echoes it
+    vectors = choose_vector_count(
+        machine.state_count, machine.input_bits, args.multiplier
     )
+    if args.vectors is not None:
+        vectors = args.vectors
     # an attack can run for minutes; an unusable output path must stop it
     # before it starts, not throw its result away at the end
     _require_writable([args.report, args.recovered], args.dimacs_dump)

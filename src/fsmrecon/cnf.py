@@ -3,31 +3,33 @@
 Every position gets one propositional variable per register bit.  Each
 unordered position pair that needs one gets a shared set of difference
 variables, one per bit, each defined as the XOR of the two position bits.
-Distance windows become a sequential-counter register over the difference
-variables.  Distinctness is expanded from the output partition here: every
-pair of positions in different groups gets a single at-least-one clause
-over its difference variables, so the formula, unlike the constraint set,
-is O(N^2) in the number of positions.
+A zero window becomes bitwise equality, any other window a
+sequential-counter register over the difference variables.  Distinctness
+is expanded from the output partition here: every pair of positions in
+different groups gets a single at-least-one clause over its difference
+variables, so the formula, unlike the constraint set, is O(N^2) in the
+number of positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constraints import ConstraintSet, Identical
+from .constraints import ConstraintSet
 
 
 @dataclass
 class Cnf:
-    """A propositional formula with the position-bit variable map."""
+    """A propositional formula over ``n_positions`` width-``width`` registers."""
 
     n_vars: int
     clauses: list[list[int]]
-    position_var: dict[tuple[int, int], int]
     width: int
     n_positions: int
-    trivially_unsat: bool
-    pair_diff_vars: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+
+    def var(self, p: int, b: int) -> int:
+        """Variable of bit ``b`` (most significant first) of position ``p``."""
+        return p * self.width + b + 1
 
 
 def encode_cnf(cs: ConstraintSet) -> Cnf:
@@ -35,19 +37,14 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
 
     Variables 1 .. n_positions*width are the position bits, most significant
     bit first within each position; auxiliary variables follow.  Clauses
-    come in a fixed order: the chain constraints as listed, then one
+    come in a fixed order: the windows in step order, then one
     distinctness clause per differing-group pair ``i < j``, ascending.  An
-    infeasible distance window (lo > hi after clamping) contributes the
-    empty clause — the only case one is ever emitted.
+    empty window (lo > hi) contributes the empty clause — the only case
+    one is ever emitted.
     """
     width = cs.width
     n_positions = cs.n_positions
     clauses: list[list[int]] = []
-    position_var = {
-        (p, b): p * width + b + 1
-        for p in range(n_positions)
-        for b in range(width)
-    }
     n_vars = n_positions * width
     pair_diff: dict[tuple[int, int], list[int]] = {}
 
@@ -77,10 +74,6 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     def counter_window(ds: list[int], lo: int, hi: int) -> None:
         """Sequential-counter register asserting lo <= sum(ds) <= hi."""
         nonlocal n_vars
-        if hi == 0:
-            # a register of rank 0 tracks nothing: forbid every bit instead
-            clauses.extend([-d] for d in ds)
-            return
         n = len(ds)
         track = hi if hi < n else lo  # highest register rank we consult
         if track == 0:
@@ -139,17 +132,16 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
             assert final is not None
             clauses.append([final])
 
-    for c in cs.constraints:
-        if isinstance(c, Identical):
-            for b in range(width):
-                xi = c.i * width + b + 1
-                xj = c.j * width + b + 1
+    for k, (lo, hi) in enumerate(cs.windows):
+        if lo > hi:
+            clauses.append([])
+        elif hi == 0:
+            for xi in range(k * width + 1, (k + 1) * width + 1):
+                xj = xi + width
                 clauses.append([-xi, xj])
                 clauses.append([xi, -xj])
-        elif c.lo > c.hi:  # HdRange
-            clauses.append([])
         else:
-            counter_window(diff_vars(c.i, c.j), c.lo, c.hi)
+            counter_window(diff_vars(k, k + 1), lo, hi)
     groups = cs.groups
     for i, gi in enumerate(groups):
         for j in range(i + 1, n_positions):
@@ -157,13 +149,7 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
                 clauses.append(list(diff_vars(i, j)))
 
     return Cnf(
-        n_vars=n_vars,
-        clauses=clauses,
-        position_var=position_var,
-        width=width,
-        n_positions=n_positions,
-        trivially_unsat=cs.trivially_unsat,
-        pair_diff_vars=pair_diff,
+        n_vars=n_vars, clauses=clauses, width=width, n_positions=n_positions
     )
 
 
@@ -173,7 +159,7 @@ def decode_positions(cnf: Cnf, model: list[int]) -> list[int]:
     for p in range(cnf.n_positions):
         v = 0
         for b in range(cnf.width):
-            v = (v << 1) | (1 if model[cnf.position_var[(p, b)]] > 0 else 0)
+            v = (v << 1) | (1 if model[cnf.var(p, b)] > 0 else 0)
         values.append(v)
     return values
 
@@ -192,8 +178,9 @@ def to_dimacs(cnf: Cnf) -> str:
 def variable_map_text(cnf: Cnf) -> str:
     """Sidecar mapping ``position bit variable``, one line each."""
     lines = ["# position bit variable"]
-    for (p, b), var in sorted(cnf.position_var.items()):
-        lines.append(f"{p} {b} {var}")
+    for p in range(cnf.n_positions):
+        for b in range(cnf.width):
+            lines.append(f"{p} {b} {cnf.var(p, b)}")
     return "\n".join(lines) + "\n"
 
 

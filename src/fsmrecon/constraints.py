@@ -1,14 +1,14 @@
 """State-identification constraints over trace positions.
 
 A captured trace pins down N+1 register snapshots ("positions").  Each
-consecutive pair is tied by what the side channel said about that clocking:
-an exact zero distance makes the two positions identical, anything else
-bounds their distance inside the inference window clamped to the register
-width.  Any two positions whose functional outputs differ must hold
-different register values; that rule is kept as a partition of the
-positions by output (one group id per position), not as pairs, so a set
-holds N chain constraints plus N+1 group ids.  Solving these constraints
-at a given width yields one candidate register value per position.
+consecutive pair is tied by what the side channel said about that
+clocking: a distance window, the inference window clamped to the register
+width, where (0, 0) makes the two positions identical.  Any two positions
+whose functional outputs differ must hold different register values; that
+rule is kept as a partition of the positions by output (one group id per
+position), not as pairs, so a set holds N windows plus N+1 group ids.
+Solving these constraints at a given width yields one candidate register
+value per position.
 
 Two lower bounds on that width come straight from the trace: :func:`r_min`
 counts distinct outputs, and :func:`forced_width`, never below it, also
@@ -25,70 +25,46 @@ from dataclasses import dataclass
 from .capture import Trace
 
 
-@dataclass(frozen=True, slots=True)
-class Identical:
-    """Positions ``i`` and ``j`` hold the same register value."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True, slots=True)
-class HdRange:
-    """The distance between positions ``i`` and ``j`` lies in [lo, hi]."""
-
-    i: int
-    j: int
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True, slots=True)
-class Distinct:
-    """Positions ``i`` and ``j`` must hold different register values.
-
-    Never stored in a :class:`ConstraintSet`; :func:`find_violation` returns
-    one as the witness of a broken output partition.
-    """
-
-    i: int
-    j: int
-
-
-Constraint = Identical | HdRange
-
-
 @dataclass
 class ConstraintSet:
     """All constraints for one trace at one candidate register width.
 
-    ``constraints`` holds the chain: one Identical or HdRange per
-    consecutive position pair.  ``groups`` gives each position an output
-    group id; positions in different groups must hold different values,
+    ``windows[k] = (lo, hi)`` bounds the distance between positions k and
+    k+1: (0, 0) is an exact zero reading, and ``lo > hi`` a window the
+    width cannot carry.  ``groups`` gives each position an output group
+    id; positions in different groups must hold different values,
     positions in one group are unconstrained by it.
     """
 
     width: int
-    n_positions: int
-    constraints: list[Constraint]
+    windows: list[tuple[int, int]]
     groups: list[int]
-    trivially_unsat: bool
 
     def __post_init__(self) -> None:
-        if len(self.groups) != self.n_positions:
+        if len(self.windows) != len(self.groups) - 1:
             raise ValueError(
-                f"expected {self.n_positions} group ids, got {len(self.groups)}"
+                f"expected {len(self.groups) - 1} windows for "
+                f"{len(self.groups)} positions, got {len(self.windows)}"
             )
 
+    @property
+    def n_positions(self) -> int:
+        return len(self.groups)
+
+    @property
+    def trivially_unsat(self) -> bool:
+        """Some window is empty, so no assignment satisfies the set."""
+        return any(lo > hi for lo, hi in self.windows)
+
     def counts(self) -> dict[str, int]:
-        """Chain constraints by kind, and how many position pairs lie in
+        """Zero and other windows, and how many position pairs lie in
         different output groups."""
-        identical = sum(isinstance(c, Identical) for c in self.constraints)
+        identical = self.windows.count((0, 0))
         n = self.n_positions
         same = sum(k * k for k in Counter(self.groups).values())
         return {
             "identical": identical,
-            "hd_range": len(self.constraints) - identical,
+            "hd_range": len(self.windows) - identical,
             "distinct": (n * n - same) // 2,
         }
 
@@ -132,46 +108,31 @@ def output_groups(outputs: list[str]) -> list[int]:
 def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     """Constraints for ``trace`` at register width ``width``.
 
-    Consecutive positions get an Identical constraint when the channel read
-    an exact zero, otherwise the channel's inference window [``lo``,
-    min(width, ``hi``)].  A window that empties after clamping (the width
-    cannot carry the observed distance) marks the set trivially
-    unsatisfiable but is still recorded.  Output groups come from
-    :func:`output_groups`.  The set is O(N).
+    Each step keeps the channel's inference window [``lo``, min(width,
+    ``hi``)], so an exact zero reading gives (0, 0).  A window that empties
+    after clamping (the width cannot carry the observed distance) is still
+    recorded and makes the set trivially unsatisfiable.  Output groups come
+    from :func:`output_groups`.  The set is O(N).
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    constraints: list[Constraint] = []
-    trivially_unsat = False
-    for k, inf in enumerate(trace.inferred):
-        i, j = k, k + 1
-        if inf.center == 0:
-            constraints.append(Identical(i, j))
-        else:
-            hi = min(width, inf.hi)
-            if inf.lo > hi:
-                trivially_unsat = True
-            constraints.append(HdRange(i, j, inf.lo, hi))
-    groups = output_groups(trace.outputs)
     return ConstraintSet(
         width=width,
-        n_positions=len(groups),
-        constraints=constraints,
-        groups=groups,
-        trivially_unsat=trivially_unsat,
+        windows=[(inf.lo, min(width, inf.hi)) for inf in trace.inferred],
+        groups=output_groups(trace.outputs),
     )
 
 
 def find_violation(
     cs: ConstraintSet, values: list[int]
-) -> Constraint | Distinct | None:
-    """First constraint the assignment breaks, or None.
+) -> tuple[int, int] | None:
+    """First position pair the assignment breaks, or None.
 
     This is the independent checker: straight popcount arithmetic on the
     assigned values, sharing nothing with the CNF encoding or the solver.
-    The chain is checked in order; then value -> group must be a function,
-    and a clash is reported as ``Distinct(i, j)`` with ``i`` the first
-    position holding the value.
+    The windows are checked in order, a broken step k reported as
+    ``(k, k+1)``; then value -> group must be a function, and a clash is
+    reported as ``(i, j)`` with ``i`` the first position holding the value.
     """
     if len(values) != cs.n_positions:
         raise ValueError(f"expected {cs.n_positions} values, got {len(values)}")
@@ -179,18 +140,15 @@ def find_violation(
     for k, v in enumerate(values):
         if not 0 <= v < limit:
             raise ValueError(f"value {v} at position {k} does not fit width {cs.width}")
-    for c in cs.constraints:
-        if isinstance(c, Identical):
-            if values[c.i] != values[c.j]:
-                return c
-        elif not c.lo <= (values[c.i] ^ values[c.j]).bit_count() <= c.hi:
-            return c
+    for k, ((lo, hi), u, v) in enumerate(zip(cs.windows, values, values[1:])):
+        if not lo <= (u ^ v).bit_count() <= hi:
+            return k, k + 1
     groups = cs.groups
     first: dict[int, int] = {}
     for j, v in enumerate(values):
         i = first.setdefault(v, j)
         if groups[i] != groups[j]:
-            return Distinct(i, j)
+            return i, j
     return None
 
 

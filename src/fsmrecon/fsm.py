@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# don't-care expansion doubles a row per '-'; the largest bundled table
+# (s386) has 1,664 entries
+MAX_TABLE_ENTRIES = 1 << 16
+
 
 class Kiss2Error(ValueError):
     """Malformed KISS2 input. Carries the 1-based line number when known."""
@@ -149,12 +153,14 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
     all-zero output), otherwise a :class:`MealyFsm`.  States are numbered by
     first appearance in the current-state column; states that only ever
     appear as targets are appended afterwards.  Don't-care input bits are
-    expanded eagerly, so the resulting table is purely binary.
+    expanded eagerly, so the resulting table is purely binary; a table
+    that would expand past :data:`MAX_TABLE_ENTRIES` entries is refused.
     """
     input_bits: int | None = None
     output_bits: int | None = None
     reset_name: str | None = None
     rows: list[tuple[int, str, str, str, str]] = []  # (line, in, cur, nxt, out)
+    entries = 0  # table entries once don't-cares are expanded
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -205,6 +211,11 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
             raise Kiss2Error(
                 f"output vector {outs!r} has {len(outs)} bits, expected {output_bits}",
                 lineno,
+            )
+        entries += 1 << ins.count("-")
+        if entries > MAX_TABLE_ENTRIES:
+            raise Kiss2Error(
+                f"table expands past {MAX_TABLE_ENTRIES} entries", lineno
             )
         rows.append((lineno, ins, cur, nxt, outs))
 

@@ -26,7 +26,6 @@ from .cnf import Cnf, decode_positions, encode_cnf, to_dimacs, variable_map_text
 from .congruence import Congruence
 from .constraints import (
     ConstraintSet,
-    HdRange,
     build_constraints,
     find_violation,
     forced_width,
@@ -240,17 +239,14 @@ def class_hulls(
     """
     hulls: dict[tuple[int, int], tuple[int, int]] = {}
     dead: set[tuple[int, int]] = set()
-    for c in cs.constraints:
-        if not isinstance(c, HdRange):
-            continue
-        a, b = classes[c.i], classes[c.j]
-        if a == b:
+    for (w_lo, w_hi), a, b in zip(cs.windows, classes, classes[1:]):
+        if w_hi == 0 or a == b:
             continue
         key = (a, b) if a < b else (b, a)
         if key in dead:
             continue
         lo, hi = hulls.get(key, (0, cs.width))
-        lo, hi = max(lo, c.lo), min(hi, c.hi)
+        lo, hi = max(lo, w_lo), min(hi, w_hi)
         if lo > hi:
             hulls.pop(key, None)
             dead.add(key)
@@ -355,7 +351,7 @@ def build_phases(
     for p in range(cnf.n_positions):
         code = codes[classes[p]]
         for b in range(width):
-            phases[cnf.position_var[(p, b)]] = bool(
+            phases[cnf.var(p, b)] = bool(
                 (code >> (width - 1 - b)) & 1
             )
     return phases
@@ -460,7 +456,7 @@ def recover_encodings(
             violation = find_violation(cs, values)
             if violation is not None:
                 raise ModelViolationError(
-                    f"model at width {width} violates {violation!r}"
+                    f"model at width {width} breaks positions {violation}"
                 )
             result.assignment = EncodingAssignment(
                 width=width, values=tuple(values)

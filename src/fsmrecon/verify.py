@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .capture import Trace
-from .constraints import ConstraintSet, HdRange, evaluate
+from .constraints import ConstraintSet, evaluate
 from .fsm import MooreFsm
 
 # Hard ceiling on R * (N+1) for exhaustive assignment enumeration: 2**24
@@ -165,12 +165,11 @@ def equivalent(a: MooreFsm, b: MooreFsm) -> EquivalenceVerdict:
 def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
     """Smallest width whose assignments can satisfy ``cs``, by enumeration.
 
-    The chain constraints and output groups are taken exactly as given —
-    recorded distance windows included — and ``cs.width`` is ignored;
-    widths 1..cap are tried in order and every assignment of
-    ``n_positions`` width-R values is checked against the arithmetic
-    evaluator.  Returns None when even ``cap`` admits no satisfying
-    assignment.
+    The windows and output groups are taken exactly as given and
+    ``cs.width`` is ignored; widths 1..cap are tried in order and every
+    assignment of ``n_positions`` width-R values is checked against the
+    arithmetic evaluator.  Returns None when even ``cap`` admits no
+    satisfying assignment.
 
     Callers cross-checking a width-adaptive search should build ``cs`` at
     width ``cap``: recorded windows then agree with per-width rebuilding
@@ -185,17 +184,10 @@ def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
             f"enumeration bound exceeded: {n} positions * cap {cap} "
             f"> {ENUMERATION_BITS} bits"
         )
-    for c in cs.constraints:
-        if isinstance(c, HdRange) and c.lo > c.hi:
-            return None  # an empty window admits no assignment at any width
+    if cs.trivially_unsat:
+        return None  # an empty window admits no assignment at any width
     for width in range(1, cap + 1):
-        probe = ConstraintSet(
-            width=width,
-            n_positions=n,
-            constraints=cs.constraints,
-            groups=cs.groups,
-            trivially_unsat=False,
-        )
+        probe = ConstraintSet(width, cs.windows, cs.groups)
         space = 1 << width
         values = [0] * n
         while True:

@@ -128,7 +128,8 @@ def unit_propagate_complete(n_vars, clauses, fixed):
 def cnf_projection_status(cnf, values):
     """SAT status of a CNF under a full position-value assignment."""
     fixed = {}
-    for (p, b), var in cnf.position_var.items():
-        fixed[var] = bool((values[p] >> (cnf.width - 1 - b)) & 1)
+    for p, value in enumerate(values):
+        for b in range(cnf.width):
+            fixed[cnf.var(p, b)] = bool((value >> (cnf.width - 1 - b)) & 1)
     status, _ = unit_propagate_complete(cnf.n_vars, cnf.clauses, fixed)
     return status

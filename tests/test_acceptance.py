@@ -176,24 +176,19 @@ def test_criterion_5_solver_minimality_oracle():
 def _brute_sat(cs):
     """Backtracking satisfiability over all width-R position values.
 
-    Each depth checks the chain constraints ending there and distinctness
-    over the output groups of the prefix.
+    Each depth checks the prefix: its windows and distinctness over its
+    output groups.
     """
     if cs.trivially_unsat:
         return False
     n = cs.n_positions
-    by_depth = [[] for _ in range(n)]
-    for c in cs.constraints:
-        by_depth[max(c.i, c.j)].append(c)
     values = [0] * n
 
     def ok_at(depth):
         probe = ConstraintSet(
             width=cs.width,
-            n_positions=depth + 1,
-            constraints=by_depth[depth],
+            windows=cs.windows[:depth],
             groups=cs.groups[: depth + 1],
-            trivially_unsat=False,
         )
         return evaluate(probe, values[: depth + 1])
 

@@ -151,7 +151,7 @@ def test_attack_bare_defaults_on_s386_exits_0(tmp_path, monkeypatch, capsys):
 
     def recording(trace, width):
         cs = build_constraints(trace, width)
-        built.append((trace.n_steps, len(cs.constraints), len(cs.groups)))
+        built.append((trace.n_steps, len(cs.windows), len(cs.groups)))
         return cs
 
     monkeypatch.setattr(recovery, "build_constraints", recording)
@@ -162,11 +162,26 @@ def test_attack_bare_defaults_on_s386_exits_0(tmp_path, monkeypatch, capsys):
     assert rep["config"]["vectors_per_round"] == 3328
     assert rep["result"]["goal_met"] is True
     assert built and all(n_steps == 3328 for n_steps, _, _ in built)
-    # the set is linear: one chain constraint per step, one group id per position
+    # the set is linear: one window per step, one group id per position
     assert all(
         n_chain == n_steps and n_groups == n_steps + 1
         for n_steps, n_chain, n_groups in built
     )
+
+
+@pytest.mark.parametrize("cmd", ["convert", "verify", "attack"])
+def test_table_past_the_expansion_bound_exits_2_with_one_line(
+    tmp_path, capsys, cmd
+):
+    wide = str(tmp_path / "wide.kiss2")
+    with open(wide, "w") as fh:
+        fh.write(".i 40\n.o 1\n" + "-" * 40 + " a a 1\n")
+    argv = {
+        "convert": [wide, str(tmp_path / "out.kiss2")],
+        "verify": [wide, wide],
+        "attack": ["--target", wide],
+    }[cmd]
+    assert_one_line_exit_2(capsys, [cmd, *argv], "expands past")
 
 
 def test_attack_malformed_target_exits_2(tmp_path, capsys):
@@ -227,12 +242,27 @@ def test_attack_unusable_flag_exits_2_with_one_line(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lion.kiss2"]
 
 
+@pytest.mark.parametrize("value", ["nan", "1"])
+def test_attack_bad_multiplier_exits_2_even_with_vectors(
+    lion_path, monkeypatch, capsys, value
+):
+    from fsmrecon import cli
+
+    def no_attack(device, cfg):
+        pytest.fail("the attack ran")
+
+    monkeypatch.setattr(cli, "attack", no_attack)
+    argv = ["attack", "--target", lion_path, "--vectors", "20",
+            "--multiplier", value]
+    assert_one_line_exit_2(capsys, argv, "multiplier")
+
+
 def test_attack_model_violation_keeps_its_traceback(lion_path, monkeypatch):
     from fsmrecon import cli
     from fsmrecon.recovery import ModelViolationError
 
     def violating(device, cfg):
-        raise ModelViolationError("model at width 2 violates Distinct(0, 1)")
+        raise ModelViolationError("model at width 2 breaks positions (0, 1)")
 
     monkeypatch.setattr(cli, "attack", violating)
     with pytest.raises(ModelViolationError):

@@ -30,8 +30,6 @@ from fsmrecon.cnf import (
 )
 from fsmrecon.constraints import (
     ConstraintSet,
-    HdRange,
-    Identical,
     build_constraints,
     evaluate,
     r_min,
@@ -51,17 +49,12 @@ def exhaustive_check(cs: ConstraintSet) -> None:
         )
 
 
-def cset(width, groups, constraints=()):
-    """A hand-built set: output group per position, then chain constraints."""
-    return ConstraintSet(
-        width=width,
-        n_positions=len(groups),
-        constraints=list(constraints),
-        groups=list(groups),
-        trivially_unsat=any(
-            isinstance(c, HdRange) and c.lo > c.hi for c in constraints
-        ),
-    )
+def cset(width, groups, windows=None):
+    """A hand-built set: output group per position, then one window per
+    step, vacuous (0, width) when none are given."""
+    if windows is None:
+        windows = [(0, width)] * (len(groups) - 1)
+    return ConstraintSet(width=width, windows=list(windows), groups=list(groups))
 
 
 # --------------------------------------------------------------- structure
@@ -70,15 +63,15 @@ def cset(width, groups, constraints=()):
 def test_position_variables_are_contiguous_msb_first():
     cs = cset(3, [0, 1])
     cnf = encode_cnf(cs)
-    assert cnf.position_var == {
-        (0, 0): 1, (0, 1): 2, (0, 2): 3,
-        (1, 0): 4, (1, 1): 5, (1, 2): 6,
-    }
+    assert [[cnf.var(p, b) for b in range(3)] for p in range(2)] == [
+        [1, 2, 3],
+        [4, 5, 6],
+    ]
     assert cnf.n_vars == 6 + 3  # three difference variables follow
 
 
 def test_identical_emits_two_equivalence_clauses_per_bit():
-    cs = cset(4, [0, 0], [Identical(0, 1)])
+    cs = cset(4, [0, 0], [(0, 0)])
     cnf = encode_cnf(cs)
     assert len(cnf.clauses) == 8
     assert [-1, 5] in cnf.clauses and [1, -5] in cnf.clauses
@@ -88,8 +81,7 @@ def test_identical_emits_two_equivalence_clauses_per_bit():
 def test_distinct_emits_xor_definitions_and_or_clause():
     cs = cset(2, [0, 1])
     cnf = encode_cnf(cs)
-    ds = cnf.pair_diff_vars[(0, 1)]
-    assert ds == [5, 6]
+    ds = [5, 6]  # the first auxiliaries, one per bit of pair (0, 1)
     # 4 XOR clauses per difference variable plus the at-least-one clause
     assert len(cnf.clauses) == 4 * 2 + 1
     assert ds in cnf.clauses
@@ -99,27 +91,32 @@ def test_distinct_emits_xor_definitions_and_or_clause():
 
 
 def test_distinct_and_window_share_difference_variables():
-    cs = cset(2, [0, 1], [HdRange(0, 1, 1, 2)])
+    cs = cset(2, [0, 1], [(1, 2)])
     cnf = encode_cnf(cs)
-    assert len(cnf.pair_diff_vars) == 1
-    # XOR definitions appear only once
-    d = cnf.pair_diff_vars[(0, 1)][0]
-    assert sum(1 for c in cnf.clauses if c == [-d, 1, 3]) == 1
+    # the pair's difference variables 5 and 6 are defined once, for the
+    # window, and its distinctness clause reuses them
+    for d, (xi, xj) in ((5, (1, 3)), (6, (2, 4))):
+        assert sum(1 for c in cnf.clauses if c == [-d, xi, xj]) == 1
+    assert cnf.clauses[-1] == [5, 6]
+    defined = {
+        -c[0] for c in cnf.clauses
+        if len(c) == 3 and c[0] < 0 and 0 < c[1] <= 4 and 0 < c[2] <= 4
+    }
+    assert defined == {5, 6}
 
 
 def test_infeasible_window_emits_empty_clause():
-    cs = cset(1, [0, 0], [HdRange(0, 1, 2, 1)])
+    cs = cset(1, [0, 0], [(2, 1)])
     assert cs.trivially_unsat
     cnf = encode_cnf(cs)
-    assert cnf.trivially_unsat
     assert [] in cnf.clauses
 
 
 def test_no_empty_clause_otherwise():
     trace = synthetic_trace(["0", "1", "1", "0"], [1, 0, 2], input_bits=2)
     cs = build_constraints(trace, width=2)
+    assert not cs.trivially_unsat
     cnf = encode_cnf(cs)
-    assert not cnf.trivially_unsat
     assert all(clause for clause in cnf.clauses)
 
 
@@ -129,7 +126,7 @@ def test_decode_positions_reads_msb_first():
     model = [0] * (cnf.n_vars + 1)
     # position 0 = 0b10, position 1 = 0b01
     model[1], model[2], model[3], model[4] = 1, -1, -1, 1
-    for d in cnf.pair_diff_vars[(0, 1)]:
+    for d in (5, 6):  # pair (0, 1)'s difference variables
         model[d] = 1
     assert decode_positions(cnf, model) == [2, 1]
 
@@ -156,21 +153,21 @@ def test_decode_positions_reads_msb_first():
     ],
 )
 def test_single_window_matches_evaluator(width, lo, hi):
-    exhaustive_check(cset(width, [0, 0], [HdRange(0, 1, lo, hi)]))
+    exhaustive_check(cset(width, [0, 0], [(lo, hi)]))
 
 
 def test_window_with_slack_upper_bound_matches_evaluator():
     # hi == width means the at-most side is vacuous
-    exhaustive_check(cset(2, [0, 1], [HdRange(0, 1, 1, 2)]))
+    exhaustive_check(cset(2, [0, 1], [(1, 2)]))
 
 
 def test_identity_chain_matches_evaluator():
-    exhaustive_check(cset(2, [0, 0, 1], [Identical(0, 1), Identical(1, 2)]))
+    exhaustive_check(cset(2, [0, 0, 1], [(0, 0), (0, 0)]))
 
 
 def test_three_position_mixed_chain_matches_evaluator():
     exhaustive_check(
-        cset(2, [0, 1, 1], [HdRange(0, 1, 1, 2), Identical(1, 2)])
+        cset(2, [0, 1, 1], [(1, 2), (0, 0)])
     )
 
 
@@ -181,7 +178,7 @@ def test_four_position_trace_constraints_match_evaluator():
 
 
 def test_trivially_unsat_projections_all_conflict():
-    cs = cset(1, [0, 0], [HdRange(0, 1, 2, 1)])
+    cs = cset(1, [0, 0], [(2, 1)])
     cnf = encode_cnf(cs)
     for values in itertools.product(range(2), repeat=2):
         assert cnf_projection_status(cnf, list(values)) == "conflict"
@@ -192,29 +189,27 @@ def test_randomized_constraint_sets_match_evaluator():
     for _ in range(60):
         width = rng.randint(1, 3)
         n = rng.randint(2, 4)
-        constraints = []
-        for i in range(n - 1):
+        windows = []
+        for _ in range(n - 1):
             kind = rng.randrange(3)
             if kind == 0:
-                constraints.append(Identical(i, i + 1))
+                windows.append((0, 0))
             else:
                 center = rng.randint(1, width + 1)
                 lo = max(1, center - 1)
                 hi = min(width, center + 1)
-                if lo > hi:
-                    continue
-                constraints.append(HdRange(i, i + 1, lo, hi))
+                windows.append((lo, hi) if lo <= hi else (0, width))
         n_groups = rng.randint(1, n)
         groups = [rng.randrange(n_groups) for _ in range(n)]
-        exhaustive_check(cset(width, groups, constraints))
+        exhaustive_check(cset(width, groups, windows))
 
 
 # ---------------------------------------------------------------- pinned
 
 # sha256 of the DIMACS text for a 30-step walk (seed 3) on each bundled
 # machine, at r_min and r_min + 1.  Recorded from the encoder that still
-# stored one Distinct per differing-output pair; any change to variable
-# numbering or clause order changes solver runs and must show up here.
+# stored one constraint object per differing-output pair; any change to
+# variable numbering or clause order changes solver runs and must show up here.
 PINNED_DIMACS_SHA256 = {
     ("bbtas", "exact", 0): "6cf0c000bc39d77b50187dbfb65ead6b8ff9237284e63e0c677717ae15ff3d41",
     ("bbtas", "exact", 1): "d6acddb54346933e3b6b4f6efb3369e0d1be3332c720bc35954b0b1d9e9d7be8",
@@ -283,7 +278,7 @@ def test_dimacs_header_and_terminators():
 
 
 def test_dimacs_empty_clause_round_trips():
-    cs = cset(1, [0, 0], [HdRange(0, 1, 2, 1)])
+    cs = cset(1, [0, 0], [(2, 1)])
     cnf = encode_cnf(cs)
     n_vars, clauses = parse_dimacs(to_dimacs(cnf))
     assert [] in clauses
@@ -297,9 +292,9 @@ def test_variable_map_sidecar_lists_every_position_bit():
     lines = text.strip().splitlines()
     assert lines[0].startswith("#")
     rows = [tuple(int(x) for x in line.split()) for line in lines[1:]]
-    assert rows == sorted(
-        (p, b, var) for (p, b), var in cnf.position_var.items()
-    )
+    assert rows == [
+        (p, b, p * 2 + b + 1) for p in range(3) for b in range(2)
+    ]
 
 
 def test_parse_dimacs_accepts_comments_and_multiline_clauses():

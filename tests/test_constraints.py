@@ -13,9 +13,6 @@ from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import encode_cnf
 from fsmrecon.constraints import (
     ConstraintSet,
-    Distinct,
-    HdRange,
-    Identical,
     build_constraints,
     evaluate,
     find_violation,
@@ -29,25 +26,26 @@ from fsmrecon.verify import brute_force_min_width
 def test_consecutive_constraints_follow_the_channel():
     trace = synthetic_trace(["0", "0", "1", "1"], [0, 2, 1])
     cs = build_constraints(trace, width=3)
-    assert cs.constraints == [
-        Identical(0, 1),
-        HdRange(1, 2, lo=1, hi=3),
-        HdRange(2, 3, lo=1, hi=2),  # lo floored at 1 for center 1
+    assert cs.windows == [
+        (0, 0),
+        (1, 3),
+        (1, 2),  # lo floored at 1 for center 1
     ]
+    assert cs.n_positions == 4
     assert not cs.trivially_unsat
 
 
 def test_window_upper_bound_clamps_to_width():
     trace = synthetic_trace(["0", "1"], [3])
     cs = build_constraints(trace, width=3)
-    assert HdRange(0, 1, lo=2, hi=3) in cs.constraints
+    assert cs.windows == [(2, 3)]
 
 
 def test_empty_window_marks_trivially_unsat_but_is_recorded():
     trace = synthetic_trace(["0", "1"], [3])
     cs = build_constraints(trace, width=1)
     assert cs.trivially_unsat
-    assert HdRange(0, 1, lo=2, hi=1) in cs.constraints
+    assert cs.windows == [(2, 1)]
     assert not evaluate(cs, [0, 1])  # no assignment can satisfy an empty window
 
 
@@ -57,17 +55,14 @@ def test_distinct_pairs_cover_exactly_output_inequality():
     assert cs.groups == [0, 1, 0, 2]  # dense ids, first-seen order
     # with the chain left out, a clash at exactly one pair is reported
     # iff that pair's outputs differ
-    bare = ConstraintSet(
-        width=2, n_positions=4, constraints=[], groups=cs.groups,
-        trivially_unsat=False,
-    )
+    bare = ConstraintSet(width=2, windows=[(0, 2)] * 3, groups=cs.groups)
     distinct = set()
     for i, j in itertools.combinations(range(4), 2):
         others = iter(range(1, 4))
         values = [0 if k in (i, j) else next(others) for k in range(4)]
         got = find_violation(bare, values)
         if got is not None:
-            assert got == Distinct(i, j)
+            assert got == (i, j)
             distinct.add((i, j))
     assert distinct == {(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)}
     # the equal-output pair (0, 2) is not constrained apart
@@ -78,9 +73,19 @@ def test_distinct_pairs_are_deduplicated_unordered():
     trace = synthetic_trace(["0", "1", "0", "1"], [1, 1, 1])
     cs = build_constraints(trace, width=2)
     cnf = encode_cnf(cs)
-    # distinctness clauses are exactly the pair difference-variable lists
-    by_vars = {tuple(ds): key for key, ds in cnf.pair_diff_vars.items()}
-    pairs = [by_vars[tuple(c)] for c in cnf.clauses if tuple(c) in by_vars]
+    # difference variable d of bit b of pair i < j is defined by the XOR
+    # clause [-d, x_ib, x_jb], position bit x_pb being p*width + b + 1
+    n_bits = cnf.n_positions * cnf.width
+    pair_of = {
+        -c[0]: ((c[1] - 1) // cnf.width, (c[2] - 1) // cnf.width)
+        for c in cnf.clauses
+        if len(c) == 3 and c[0] < 0 and 0 < c[1] <= n_bits and 0 < c[2] <= n_bits
+    }
+    # distinctness clauses are the ones over difference variables alone,
+    # each one pair's list
+    distinct = [c for c in cnf.clauses if c and all(d in pair_of for d in c)]
+    assert all(len({pair_of[d] for d in c}) == 1 for c in distinct)
+    pairs = [pair_of[c[0]] for c in distinct]
     assert len(pairs) == len(set(frozenset(p) for p in pairs))
     assert all(i < j for i, j in pairs)
     assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]  # ascending
@@ -159,10 +164,7 @@ def test_counts_distinct_equals_pairwise_count():
     for _ in range(50):
         n = rng.randint(1, 12)
         groups = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
-        cs = ConstraintSet(
-            width=2, n_positions=n, constraints=[], groups=groups,
-            trivially_unsat=False,
-        )
+        cs = ConstraintSet(width=2, windows=[(0, 2)] * (n - 1), groups=groups)
         pairwise = sum(
             groups[i] != groups[j] for i, j in itertools.combinations(range(n), 2)
         )
@@ -172,17 +174,16 @@ def test_counts_distinct_equals_pairwise_count():
 def test_chain_is_linear_in_trace_length():
     trace = synthetic_trace([format(k % 4, "02b") for k in range(301)], [1] * 300)
     cs = build_constraints(trace, width=2)
-    assert len(cs.constraints) == trace.n_steps
+    assert len(cs.windows) == trace.n_steps
     assert cs.groups == [k % 4 for k in range(301)]
     assert cs.counts() == {"identical": 0, "hd_range": 300, "distinct": 33_975}
 
 
-def test_group_count_must_match_positions():
-    with pytest.raises(ValueError, match="group ids"):
-        ConstraintSet(
-            width=1, n_positions=3, constraints=[], groups=[0, 1],
-            trivially_unsat=False,
-        )
+def test_window_count_must_be_one_less_than_positions():
+    for n_windows in (0, 1, 3):
+        with pytest.raises(ValueError, match="expected 2 windows for 3 positions"):
+            ConstraintSet(width=1, windows=[(0, 1)] * n_windows, groups=[0, 1, 0])
+    assert ConstraintSet(width=1, windows=[(0, 1)] * 2, groups=[0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +191,19 @@ def test_group_count_must_match_positions():
 # ---------------------------------------------------------------------------
 
 
-def test_evaluator_checks_each_constraint_kind():
-    trace = synthetic_trace(["0", "0", "1"], [0, 2])
+def test_violation_witness_is_the_first_broken_pair():
+    trace = synthetic_trace(["0", "0", "1", "1"], [0, 2, 1])
     cs = build_constraints(trace, width=2)
-    # positions: 0 == 1, hd(1, 2) in [1, 2] (wait: center 2 -> [1, 2] at width 2)
-    assert evaluate(cs, [0, 0, 3])
-    assert isinstance(find_violation(cs, [0, 1, 3]), Identical)
-    assert isinstance(find_violation(cs, [0, 0, 0]), HdRange) or isinstance(
-        find_violation(cs, [0, 0, 0]), Distinct
-    )
-    bad = find_violation(cs, [3, 3, 3])
-    assert bad is not None
+    assert cs.windows == [(0, 0), (1, 2), (1, 2)]
+    assert find_violation(cs, [0, 0, 3, 2]) is None
+    # a broken step k is reported as (k, k+1)
+    assert find_violation(cs, [0, 1, 3, 2]) == (0, 1)
+    assert find_violation(cs, [0, 0, 0, 0]) == (1, 2)
+    assert find_violation(cs, [0, 0, 3, 3]) == (2, 3)
+    # the steps are checked before the groups: this one also clashes at (0, 2)
+    assert find_violation(cs, [1, 1, 1, 2]) == (1, 2)
+    # a group clash names the first position holding the value
+    assert find_violation(cs, [0, 0, 1, 0]) == (0, 3)
 
 
 def test_evaluator_rejects_malformed_assignments():
@@ -246,7 +249,7 @@ def test_true_encodings_satisfy_constraints_past_the_top_band():
     assert enc.width == 8
     trace = run_trace(BlackBoxDevice(enc, NoiseModel.exact(), 0), [0, 0], 0)
     cs = build_constraints(trace, width=8)
-    assert cs.constraints[1] == HdRange(1, 2, 5, 8)
+    assert cs.windows[1] == (5, 8)
     assert find_violation(cs, [126, 127, 128]) is None
 
 
@@ -273,12 +276,12 @@ def test_partition_check_matches_pairwise_reference(case):
     groups = [g for g, _ in rows]
     values = [v for _, v in rows]
     cs = ConstraintSet(
-        width=width, n_positions=len(rows), constraints=[], groups=groups,
-        trivially_unsat=False,
+        width=width, windows=[(0, width)] * (len(rows) - 1), groups=groups
     )
     got = find_violation(cs, values)
     assert (got is None) == (not _pairwise_clash(groups, values))
     if got is not None:
-        assert isinstance(got, Distinct) and got.i < got.j
-        assert groups[got.i] != groups[got.j]
-        assert values[got.i] == values[got.j]
+        i, j = got
+        assert i < j
+        assert groups[i] != groups[j]
+        assert values[i] == values[j]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,28 @@ def test_syntax_errors_carry_line_numbers(text, line):
 def test_empty_input_rejected():
     with pytest.raises(Kiss2Error, match="no transition rows"):
         parse_kiss2("# nothing here\n.i 2\n.o 1\n")
+
+
+def test_dont_care_expansion_past_the_bound_is_refused():
+    # one row of 17 don't-cares is 2**17 entries, twice MAX_TABLE_ENTRIES
+    with pytest.raises(Kiss2Error, match="expands past 65536") as exc:
+        parse_kiss2(".i 17\n.o 1\n" + "-" * 17 + " a a 1\n")
+    assert exc.value.line == 3
+
+
+def test_expansion_bound_sums_the_rows_and_names_the_row_past_it():
+    rows = "".join(f"{'-' * 15} {s} {s} 1\n" for s in "abc")
+    with pytest.raises(Kiss2Error) as exc:
+        parse_kiss2(".i 15\n.o 1\n" + rows)
+    assert exc.value.line == 5  # 2**15 entries per row: the third passes
+
+
+def test_huge_dont_care_row_is_refused_before_expanding():
+    # 2**40 entries could never be built; the count alone refuses them
+    start = time.perf_counter()
+    with pytest.raises(Kiss2Error, match="expands past"):
+        parse_kiss2(".i 40\n.o 1\n" + "-" * 40 + " a a 1\n")
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -215,10 +215,10 @@ def test_phases_prime_position_bits_msb_first():
     cs = build_constraints(trace, width=2)
     cnf = encode_cnf(cs)
     phases = build_phases(cnf, [0, 1], [2, 1])  # 0b10 and 0b01
-    assert phases[cnf.position_var[(0, 0)]] is True
-    assert phases[cnf.position_var[(0, 1)]] is False
-    assert phases[cnf.position_var[(1, 0)]] is False
-    assert phases[cnf.position_var[(1, 1)]] is True
+    assert phases[cnf.var(0, 0)] is True
+    assert phases[cnf.var(0, 1)] is False
+    assert phases[cnf.var(1, 0)] is False
+    assert phases[cnf.var(1, 1)] is True
 
 
 # --------------------------------------------------------------- recovery

@@ -8,8 +8,6 @@ import pytest
 from fsmrecon import recovery
 from fsmrecon.constraints import (
     ConstraintSet,
-    HdRange,
-    Identical,
     build_constraints,
     evaluate,
 )
@@ -283,48 +281,46 @@ def test_equivalence_arity_mismatch_raises():
 # ------------------------------------------------- exhaustive width search
 
 
-def cs_of(groups, constraints, width=4):
-    return ConstraintSet(
-        width=width,
-        n_positions=len(groups),
-        constraints=constraints,
-        groups=groups,
-        trivially_unsat=False,
-    )
+def cs_of(groups, windows=None, width=4):
+    """Output group per position, then one window per step, vacuous
+    (0, width) when none are given."""
+    if windows is None:
+        windows = [(0, width)] * (len(groups) - 1)
+    return ConstraintSet(width=width, windows=windows, groups=groups)
 
 
 def test_three_pairwise_distinct_positions_need_two_bits():
-    cs = cs_of([0, 1, 2], [])
+    cs = cs_of([0, 1, 2])
     assert brute_force_min_width(cs, 4) == 2
 
 
 def test_single_identical_constraint_needs_one_bit():
-    cs = cs_of([0, 0], [Identical(0, 1)])
+    cs = cs_of([0, 0], [(0, 0)])
     assert brute_force_min_width(cs, 4) == 1
 
 
 def test_identical_distinct_contradiction_has_no_width():
-    cs = cs_of([0, 1], [Identical(0, 1)])
+    cs = cs_of([0, 1], [(0, 0)])
     assert brute_force_min_width(cs, 4) is None
 
 
 def test_empty_recorded_window_has_no_width():
-    cs = cs_of([0, 0], [HdRange(0, 1, 3, 2)])
+    cs = cs_of([0, 0], [(3, 2)])
     assert brute_force_min_width(cs, 4) is None
 
 
 def test_minimum_distance_two_needs_two_bits():
-    cs = cs_of([0, 0], [HdRange(0, 1, 2, 3)])
+    cs = cs_of([0, 0], [(2, 3)])
     assert brute_force_min_width(cs, 4) == 2
 
 
 def test_cap_below_minimum_returns_none():
-    cs = cs_of([0, 1, 2], [])
+    cs = cs_of([0, 1, 2])
     assert brute_force_min_width(cs, 1) is None
 
 
 def test_enumeration_bound_is_enforced():
-    cs = cs_of([0] * 5, [])
+    cs = cs_of([0] * 5)
     with pytest.raises(ValueError, match="bound"):
         brute_force_min_width(cs, 5)
     with pytest.raises(ValueError, match="cap"):

@@ -22,16 +22,23 @@ class BlackBoxDevice:
 
     The device owns its noise generator, so captured noise depends only on
     the noise seed and the clocking sequence — never on how the stimulus
-    was produced.
+    was produced.  Its step table is built once, from ``fsm.step`` for
+    every (state, input vector), so a clock is one range check and one
+    table read before the current is synthesized.
     """
 
     def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int):
-        encoded.machine.require_complete()
+        m = encoded.machine
+        m.require_complete()
         self._encoded = encoded
         self._noise = noise
         self._noise_seed = noise_seed
         self._rng = random.Random(noise_seed)
-        self._state = encoded.machine.reset
+        self._state = m.reset
+        vectors = range(1 << m.input_bits)
+        self._table = [
+            [step(encoded, s, v) for v in vectors] for s in range(m.state_count)
+        ]
 
     @property
     def input_bits(self) -> int:
@@ -48,11 +55,18 @@ class BlackBoxDevice:
         return self._encoded.machine.outputs[self._state]
 
     def clock(self, vector: int) -> tuple[str, float]:
-        """Apply one input vector: the new output and the current reading."""
-        res = step(self._encoded, self._state, vector)
-        self._state = res.next_state
-        current = synthesize_current(res.hd, self._noise, self._rng)
-        return res.output, current
+        """Apply one input vector: the new output and the current reading.
+
+        An out-of-range vector raises ValueError and leaves the device as
+        it was; a list index alone would accept a negative one.
+        """
+        row = self._table[self._state]
+        if not 0 <= vector < len(row):
+            raise ValueError(
+                f"input vector {vector} does not fit in {self.input_bits} bits"
+            )
+        self._state, output, hd = row[vector]
+        return output, synthesize_current(hd, self._noise, self._rng)
 
 
 @dataclass
@@ -60,7 +74,8 @@ class Trace:
     """One capture run: N input vectors, N+1 outputs, N current readings.
 
     ``inferred`` is not passed in: it is ``infer_hd`` of each current,
-    computed when the trace is built.
+    computed when the trace is built.  Equal bands give the same shared
+    ``InferredHd`` object, which is frozen.
     """
 
     input_bits: int

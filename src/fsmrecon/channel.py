@@ -9,7 +9,9 @@ distance estimate with a one-band uncertainty window.
 
 Two hard properties hold under every noise model: a zero-distance clock
 (self-loop) always lands in the zero band, and a nonzero distance never
-reads back as zero.  Everything downstream leans on both.
+reads back as zero.  Everything downstream leans on both.  The estimates
+are built once per band and shared; ``InferredHd`` is frozen, so no reader
+can change one another holds.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class CalibrationTable:
 
     def band_center(self, current: float) -> int:
         """The band a current reading falls into."""
-        if current < 0 or math.isnan(current):
-            raise ValueError(f"current must be >= 0, got {current}")
+        if not 0 <= current < math.inf:  # NaN fails too
+            raise ValueError(f"current must be finite and >= 0, got {current}")
         for lo, hi, center in self.bands:
             if lo <= current < hi:
                 return center
@@ -160,13 +162,23 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
     return max(value, zero_edge)
 
 
-def infer_hd(current: float) -> InferredHd:
-    """Turn a current reading into a banded distance estimate."""
-    center = DEFAULT_TABLE.band_center(current)
+def _band_reading(center: int) -> InferredHd:
     if center == 0:
         return InferredHd(center=0, lo=0, hi=0)
     hi = math.inf if center == DEFAULT_TABLE.top_center else center + 1
     return InferredHd(center=center, lo=max(1, center - 1), hi=hi)
+
+
+# one reading per band of DEFAULT_TABLE, indexed by its center
+_READINGS = tuple(_band_reading(center) for _, _, center in DEFAULT_TABLE.bands)
+
+
+def infer_hd(current: float) -> InferredHd:
+    """Turn a current reading into a banded distance estimate.
+
+    Every reading in one band gets the same shared ``InferredHd``.
+    """
+    return _READINGS[DEFAULT_TABLE.band_center(current)]
 
 
 def pearson(xs, ys) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # don't-care expansion doubles a row per '-'; the largest bundled table
 # (s386) has 1,664 entries
@@ -113,8 +114,9 @@ class EncodedFsm:
     width: int
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
+    """One clocking; a tuple, so a step table of them is cheap to build."""
+
     next_state: int
     output: str
     hd: int
@@ -134,6 +136,8 @@ def transition_count(m: MealyFsm | MooreFsm) -> int:
 
 def _expand_dontcare(pattern: str) -> list[int]:
     """All input vectors matched by a 0/1/- pattern, ascending."""
+    if "-" not in pattern:
+        return [int(pattern, 2)]
     values = [0]
     for c in pattern:
         if c == "0":
@@ -143,6 +147,11 @@ def _expand_dontcare(pattern: str) -> list[int]:
         else:  # '-'
             values = [v << 1 for v in values] + [(v << 1) | 1 for v in values]
     return sorted(values)
+
+
+# deletion tables: a field is well formed when nothing is left after them
+_DROP_INPUT_CHARS = str.maketrans("", "", "01-")
+_DROP_OUTPUT_CHARS = str.maketrans("", "", "01")
 
 
 def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
@@ -194,9 +203,9 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
                 lineno,
             )
         ins, cur, nxt, outs = parts
-        if not ins or any(c not in "01-" for c in ins):
+        if not ins or ins.translate(_DROP_INPUT_CHARS):
             raise Kiss2Error(f"bad input pattern {ins!r}", lineno)
-        if not outs or any(c not in "01" for c in outs):
+        if not outs or outs.translate(_DROP_OUTPUT_CHARS):
             raise Kiss2Error(f"bad output vector {outs!r}", lineno)
         if input_bits is None:
             input_bits = len(ins)

@@ -114,10 +114,14 @@ def _outputs_identify_states(walks: list[Trace]) -> bool:
                 seen[key] = (nxt, inf.lo, inf.hi)
                 continue
             to, lo, hi = prev
-            lo, hi = max(lo, inf.lo), min(hi, inf.hi)
-            if to != nxt or lo > hi:
+            if to != nxt:
                 return False
-            seen[key] = (to, lo, hi)
+            if inf.lo > lo or inf.hi < hi:  # the window narrows
+                lo = inf.lo if inf.lo > lo else lo
+                hi = inf.hi if inf.hi < hi else hi
+                if lo > hi:
+                    return False
+                seen[key] = (to, lo, hi)
     return True
 
 

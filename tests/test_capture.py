@@ -100,6 +100,25 @@ def test_device_noise_is_independent_of_stimulus_generation():
     assert currents == base.currents
 
 
+@pytest.mark.parametrize("past_top", [False, True], ids=["-1", "2**input_bits"])
+def test_out_of_range_vector_is_refused_and_changes_nothing(past_top):
+    stim = gen_stimulus(10, 1, seed=8)
+    device = make_device("dk27", NoiseModel.table3(), noise_seed=3)
+    vector = 1 << device.input_bits if past_top else -1
+    device.reset()
+    for v in stim[:5]:
+        device.clock(v)
+    state = device._state
+    with pytest.raises(ValueError, match="does not fit"):
+        device.clock(vector)
+    assert device._state == state
+    # the noise generator was not advanced either
+    rest = [device.clock(v) for v in stim[5:]]
+    base = run_trace(make_device("dk27", NoiseModel.table3(), noise_seed=3), stim, seed=8)
+    assert [out for out, _ in rest] == base.outputs[6:]
+    assert [cur for _, cur in rest] == base.currents[5:]
+
+
 def test_reset_replays_identical_noise():
     device = make_device("dk27", NoiseModel.table3(), noise_seed=21)
     stim = gen_stimulus(40, 1, seed=4)
@@ -108,11 +127,12 @@ def test_reset_replays_identical_noise():
     assert t1 == t2
 
 
-def test_exact_channel_inferred_centers_match_actual_distances():
-    m = moorify(parse_kiss2(benchmarks.load("lion")))
-    enc = assign_binary_encoding(m)
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_exact_channel_inferred_centers_match_actual_distances(name):
+    enc = encoded_fixture(name)
+    m = enc.machine
     device = BlackBoxDevice(enc, NoiseModel.exact(), noise_seed=0)
-    stim = gen_stimulus(64, 2, seed=5)
+    stim = gen_stimulus(64, m.input_bits, seed=5)
     trace = run_trace(device, stim, seed=5)
     state = m.reset
     for k, v in enumerate(stim):

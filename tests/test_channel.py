@@ -55,9 +55,12 @@ def test_band_boundaries_are_lower_inclusive(current, center):
     assert DEFAULT_TABLE.band_center(current) == center
 
 
-def test_negative_current_rejected():
+@pytest.mark.parametrize("current", [-1.0, math.nan, math.inf])
+def test_out_of_range_current_rejected(current):
     with pytest.raises(ValueError, match="current"):
-        DEFAULT_TABLE.band_center(-1.0)
+        DEFAULT_TABLE.band_center(current)
+    with pytest.raises(ValueError, match="current"):
+        infer_hd(current)
 
 
 _TABLE_RULES = {

@@ -126,6 +126,7 @@ def test_dangling_reset_reference():
         (".i 2\n.o 1\n0- a a\n", 3),  # missing field
         (".i 2\n.o 1\n02 a a 0\n", 3),  # bad input char
         (".i 2\n.o 1\n00 a a 2\n", 3),  # bad output char
+        (".i 2\n.o 1\n00 a a -\n", 3),  # don't-care output
         (".i 2\n.o 1\n000 a a 1\n", 3),  # width mismatch
         (".q 2\n.o 1\n00 a a 1\n", 1),  # unknown directive
     ],

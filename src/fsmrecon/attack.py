@@ -9,11 +9,11 @@ demonstrably cannot separate all the states then.  ``_fold_and_merge``
 folds each solution into a partial transition graph and merges that graph
 into the accumulated machine.  A round is dropped when its solution folds
 or merges inconsistently, when the fold needs more states than the
-operator's upper bound, or when the folded or merged graph fails to replay
-every trace captured so far; a dropped round costs coverage, never
-soundness.  ``_challenge`` pools the graphs the accumulated machine
-refused and lets that pool take over once it is the bigger, still
-consistent body of evidence.  The round history is one list of records;
+operator's upper bound, or when the merged graph fails to replay every
+trace captured so far; a dropped round costs coverage, never soundness.
+``_challenge`` pools the graphs the accumulated machine refused and lets
+that pool take over once it is the bigger, still consistent body of
+evidence.  The round history is one list of records;
 earlier rounds' traces are pooled from it as evidence for the next round's
 state-grouping guess, which sharpens the phase seed and contributes no
 constraints.
@@ -21,7 +21,6 @@ constraints.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ class AttackConfig:
     where the seed misses should run many short rounds instead of one
     covering round.  ``noise`` is the channel model a device built from
     this config uses (see :func:`build_device`).  ``timeout_ms`` bounds
-    each solver call; ``dimacs_dir``, when set, receives every CNF encoded.
+    each solver call; ``dimacs_dir``, when set, receives every CNF solved.
     """
 
     state_count_guess: int
@@ -78,15 +77,18 @@ class AttackConfig:
 class RoundRecord:
     """One attack round: its accounting and the material it was built from.
 
-    ``trace`` is the round's capture; later rounds pool it as evidence and
-    replay it as a check.  ``assignment`` is the last solution the round's
-    solver found, kept when its fold was rejected too, and None when the
-    last solve failed; ``width`` is read from it.  ``solver_ms`` is the
-    wall time of the width search, the state-grouping guess included, so
-    it is not solver time alone.  ``escalations`` is 1 when the round
-    retried at a wider register and 0 otherwise, and ``attempts`` lists
-    every width tried across both solves.  ``new_transitions`` and
-    ``fraction`` describe the accumulated graph after the round.
+    ``status`` names the stage that dropped the round, or is ``"merged"``;
+    ``"replay-rejected"`` means the fold or the merged graph failed a trace
+    captured so far.  ``trace`` is the round's capture; later rounds pool
+    it as evidence and replay it as a check.  ``assignment`` is the last
+    solution the round's solver found, kept when its fold was rejected
+    too, and None when the last solve failed; ``width`` is read from it.
+    ``solver_ms`` is the wall time of the guess and the width searches,
+    fold and merge left out, so it is not solver time alone.
+    ``escalations`` is 1 when the round retried at a wider register and 0
+    otherwise, and ``attempts`` lists every width tried across both solves.
+    ``new_transitions`` and ``fraction`` describe the accumulated graph
+    after the round.
     """
 
     round_no: int
@@ -179,15 +181,15 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
         stimulus = gen_stimulus(n_vectors, device.input_bits, round_seed)
         traces = [r.trace for r in records]
         traces.append(run_trace(device, stimulus, seed=round_seed))
-        record, merged, refused = _solve_round(cfg, round_no, traces, acc)
-        if refused is not None:
-            merged, challenger = _challenge(acc, challenger, refused, traces)
-            if merged is not None:
+        record, graph = _solve_round(cfg, round_no, traces, acc)
+        if graph is not None and record.status != "merged":
+            graph, challenger = _challenge(acc, challenger, graph, traces)
+            if graph is not None:
                 record.status = "merged"
-        if merged is not None:
+        if graph is not None:
             before = transition_count(acc) if acc is not None else 0
-            record.new_transitions = transition_count(merged) - before
-            acc = merged
+            record.new_transitions = transition_count(graph) - before
+            acc = graph
         record.fraction = recovery_fraction(
             acc, cfg.state_count_guess, device.input_bits
         )
@@ -209,30 +211,16 @@ def _solve_round(
     round_no: int,
     traces: list[Trace],
     acc: MooreFsm | None,
-) -> tuple[RoundRecord, MooreFsm | None, MooreFsm | None]:
+) -> tuple[RoundRecord, MooreFsm | None]:
     """Solve the newest trace and fold it into ``acc``, once wider on a misfit.
 
     Returns the round's record (its new transitions and fraction still to
-    be filled in), the merged graph when the round merged, and the round's
-    graph when ``acc`` refused it.  Earlier traces pool into the
-    state-grouping guess only.
+    be filled in) and the graph :func:`_fold_and_merge` returned for its
+    last solve.  Earlier traces pool into the state-grouping guess only.
     """
     trace = traces[-1]
     t0 = time.perf_counter()
     classes = recovery.merge_hypothesis(trace, traces[:-1])
-    solve = functools.partial(
-        recover_encodings,
-        trace,
-        timeout_ms=cfg.timeout_ms,
-        classes=classes,
-        dimacs_dir=cfg.dimacs_dir,
-        dimacs_prefix=f"round{round_no:02d}_",
-    )
-    found = solve()
-    solver_ms = (time.perf_counter() - t0) * 1000.0
-    attempts = list(found.attempts)
-    assignment = found.assignment
-    status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
     # Retry wider only when the state-grouping guess itself does not fit
     # the width — the one case where the first satisfiable width
     # demonstrably cannot separate all the states.  Anything else is a
@@ -241,15 +229,24 @@ def _solve_round(
     # per guessed class and never returns a narrower one, so the guess
     # always fits its answer and a second retry could never run.
     fit = max(classes).bit_length()
-    escalations = 0
-    if merged is None and assignment is not None and assignment.width < fit:
-        escalations = 1
-        t0 = time.perf_counter()
-        found = solve(width_start=fit)
+    solver_ms = 0.0
+    attempts: list[WidthAttempt] = []
+    for escalations, width_start in enumerate((None, fit)):
+        found = recover_encodings(
+            trace,
+            width_start=width_start,
+            timeout_ms=cfg.timeout_ms,
+            classes=classes,
+            dimacs_dir=cfg.dimacs_dir,
+            dimacs_prefix=f"round{round_no:02d}_",
+        )
         solver_ms += (time.perf_counter() - t0) * 1000.0
         attempts += found.attempts
         assignment = found.assignment
-        status, merged, refused = _fold_and_merge(cfg, traces, assignment, acc)
+        status, graph = _fold_and_merge(cfg, traces, assignment, acc)
+        if status == "merged" or assignment is None or assignment.width >= fit:
+            break
+        t0 = time.perf_counter()
     record = RoundRecord(
         round_no=round_no,
         seed=trace.seed,
@@ -260,7 +257,7 @@ def _solve_round(
         assignment=assignment,
         attempts=tuple(attempts),
     )
-    return record, merged, refused
+    return record, graph
 
 
 def _fold_and_merge(
@@ -268,36 +265,38 @@ def _fold_and_merge(
     traces: list[Trace],
     assignment: EncodingAssignment | None,
     acc: MooreFsm | None,
-) -> tuple[str, MooreFsm | None, MooreFsm | None]:
+) -> tuple[str, MooreFsm | None]:
     """Fold the newest trace under ``assignment`` and merge it into ``acc``.
 
-    Returns (status, merged graph, graph ``acc`` refused); the merged graph
-    is set only for status ``"merged"``.  Both the fold and the merged
-    graph must replay every trace in ``traces``.  No assignment means the
-    solve failed.
+    Returns (status, graph): the merged graph when ``"merged"``, the fold
+    when ``acc`` refused it but it replays every trace in ``traces`` on its
+    own, else None.  The merged graph, a homomorphic image of the fold,
+    fails every trace the fold fails, so it is replayed first and the fold
+    only when the merge clashed or failed.  No assignment means the solve
+    failed.
     """
     if assignment is None:
-        return "solver-failed", None, None
+        return "solver-failed", None
     try:
         graph = build_partial_stg(traces[-1], assignment)
     except StgConflictError:
-        return "fold-rejected", None, None
+        return "fold-rejected", None
     if graph.state_count > cfg.state_count_guess:
         # more states than the operator's upper bound: the model left
         # same-state positions apart, so the fold is redundant even though
         # it is deterministic
-        return "fold-rejected", None, None
-    if not replay_consistency(graph, traces).consistent:
-        return "replay-rejected", None, None
+        return "fold-rejected", None
     try:
         merged = merge_rounds(acc, graph)
     except StgConflictError:
-        return "merge-rejected", None, graph
-    if not replay_consistency(merged, traces).consistent:
-        # the fold replayed everything on its own, so the clash with the
-        # accumulated graph leaves either side suspect
-        return "replay-rejected", None, graph
-    return "merged", merged, None
+        merged = None
+    if merged is not None and replay_consistency(merged, traces).consistent:
+        return "merged", merged
+    if not replay_consistency(graph, traces).consistent:
+        return "replay-rejected", None
+    # the fold replays everything on its own, so the clash with the
+    # accumulated graph leaves either side suspect
+    return ("merge-rejected" if merged is None else "replay-rejected"), graph
 
 
 def _challenge(

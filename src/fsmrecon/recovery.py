@@ -52,7 +52,8 @@ class EncodingAssignment:
 
 @dataclass
 class WidthAttempt:
-    """One width tried; ``stats`` is the solve's, None when no solver ran."""
+    """One width tried; ``stats`` is the solve's, None when no solver ran,
+    and ``n_vars``/``n_clauses`` size the solver's CNF, 0 when none ran."""
 
     width: int
     status: str  # "seed" | "sat" | "unsat" | "timeout" | "infeasible-window"
@@ -381,10 +382,10 @@ def recover_encodings(
     first satisfiable width is the same as from width 1.  ``timeout_ms``
     bounds each individual solve.  At each width the phase seed is checked
     first by the direct constraint evaluator; when it passes it is returned
-    (status ``"seed"``) with no CNF built and no solver call, unless
-    ``dimacs_dir`` asks for the width's CNF to be written.  Otherwise the
-    solver runs, and its model is re-validated by the same evaluator before
-    being trusted.
+    (status ``"seed"``) with no CNF built and no solver call.  Otherwise
+    the width's CNF is encoded, written to ``dimacs_dir`` when set (so a
+    dump holds exactly the solver's inputs), and solved, and the model is
+    re-validated by the same evaluator before being trusted.
     ``classes`` is the state-grouping guess behind phase seeding, one class
     per trace position; when omitted it is :func:`merge_hypothesis` of the
     trace alone.  A guess pooled from earlier captures of the same device
@@ -408,36 +409,26 @@ def recover_encodings(
             continue
 
         codes = seed_codes(cs, classes)
-        cnf: Cnf | None = None
-        if dimacs_dir is not None:
-            cnf = encode_cnf(cs)
-            base = os.path.join(dimacs_dir, f"{dimacs_prefix}width{width}")
-            with open(base + ".cnf", "w", encoding="ascii") as fh:
-                fh.write(to_dimacs(cnf))
-            with open(base + ".vars", "w", encoding="ascii") as fh:
-                fh.write(variable_map_text(cnf))
-
         if codes is not None:
             seed = [codes[c] for c in classes]
             if find_violation(cs, seed) is None:
                 # the seed is a model: the solver, deciding position bits
                 # first on these phases, would return exactly it
                 result.attempts.append(
-                    WidthAttempt(
-                        width=width,
-                        status="seed",
-                        seeded=True,
-                        n_vars=cnf.n_vars if cnf else 0,
-                        n_clauses=len(cnf.clauses) if cnf else 0,
-                    )
+                    WidthAttempt(width=width, status="seed", seeded=True)
                 )
                 result.assignment = EncodingAssignment(
                     width=width, values=tuple(seed)
                 )
                 return result
 
-        if cnf is None:
-            cnf = encode_cnf(cs)
+        cnf = encode_cnf(cs)
+        if dimacs_dir is not None:
+            base = os.path.join(dimacs_dir, f"{dimacs_prefix}width{width}")
+            with open(base + ".cnf", "w", encoding="ascii") as fh:
+                fh.write(to_dimacs(cnf))
+            with open(base + ".vars", "w", encoding="ascii") as fh:
+                fh.write(variable_map_text(cnf))
         phases = None if codes is None else build_phases(cnf, classes, codes)
 
         solver = CdclSolver(

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,12 @@ from fsmrecon.fsm import (
     transition_count,
 )
 from fsmrecon.recovery import EncodingAssignment, RecoveryResult
-from fsmrecon.stg import recovery_fraction
+from fsmrecon.stg import (
+    StgConflictError,
+    build_partial_stg,
+    merge_rounds,
+    recovery_fraction,
+)
 from fsmrecon.verify import equivalent, replay_consistency
 
 # the package exports the ``attack`` function under the module's name
@@ -216,12 +222,14 @@ def test_dimacs_dump_leaves_the_attack_unchanged(tmp_path):
         plain.recovered
     )
     assert any(r.escalations for r in dumped.rounds)
+    # one pair per solver call: a width the seed answers runs no solver
     bases = [
         f"round{r.round_no:02d}_width{a.width}"
         for r in dumped.rounds
         for a in r.attempts
-        if a.status != "infeasible-window"
+        if a.stats is not None
     ]
+    assert bases
     assert len(set(bases)) == len(bases)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         base + ext for base in bases for ext in (".cnf", ".vars")
@@ -292,7 +300,7 @@ def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
     return attack(build_device(assign_binary_encoding(machine), cfg), cfg)
 
 
-@given(
+random_attack_args = dict(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_states=st.integers(min_value=1, max_value=4),
     input_bits=st.integers(min_value=1, max_value=2),
@@ -300,6 +308,9 @@ def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
     kind=st.sampled_from(["exact", "table3", "gaussian"]),
     vectors=st.integers(min_value=4, max_value=40),
 )
+
+
+@given(**random_attack_args)
 @settings(max_examples=100, deadline=None)
 def test_attack_accounting_holds_on_random_machines(**args):
     # Neither replay of the traces after the last merge nor a fraction
@@ -348,6 +359,78 @@ def test_fraction_never_falls_on_a_random_machine():
                         kind="exact", vectors=5)
     fractions = [r.fraction for r in res.rounds]
     assert fractions == sorted(fractions)
+
+
+# ------------------------------------------------------ fold-and-merge stage
+
+
+def fold_first_and_merge(cfg, traces, assignment, acc):
+    """The fold-and-merge stage replaying the fold before merging it.
+
+    Returns (status, merged graph, graph ``acc`` refused).
+    """
+    if assignment is None:
+        return "solver-failed", None, None
+    try:
+        graph = build_partial_stg(traces[-1], assignment)
+    except StgConflictError:
+        return "fold-rejected", None, None
+    if graph.state_count > cfg.state_count_guess:
+        return "fold-rejected", None, None
+    if not replay_consistency(graph, traces).consistent:
+        return "replay-rejected", None, None
+    try:
+        merged = merge_rounds(acc, graph)
+    except StgConflictError:
+        return "merge-rejected", None, graph
+    if not replay_consistency(merged, traces).consistent:
+        return "replay-rejected", None, graph
+    return "merged", merged, None
+
+
+def checking_stages(run):
+    """Call ``run`` with every fold-and-merge stage checked against
+    :func:`fold_first_and_merge`; return its result and a count of the
+    (status, graph handed on) kinds seen."""
+    seen = Counter()
+    stage = attack_mod._fold_and_merge
+
+    def checked(cfg, traces, assignment, acc):
+        status, graph = stage(cfg, traces, assignment, acc)
+        old, merged, refused = fold_first_and_merge(
+            cfg, traces, assignment, acc
+        )
+        assert status == old
+        assert graph == (merged if merged is not None else refused)
+        seen[status, graph is not None] += 1
+        return status, graph
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attack_mod, "_fold_and_merge", checked)
+        result = run()
+    return result, seen
+
+
+@given(**random_attack_args)
+@settings(max_examples=100, deadline=None)
+def test_merged_first_replay_matches_the_fold_first_stage(**args):
+    res, seen = checking_stages(lambda: random_attack(**args))
+    # one stage call per round, two when the round retried wider
+    assert sum(seen.values()) == sum(1 + r.escalations for r in res.rounds)
+
+
+def test_merged_first_replay_matches_on_bundled_machines_under_noise():
+    # gaussian sigma 30 under the CLI's defaults reaches every rejection
+    def run():
+        for name in ("train4", "dk27"):
+            for seed in range(1, 13):
+                run_attack(name, seed=seed, goal=0.9, max_rounds=20,
+                           noise=NoiseModel.gaussian(30.0))
+
+    _, seen = checking_stages(run)
+    for kind in (("merge-rejected", True), ("replay-rejected", True),
+                 ("replay-rejected", False), ("merged", True)):
+        assert seen[kind] > 0, kind
 
 
 # ---------------------------------------------------------------- challenger

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fsmrecon import benchmarks
+from fsmrecon import benchmarks, recovery
 from fsmrecon.cli import main
 from fsmrecon.constraints import build_constraints
 from fsmrecon.fsm import MooreFsm, parse_kiss2
@@ -449,14 +449,32 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_dimacs_dump_writes_round_files(lion_path, tmp_path):
+def test_dimacs_dump_writes_round_files(tmp_path, monkeypatch):
+    # shiftreg at seed 1 solves width 2 with the solver; every lion width
+    # at seed 1 is answered by its seed, which runs no solver and dumps
+    # nothing
+    solves = []
+
+    class CountingSolver(recovery.CdclSolver):
+        def __init__(self, *args, **kwargs):
+            solves.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "CdclSolver", CountingSolver)
+    target = tmp_path / "shiftreg.kiss2"
+    target.write_text(benchmarks.load("shiftreg"))
     dump = tmp_path / "cnf"
     dump.mkdir()
     main([
-        "attack", "--target", lion_path, "--goal", "1.0", "--seed", "1",
+        "attack", "--target", str(target), "--goal", "1.0", "--seed", "1",
         "--dimacs-dump", str(dump),
     ])
-    files = list(dump.glob("*.cnf"))
+    files = sorted(dump.glob("*.cnf"))
     assert files, "expected DIMACS artifacts"
-    head = files[0].read_text().splitlines()[0]
-    assert head.startswith("p cnf ")
+    assert len(files) == len(solves)  # one CNF per solver call
+    assert sorted(p.stem for p in dump.glob("*.vars")) == [
+        p.stem for p in files
+    ]
+    for path in files:
+        head = path.read_text().splitlines()[0]
+        assert head.startswith("p cnf ")

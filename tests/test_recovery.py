@@ -1,6 +1,7 @@
 """Recovery tests: the state-grouping guess, class-code search, phase
 seeding, seed-solved widths, and the width-probing solve loop."""
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -333,16 +334,25 @@ def test_exhausted_seed_search_falls_back_to_an_unseeded_solve(monkeypatch):
     assert find_violation(cs, list(result.assignment.values)) is None
 
 
+def dumped_bases(result, prefix=""):
+    """The file bases a dump holds: one per attempt that ran the solver."""
+    return [
+        f"{prefix}width{a.width}" for a in result.attempts if a.stats is not None
+    ]
+
+
 def test_dimacs_dump_writes_parseable_files(tmp_path):
-    enc, trace = machine_trace("lion", 60, seed=3)
+    # train4 at this seed is not answered by its seed: the solver runs
+    enc, trace = machine_trace("train4", 60, seed=1)
     result = recover_encodings(trace, dimacs_dir=str(tmp_path), dimacs_prefix="r0_")
     assert result.assignment is not None
+    bases = dumped_bases(result, "r0_")
+    assert bases
     files = sorted(p.name for p in tmp_path.iterdir())
-    widths = [a.width for a in result.attempts]
-    assert files == sorted(
-        [f"r0_width{w}.cnf" for w in widths] + [f"r0_width{w}.vars" for w in widths]
-    )
+    assert files == sorted(b + ext for b in bases for ext in (".cnf", ".vars"))
     for attempt in result.attempts:
+        if attempt.stats is None:
+            continue
         n_vars, clauses = parse_dimacs(
             (tmp_path / f"r0_width{attempt.width}.cnf").read_text()
         )
@@ -361,8 +371,50 @@ def test_dimacs_dump_leaves_results_unchanged(tmp_path):
     assert [a.status for a in dumped.attempts] == [
         a.status for a in plain.attempts
     ]
-    assert plain.attempts[-1].n_clauses == 0  # nothing encoded
-    assert dumped.attempts[-1].n_clauses > 0  # encoded for the dump
+    # only the refuted width reached the solver, so only it is dumped
+    assert dumped_bases(dumped) == ["width1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "width1.cnf", "width1.vars"
+    ]
+    assert dumped.attempts[-1].n_clauses == 0  # nothing encoded
+
+
+def test_a_seed_answered_width_encodes_and_dumps_nothing(
+    tmp_path, monkeypatch
+):
+    enc, trace = machine_trace("lion", 60, seed=3)
+    calls = []
+
+    def counting(cs):
+        calls.append(cs.width)
+        return encode_cnf(cs)
+
+    monkeypatch.setattr(recovery, "encode_cnf", counting)
+    result = recover_encodings(trace, dimacs_dir=str(tmp_path))
+    assert [a.status for a in result.attempts] == ["seed"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, steps, seed, width_start",
+    [("lion", 300, 12, 1), ("train4", 60, 1, None), ("lion", 60, 3, None)],
+)
+def test_a_dump_changes_no_attempt_field_but_the_timings(
+    tmp_path, name, steps, seed, width_start
+):
+    enc, trace = machine_trace(name, steps, seed=seed)
+    plain = recover_encodings(trace, width_start=width_start)
+    dumped = recover_encodings(
+        trace, width_start=width_start, dimacs_dir=str(tmp_path)
+    )
+    assert dumped.assignment == plain.assignment
+
+    def fields(result):
+        # stats hold wall-clock times
+        return [dataclasses.replace(a, stats=None) for a in result.attempts]
+
+    assert fields(dumped) == fields(plain)
 
 
 def test_recovery_is_deterministic():

@@ -1,6 +1,8 @@
 """Graph assembly tests: folding, per-round graphs, and cross-round merging."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import machine_trace, synthetic_trace
 from fsmrecon.channel import NoiseModel
@@ -17,6 +19,7 @@ from fsmrecon.stg import (
     merge_rounds,
     recovery_fraction,
 )
+from fsmrecon.verify import replay_consistency
 
 
 def graph(input_bits, outputs, delta):
@@ -166,6 +169,53 @@ def test_merge_is_deterministic():
         pool_seeds=(93, 94, 95),
     )
     assert merge_rounds(g1, g2) == merge_rounds(g1, g2)
+
+
+@st.composite
+def partial_graphs(draw, input_bits):
+    """A recovered graph of 1-4 states with some transitions missing."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    outputs = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    delta = {}
+    for key in [(q, v) for q in range(n) for v in range(1 << input_bits)]:
+        dst = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+        if dst is not None:
+            delta[key] = dst
+    return graph(input_bits, outputs, delta)
+
+
+@st.composite
+def walks(draw, input_bits):
+    """A trace with arbitrary outputs; replay reads no currents."""
+    steps = draw(st.integers(min_value=0, max_value=6))
+    return synthetic_trace(
+        draw(st.lists(st.sampled_from("01"), min_size=steps + 1,
+                      max_size=steps + 1)),
+        [1] * steps,
+        input_bits=input_bits,
+        stimulus=draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << input_bits) - 1),
+            min_size=steps, max_size=steps,
+        )),
+    )
+
+
+@given(data=st.data(), input_bits=st.integers(min_value=1, max_value=2))
+@settings(max_examples=300, deadline=None)
+def test_a_merge_fails_every_replay_its_fold_fails(data, input_bits):
+    # the merged graph is a homomorphic image of the fold: the fold's walk
+    # maps onto it step by step, so each of the fold's replay issues recurs
+    acc = data.draw(st.none() | partial_graphs(input_bits))
+    fold = data.draw(partial_graphs(input_bits))
+    traces = data.draw(st.lists(walks(input_bits), min_size=1, max_size=3))
+    verdict = replay_consistency(fold, traces)
+    assume(not verdict.consistent)
+    try:
+        merged = merge_rounds(acc, fold)
+    except StgConflictError:
+        return
+    issues = replay_consistency(merged, traces).issues
+    assert set(verdict.issues) <= set(issues)
 
 
 # ---------------------------------------------------------------- fraction

@@ -4,9 +4,9 @@ The top level re-exports the names most workflows touch; the modules group
 the rest:
 
 - ``fsm`` — KISS2 parsing/serialization, Mealy-to-Moore conversion, encodings
-- ``channel`` — leakage synthesis, calibration table, Hamming-distance inference
+- ``channel`` — leakage synthesis, current band edges, Hamming-distance inference
 - ``capture`` — black-box device wrapper, stimulus generation, traces
-- ``constraints`` — trace-to-constraint translation and the direct evaluator
+- ``constraints`` — trace-to-constraint translation and the direct checker
 - ``cnf`` / ``sat`` — CNF encoding, DIMACS round-trip, the CDCL solver
 - ``recovery`` — minimal-width encoding search over one or more traces
 - ``congruence`` — union-find with determinism closure, shared by recovery and stg
@@ -17,10 +17,10 @@ the rest:
 - ``cli`` — the ``fsmrecon`` command-line entry point
 """
 
-from .attack import AttackConfig, AttackResult, attack, build_device
+from .attack import AttackConfig, AttackResult, attack
 from .capture import BlackBoxDevice, Trace, gen_stimulus, run_trace
-from .channel import DEFAULT_TABLE, CalibrationTable, NoiseModel, pearson
-from .constraints import ConstraintSet, build_constraints, evaluate
+from .channel import NoiseModel, pearson
+from .constraints import ConstraintSet, build_constraints
 from .fsm import (
     EncodedFsm,
     Kiss2Error,
@@ -41,9 +41,7 @@ __all__ = [
     "AttackConfig",
     "AttackResult",
     "BlackBoxDevice",
-    "CalibrationTable",
     "ConstraintSet",
-    "DEFAULT_TABLE",
     "EncodedFsm",
     "EncodingAssignment",
     "Kiss2Error",
@@ -58,10 +56,8 @@ __all__ = [
     "attack",
     "brute_force_min_width",
     "build_constraints",
-    "build_device",
     "build_partial_stg",
     "equivalent",
-    "evaluate",
     "gen_stimulus",
     "merge_rounds",
     "moorify",

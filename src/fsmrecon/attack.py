@@ -33,8 +33,7 @@ from .capture import (
     gen_stimulus,
     run_trace,
 )
-from .channel import NoiseModel
-from .fsm import EncodedFsm, MooreFsm, transition_count
+from .fsm import MooreFsm, transition_count
 from .recovery import EncodingAssignment, WidthAttempt, recover_encodings
 from .stg import (
     StgConflictError,
@@ -58,9 +57,10 @@ class AttackConfig:
     encoded to a CNF that grows quadratically (one distinctness clause per
     pair of positions with differing outputs), so attacks on large machines
     where the seed misses should run many short rounds instead of one
-    covering round.  ``noise`` is the channel model a device built from
-    this config uses (see :func:`build_device`).  ``timeout_ms`` bounds
-    each solver call; ``dimacs_dir``, when set, receives every CNF solved.
+    covering round.  ``seed`` is the master seed of the round stimuli; the
+    device, with its channel and noise seed, is the caller's.
+    ``timeout_ms`` bounds each solver call; ``dimacs_dir``, when set,
+    receives every CNF solved.
     """
 
     state_count_guess: int
@@ -68,7 +68,6 @@ class AttackConfig:
     goal: float = 0.90
     max_rounds: int = 20
     seed: int = 0
-    noise: NoiseModel | None = None
     timeout_ms: int = 1_000_000
     dimacs_dir: str | None = None
 
@@ -80,9 +79,10 @@ class RoundRecord:
     ``status`` names the stage that dropped the round, or is ``"merged"``;
     ``"replay-rejected"`` means the fold or the merged graph failed a trace
     captured so far.  ``trace`` is the round's capture; later rounds pool
-    it as evidence and replay it as a check.  ``assignment`` is the last
-    solution the round's solver found, kept when its fold was rejected
-    too, and None when the last solve failed; ``width`` is read from it.
+    it as evidence and replay it as a check, and ``seed`` is read from it.
+    ``assignment`` is the last solution the round's solver found, kept
+    when its fold was rejected too, and None when the last solve failed;
+    ``width`` is read from it.
     ``solver_ms`` is the wall time of the guess and the width searches,
     fold and merge left out, so it is not solver time alone.
     ``escalations`` is 1 when the round retried at a wider register and 0
@@ -92,7 +92,6 @@ class RoundRecord:
     """
 
     round_no: int
-    seed: int
     # "merged" | "fold-rejected" | "merge-rejected" | "replay-rejected"
     # | "solver-failed"
     status: str
@@ -105,6 +104,10 @@ class RoundRecord:
     fraction: float = 0.0
 
     @property
+    def seed(self) -> int:
+        return self.trace.seed
+
+    @property
     def width(self) -> int | None:
         return self.assignment.width if self.assignment is not None else None
 
@@ -115,29 +118,23 @@ class AttackResult:
 
     ``recovered`` is the accumulated graph, a partial :class:`MooreFsm`
     with states ``s0 .. s{n-1}`` and reset 0, or None when no round
-    merged.  ``fraction`` is |transitions| / (X * 2**I) for it; ``goal_met``
-    says whether the loop stopped because the goal was reached rather than
-    because rounds ran out.
+    merged.  ``fraction``, |transitions| / (X * 2**I) for it, is read from
+    the last round; ``goal_met`` says whether the loop stopped because the
+    goal was reached rather than because rounds ran out.
     """
 
     recovered: MooreFsm | None
     rounds: list[RoundRecord]
-    fraction: float
     goal_met: bool
     total_ms: float
 
     @property
+    def fraction(self) -> float:
+        return self.rounds[-1].fraction if self.rounds else 0.0
+
+    @property
     def rounds_executed(self) -> int:
         return len(self.rounds)
-
-
-def build_device(encoded: EncodedFsm, cfg: AttackConfig) -> BlackBoxDevice:
-    """The device this config attacks: config noise (default exact), config seed."""
-    return BlackBoxDevice(
-        encoded,
-        cfg.noise if cfg.noise is not None else NoiseModel.exact(),
-        noise_seed=cfg.seed,
-    )
 
 
 def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
@@ -175,6 +172,7 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
     acc: MooreFsm | None = None
     challenger: MooreFsm | None = None
     records: list[RoundRecord] = []
+    goal_met = False
     t_start = time.perf_counter()
     for round_no in range(cfg.max_rounds):
         round_seed = master.getrandbits(32)
@@ -195,13 +193,12 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
         )
         records.append(record)
         if record.fraction >= cfg.goal:
+            goal_met = True
             break
-    fraction = records[-1].fraction if records else 0.0
     return AttackResult(
         recovered=acc,
         rounds=records,
-        fraction=fraction,
-        goal_met=fraction >= cfg.goal,
+        goal_met=goal_met,
         total_ms=(time.perf_counter() - t_start) * 1000.0,
     )
 
@@ -249,7 +246,6 @@ def _solve_round(
         t0 = time.perf_counter()
     record = RoundRecord(
         round_no=round_no,
-        seed=trace.seed,
         status=status,
         solver_ms=solver_ms,
         escalations=escalations,

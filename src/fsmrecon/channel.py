@@ -2,10 +2,11 @@
 
 Clocking a sequential circuit draws an average supply current that grows
 with the number of state-register flip-flops that toggle.  This module
-models that leakage analytically: a calibration table maps average-current
-bands to register Hamming distances, a noise model perturbs what the
-"measurement" reports, and ``infer_hd`` turns a current reading back into a
-distance estimate with a one-band uncertainty window.
+models that leakage analytically: six band edges, ``BAND_EDGES``, cut the
+average current into bands whose indices are register Hamming distances, a
+noise model perturbs what the "measurement" reports, and ``infer_hd`` turns
+a current reading back into a distance estimate with a one-band
+uncertainty window.
 
 Two hard properties hold under every noise model: a zero-distance clock
 (self-loop) always lands in the zero band, and a nonzero distance never
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 NOISE_KINDS = ("exact", "table3", "gaussian")
@@ -71,55 +73,30 @@ class InferredHd:
     hi: int | float
 
 
-@dataclass(frozen=True)
-class CalibrationTable:
-    """Average-current bands ``[lo, hi) -> distance center``.
-
-    The bands start at 0, are contiguous, end in an unbounded band, and
-    carry consecutive centers 0, 1, 2, ...  Synthesis emits a band's
-    midpoint; distances beyond the top band extrapolate by the width of the
-    last finite band.  ``DEFAULT_TABLE`` is the device's table.
-    """
-
-    bands: tuple[tuple[float, float, int], ...]
-
-    @property
-    def top_center(self) -> int:
-        return self.bands[-1][2]
-
-    def band_center(self, current: float) -> int:
-        """The band a current reading falls into."""
-        if not 0 <= current < math.inf:  # NaN fails too
-            raise ValueError(f"current must be finite and >= 0, got {current}")
-        for lo, hi, center in self.bands:
-            if lo <= current < hi:
-                return center
-        raise AssertionError("bands cover [0, inf)")  # unreachable by construction
-
-    def midpoint(self, hd: int) -> float:
-        """Clean synthesis anchor for a distance: band midpoint, extrapolated
-        past the top band by the last finite band's width."""
-        if hd < 0:
-            raise ValueError(f"hd must be >= 0, got {hd}")
-        if hd < self.top_center:
-            lo, hi, _ = self.bands[hd]
-            return (lo + hi) / 2.0
-        top_lo = self.bands[-1][0]
-        step = self.bands[-2][1] - self.bands[-2][0]
-        return top_lo + step * (hd - self.top_center)
+# Upper edges of the average-current bands: a reading in
+# [BAND_EDGES[k - 1], BAND_EDGES[k]) is distance k, the zero band starts at
+# 0, and the top band, distance len(BAND_EDGES), has no upper edge.
+BAND_EDGES = (40.0, 95.0, 140.0, 170.0, 205.0, 230.0)
 
 
-DEFAULT_TABLE = CalibrationTable(
-    bands=(
-        (0.0, 40.0, 0),
-        (40.0, 95.0, 1),
-        (95.0, 140.0, 2),
-        (140.0, 170.0, 3),
-        (170.0, 205.0, 4),
-        (205.0, 230.0, 5),
-        (230.0, math.inf, 6),
-    )
-)
+def band_center(current: float) -> int:
+    """The band a current reading falls into."""
+    if not 0 <= current < math.inf:  # NaN fails too
+        raise ValueError(f"current must be finite and >= 0, got {current}")
+    return bisect_right(BAND_EDGES, current)
+
+
+def midpoint(hd: int) -> float:
+    """Clean synthesis anchor for a distance: its band's midpoint, and past
+    the top band's lower edge one last-finite-band width per distance."""
+    if hd < 0:
+        raise ValueError(f"hd must be >= 0, got {hd}")
+    top = len(BAND_EDGES)
+    if hd < top:
+        lo = BAND_EDGES[hd - 1] if hd else 0.0
+        return (lo + BAND_EDGES[hd]) / 2.0
+    step = BAND_EDGES[-1] - BAND_EDGES[-2]
+    return BAND_EDGES[-1] + step * (hd - top)
 
 
 def sample_error(hd: int, rng: random.Random) -> int:
@@ -152,11 +129,11 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
     if hd < 0:
         raise ValueError(f"hd must be >= 0, got {hd}")
     if model.kind == "exact":
-        return DEFAULT_TABLE.midpoint(hd)
+        return midpoint(hd)
     if model.kind == "table3":
-        return DEFAULT_TABLE.midpoint(hd + sample_error(hd, rng))
-    value = DEFAULT_TABLE.midpoint(hd) + rng.gauss(0.0, model.sigma)
-    zero_edge = DEFAULT_TABLE.bands[0][1]
+        return midpoint(hd + sample_error(hd, rng))
+    value = midpoint(hd) + rng.gauss(0.0, model.sigma)
+    zero_edge = BAND_EDGES[0]
     if hd == 0:
         return min(max(value, 0.0), math.nextafter(zero_edge, 0.0))
     return max(value, zero_edge)
@@ -165,12 +142,12 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
 def _band_reading(center: int) -> InferredHd:
     if center == 0:
         return InferredHd(center=0, lo=0, hi=0)
-    hi = math.inf if center == DEFAULT_TABLE.top_center else center + 1
+    hi = math.inf if center == len(BAND_EDGES) else center + 1
     return InferredHd(center=center, lo=max(1, center - 1), hi=hi)
 
 
-# one reading per band of DEFAULT_TABLE, indexed by its center
-_READINGS = tuple(_band_reading(center) for _, _, center in DEFAULT_TABLE.bands)
+# one reading per band, indexed by its center
+_READINGS = tuple(_band_reading(center) for center in range(len(BAND_EDGES) + 1))
 
 
 def infer_hd(current: float) -> InferredHd:
@@ -178,7 +155,7 @@ def infer_hd(current: float) -> InferredHd:
 
     Every reading in one band gets the same shared ``InferredHd``.
     """
-    return _READINGS[DEFAULT_TABLE.band_center(current)]
+    return _READINGS[band_center(current)]
 
 
 def pearson(xs, ys) -> float:

@@ -21,7 +21,7 @@ import tempfile
 import time
 
 from . import __version__
-from .attack import AttackConfig, attack, build_device
+from .attack import AttackConfig, attack
 from .capture import BlackBoxDevice, choose_vector_count, gen_stimulus, run_trace
 from .channel import NoiseModel, pearson
 from .fsm import (
@@ -49,12 +49,12 @@ _CAL_INPUT_BITS = 2
 _CAL_SELF_LOOP_BIAS = 0.1
 
 
-def _load_moore(path: str) -> tuple[MooreFsm, bool]:
+def _load_moore(path: str, strategy: str = "first") -> tuple[MooreFsm, bool]:
     """Parse a KISS2 file, Moore-converting Mealy tables on the way in."""
     with open(path, "r", encoding="utf-8") as fh:
         machine = parse_kiss2(fh.read())
     if isinstance(machine, MealyFsm):
-        return moorify(machine), True
+        return moorify(machine, strategy), True
     return machine, False
 
 
@@ -91,10 +91,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        machine = parse_kiss2(fh.read())
-    if isinstance(machine, MealyFsm):
-        machine = moorify(machine, strategy=args.strategy)
+    machine, _ = _load_moore(args.infile, args.strategy)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         fh.write(serialize_kiss2(machine))
     return EXIT_OK
@@ -124,11 +121,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         goal=args.goal,
         max_rounds=args.rounds_max,
         seed=seed,
-        noise=noise,
         timeout_ms=args.timeout_ms,
         dimacs_dir=args.dimacs_dump,
     )
-    result = attack(build_device(encoded, cfg), cfg)
+    result = attack(BlackBoxDevice(encoded, noise, noise_seed=seed), cfg)
 
     if args.recovered is not None and result.recovered is not None:
         with open(args.recovered, "w", encoding="utf-8") as fh:

@@ -10,15 +10,13 @@ position), not as pairs, so a set holds N windows plus N+1 group ids.
 Solving these constraints at a given width yields one candidate register
 value per position.
 
-Two lower bounds on that width come straight from the trace: :func:`r_min`
-counts distinct outputs, and :func:`forced_width`, never below it, also
-counts output groups that a nonzero step splits in two.  The width search
-starts at the latter.
+The width search starts at a lower bound read straight from the trace:
+:func:`forced_width` counts the output groups, plus those that a nonzero
+step splits in two.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,13 +65,6 @@ class ConstraintSet:
             "hd_range": len(self.windows) - identical,
             "distinct": (n * n - same) // 2,
         }
-
-
-def r_min(trace: Trace) -> int:
-    """Smallest width the outputs alone allow: distinct outputs force
-    distinct values.  :func:`forced_width` is never below it."""
-    unique = len(set(trace.outputs))
-    return max(1, math.ceil(math.log2(unique))) if unique > 1 else 1
 
 
 def forced_width(trace: Trace) -> int:
@@ -150,8 +141,3 @@ def find_violation(
         if groups[i] != groups[j]:
             return i, j
     return None
-
-
-def evaluate(cs: ConstraintSet, values: list[int]) -> bool:
-    """True iff the assignment satisfies every constraint."""
-    return find_violation(cs, values) is None

@@ -10,6 +10,7 @@ vectors are held as '0'/'1' strings so width is always explicit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -184,11 +185,19 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
                 if len(parts) != 2 or not parts[1].isdigit():
                     raise Kiss2Error(f"bad {directive} directive", lineno)
                 n = int(parts[1])
-                if directive == ".i":
-                    input_bits = n
-                elif directive == ".o":
-                    output_bits = n
                 # .p and .s are advisory row/state counts; not enforced.
+                # A width set by a row or an earlier directive stays.
+                if directive in (".i", ".o"):
+                    width = input_bits if directive == ".i" else output_bits
+                    if width not in (None, n):
+                        raise Kiss2Error(
+                            f"{directive} {n} disagrees with the width {width} set earlier",
+                            lineno,
+                        )
+                    if directive == ".i":
+                        input_bits = n
+                    else:
+                        output_bits = n
             elif directive == ".r":
                 if len(parts) != 2:
                     raise Kiss2Error("bad .r directive", lineno)
@@ -281,11 +290,17 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
 def _as_moore(m: MealyFsm) -> MooreFsm | None:
     """Reinterpret a Mealy table as Moore if every state is entered consistently."""
     outputs: list[str | None] = [None] * m.state_count
-    for (_, _), (nxt, out) in m.transitions.items():
+    for nxt, out in m.transitions.values():
         if outputs[nxt] is None:
             outputs[nxt] = out
         elif outputs[nxt] != out:
             return None
+    return _moore(m, outputs)
+
+
+def _moore(m: MealyFsm, outputs: list[str | None]) -> MooreFsm:
+    """``m``'s transitions with ``outputs`` on the states; a state whose
+    output is None, one never entered, gets the all-zero vector."""
     zero = "0" * m.output_bits
     return MooreFsm(
         input_bits=m.input_bits,
@@ -350,39 +365,22 @@ def moorify(m: MealyFsm, strategy: str = "first") -> MooreFsm:
     """
     if strategy not in MOORIFY_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {MOORIFY_STRATEGIES}")
-    if not m.is_complete:
-        missing = m.state_count * (1 << m.input_bits) - len(m.transitions)
-        raise IncompleteMachineError(
-            f"machine is missing {missing} (state, input) table entries"
-        )
 
     incoming: list[list[tuple[int, int, str]]] = [[] for _ in m.states]
     for (src, v), (nxt, out) in m.transitions.items():
         incoming[nxt].append((src, v, out))
 
-    outputs: list[str] = []
+    outputs: list[str | None] = []
     for entries in incoming:
-        if not entries:
-            outputs.append("0" * m.output_bits)
-            continue
         entries.sort()
-        if strategy == "first":
-            outputs.append(entries[0][2])
-        else:
-            tally: dict[str, int] = {}
-            for _, _, out in entries:
-                tally[out] = tally.get(out, 0) + 1
+        if strategy == "majority" and entries:
+            tally = Counter(out for _, _, out in entries)
             best = max(tally.values())
-            outputs.append(next(out for _, _, out in entries if tally[out] == best))
-
-    return MooreFsm(
-        input_bits=m.input_bits,
-        output_bits=m.output_bits,
-        states=list(m.states),
-        reset=m.reset,
-        delta={key: nxt for key, (nxt, _) in m.transitions.items()},
-        outputs=outputs,
-    )
+            entries = [e for e in entries if tally[e[2]] == best]
+        outputs.append(entries[0][2] if entries else None)
+    moore = _moore(m, outputs)
+    moore.require_complete()  # the same table entries as ``m``
+    return moore
 
 
 def assign_binary_encoding(m: MooreFsm) -> EncodedFsm:

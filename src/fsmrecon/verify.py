@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .capture import Trace
-from .constraints import ConstraintSet, evaluate
+from .constraints import ConstraintSet, find_violation
 from .fsm import MooreFsm
 
 # Hard ceiling on R * (N+1) for exhaustive assignment enumeration: 2**24
@@ -167,9 +167,9 @@ def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
 
     The windows and output groups are taken exactly as given and
     ``cs.width`` is ignored; widths 1..cap are tried in order and every
-    assignment of ``n_positions`` width-R values is checked against the
-    arithmetic evaluator.  Returns None when even ``cap`` admits no
-    satisfying assignment.
+    assignment of ``n_positions`` width-R values is checked by
+    :func:`~fsmrecon.constraints.find_violation`.  Returns None when even
+    ``cap`` admits no satisfying assignment.
 
     Callers cross-checking a width-adaptive search should build ``cs`` at
     width ``cap``: recorded windows then agree with per-width rebuilding
@@ -191,7 +191,7 @@ def brute_force_min_width(cs: ConstraintSet, cap: int) -> int | None:
         space = 1 << width
         values = [0] * n
         while True:
-            if evaluate(probe, values):
+            if find_violation(probe, values) is None:
                 return width
             k = n - 1
             while k >= 0 and values[k] == space - 1:

@@ -4,7 +4,7 @@ import pytest
 
 from fsmrecon import benchmarks
 from fsmrecon.capture import Trace
-from fsmrecon.channel import DEFAULT_TABLE
+from fsmrecon.channel import midpoint
 from fsmrecon.fsm import (
     MooreFsm,
     assign_binary_encoding,
@@ -29,7 +29,7 @@ def synthetic_trace(outputs, centers, seed=0, input_bits=1, stimulus=None) -> Tr
         output_bits=width,
         stimulus=list(stimulus) if stimulus is not None else [0] * len(centers),
         outputs=outputs,
-        currents=[DEFAULT_TABLE.midpoint(c) for c in centers],
+        currents=[midpoint(c) for c in centers],
         seed=seed,
     )
 

@@ -12,10 +12,12 @@ import pytest
 
 from conftest import encoded_fixture, synthetic_trace
 from fsmrecon import benchmarks
-from fsmrecon.attack import AttackConfig, attack, build_device
+from fsmrecon.attack import AttackConfig, attack
+from fsmrecon.capture import BlackBoxDevice
+from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs, to_dimacs
-from fsmrecon.constraints import ConstraintSet, build_constraints, evaluate
+from fsmrecon.constraints import ConstraintSet, build_constraints, find_violation
 from fsmrecon.recovery import recover_encodings
 from fsmrecon.sat import solve_cnf
 from fsmrecon.verify import brute_force_min_width
@@ -159,7 +161,7 @@ def test_criterion_5_solver_minimality_oracle():
             f"!= enumerated minimum {w_star}"
         )
         probe = build_constraints(trace, w_star)
-        assert evaluate(probe, list(result.assignment.values)), (
+        assert find_violation(probe, list(result.assignment.values)) is None, (
             f"instance {attempts}: model fails the direct evaluator"
         )
         checked += 1
@@ -190,7 +192,7 @@ def _brute_sat(cs):
             windows=cs.windows[:depth],
             groups=cs.groups[: depth + 1],
         )
-        return evaluate(probe, values[: depth + 1])
+        return find_violation(probe, values[: depth + 1]) is None
 
     def walk(depth):
         if depth == n:
@@ -232,7 +234,7 @@ def test_criterion_6_cnf_encoding_equivalence():
                     )
                     if got:
                         model_values = decode_positions(cnf, outcome.model)
-                        assert evaluate(cs, model_values)
+                        assert find_violation(cs, model_values) is None
                         satisfiable += 1
                     instances += 1
     print(
@@ -256,7 +258,7 @@ def test_criterion_7_constraint_window_soundness():
             max_rounds=15,
             seed=1,
         )
-        result = attack(build_device(enc, cfg), cfg)
+        result = attack(BlackBoxDevice(enc, NoiseModel.exact(), cfg.seed), cfg)
         assert result.goal_met, f"{name}: attack fell short"
         for rnd in result.rounds:
             if rnd.assignment is None:

@@ -18,8 +18,8 @@ from fsmrecon.attack import (
     AttackResult,
     _challenge,
     attack,
-    build_device,
 )
+from fsmrecon.capture import BlackBoxDevice
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
 from fsmrecon.fsm import (
@@ -43,7 +43,9 @@ attack_mod = importlib.import_module("fsmrecon.attack")
 SMALL_BENCHMARKS = ["lion", "train4", "dk27", "mc", "bbtas", "shiftreg"]
 
 
-def run_attack(name, *, seed=1, goal=1.0, max_rounds=10, **kw):
+def run_attack(name, *, seed=1, goal=1.0, max_rounds=10, noise=None, **kw):
+    """Attack a bundled machine as the CLI does: the device's noise seed
+    is the attack seed, and the channel is exact unless ``noise`` says."""
     enc = encoded_fixture(name)
     cfg = AttackConfig(
         state_count_guess=enc.machine.state_count,
@@ -52,7 +54,8 @@ def run_attack(name, *, seed=1, goal=1.0, max_rounds=10, **kw):
         seed=seed,
         **kw,
     )
-    return enc, cfg, attack(build_device(enc, cfg), cfg)
+    device = BlackBoxDevice(enc, noise or NoiseModel.exact(), noise_seed=seed)
+    return enc, cfg, attack(device, cfg)
 
 
 # ---------------------------------------------------------------- termination
@@ -295,9 +298,11 @@ def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
         goal=1.0,
         max_rounds=4,
         seed=seed,
-        noise=NoiseModel(kind=kind),
     )
-    return attack(build_device(assign_binary_encoding(machine), cfg), cfg)
+    device = BlackBoxDevice(
+        assign_binary_encoding(machine), NoiseModel(kind=kind), noise_seed=seed
+    )
+    return attack(device, cfg)
 
 
 random_attack_args = dict(
@@ -517,20 +522,6 @@ def test_vector_count_defaults_to_twice_the_transition_total():
     assert res.rounds[0].trace.n_steps == 32
 
 
-def test_build_device_wires_the_configured_channel():
-    from fsmrecon.capture import gen_stimulus, run_trace
-
-    enc = encoded_fixture("lion")
-    stimulus = gen_stimulus(40, 2, seed=9)
-    plain = AttackConfig(state_count_guess=4)
-    noisy = AttackConfig(state_count_guess=4, noise=NoiseModel.gaussian(12.0))
-    exact_currents = run_trace(build_device(enc, plain), stimulus, 9).currents
-    again = run_trace(build_device(enc, plain), stimulus, 9).currents
-    blurred = run_trace(build_device(enc, noisy), stimulus, 9).currents
-    assert exact_currents == again  # default channel is deterministic
-    assert blurred != exact_currents
-
-
 def test_total_time_covers_the_rounds():
     _, _, res = run_attack("lion", max_rounds=5)
     assert res.total_ms >= 0.0
@@ -555,7 +546,7 @@ def test_malformed_config_is_rejected(field, value):
     cfg = AttackConfig(state_count_guess=4)
     setattr(cfg, field, value)
     with pytest.raises(ValueError):
-        attack(build_device(enc, AttackConfig(4)), cfg)
+        attack(BlackBoxDevice(enc, NoiseModel.exact(), noise_seed=0), cfg)
 
 
 # ---------------------------------------------------------------- pinned
@@ -639,3 +630,35 @@ def test_deterministic_results_are_pinned(tmp_path, monkeypatch):
         for case, runs in cases.items()
     }
     assert got == PINNED_RESULTS
+
+
+# sha256, as in PINNED_RESULTS, over ``--noise gaussian --sigma 30 --goal
+# 1.0`` on the six small machines at seeds 1-3.  These walks are the only
+# pinned runs whose phase seed sometimes fails, so they cover the seeded
+# solve path, and they pin gaussian currents end to end.
+PINNED_GAUSSIAN = (
+    "a7b4163b64d3a820abb38c702417870e"
+    "073068eac48beec8c64f6028136f667e"
+)
+
+
+def test_gaussian_results_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = recovery.build_phases
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(recovery, "build_phases", counting)
+    runs = [
+        ["--noise", "gaussian", "--sigma", "30", "--goal", "1.0",
+         "--seed", str(s)]
+        for s in range(1, 4)
+    ]
+    h = hashlib.sha256()
+    for name in SMALL_BENCHMARKS:
+        h.update(_pinned_digest(name, runs).encode())
+    assert calls, "no phase-seeded solve ran"
+    assert h.hexdigest() == PINNED_GAUSSIAN

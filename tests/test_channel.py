@@ -2,17 +2,20 @@
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsmrecon import channel
 from fsmrecon.channel import (
-    CalibrationTable,
-    DEFAULT_TABLE,
+    BAND_EDGES,
     InferredHd,
     NoiseModel,
+    band_center,
     infer_hd,
+    midpoint,
     pearson,
     sample_error,
     synthesize_current,
@@ -20,29 +23,30 @@ from fsmrecon.channel import (
 
 
 # ---------------------------------------------------------------------------
-# calibration table
+# current bands
 # ---------------------------------------------------------------------------
 
 
 def test_default_band_midpoints():
     want = [20.0, 67.5, 117.5, 155.0, 187.5, 217.5]
-    assert [DEFAULT_TABLE.midpoint(hd) for hd in range(6)] == want
+    assert [midpoint(hd) for hd in range(6)] == want
 
 
 def test_top_band_extrapolates_by_last_finite_width():
-    assert DEFAULT_TABLE.midpoint(6) == 230.0
-    assert DEFAULT_TABLE.midpoint(7) == 255.0
-    assert DEFAULT_TABLE.midpoint(9) == 305.0
+    assert midpoint(6) == 230.0
+    assert midpoint(7) == 255.0
+    assert midpoint(9) == 305.0
 
 
-def test_constructed_table_midpoints_extrapolate_by_last_finite_width():
-    table = CalibrationTable(
-        bands=((0.0, 40.0, 0), (40.0, 95.0, 1), (95.0, math.inf, 2))
-    )
-    assert table.band_center(50.0) == 1
-    assert table.midpoint(1) == 67.5
-    assert table.midpoint(2) == 95.0  # top-band anchor is its lower edge
-    assert table.midpoint(3) == 95.0 + 55.0  # extrapolated by last finite width
+def test_constructed_table_midpoints_extrapolate_by_last_finite_width(monkeypatch):
+    """Three bands, [0, 40), [40, 95) and [95, inf): the functions read the
+    edges, so they hold for any edges, not just the device's."""
+    monkeypatch.setattr(channel, "BAND_EDGES", (40.0, 95.0))
+    assert band_center(50.0) == 1
+    assert band_center(1e6) == 2
+    assert midpoint(1) == 67.5
+    assert midpoint(2) == 95.0  # top-band anchor is its lower edge
+    assert midpoint(3) == 95.0 + 55.0  # extrapolated by last finite width
 
 
 @pytest.mark.parametrize(
@@ -52,46 +56,48 @@ def test_constructed_table_midpoints_extrapolate_by_last_finite_width():
      (230.0, 6), (1e6, 6)],
 )
 def test_band_boundaries_are_lower_inclusive(current, center):
-    assert DEFAULT_TABLE.band_center(current) == center
+    assert band_center(current) == center
 
 
 @pytest.mark.parametrize("current", [-1.0, math.nan, math.inf])
 def test_out_of_range_current_rejected(current):
     with pytest.raises(ValueError, match="current"):
-        DEFAULT_TABLE.band_center(current)
+        band_center(current)
     with pytest.raises(ValueError, match="current"):
         infer_hd(current)
 
 
+# Edges make bands contiguous, starting at 0 and unbounded above, by
+# construction; what is left to hold is that every band is nonempty.
 _TABLE_RULES = {
-    "contiguous": lambda b: all(lo < hi for lo, hi, _ in b)
-    and all(x[1] == y[0] for x, y in zip(b, b[1:])),
-    "unbounded": lambda b: math.isinf(b[-1][1]),
-    "center": lambda b: [c for _, _, c in b] == list(range(len(b))),
-    "start at 0": lambda b: b[0][0] == 0,
-    "two bands": lambda b: len(b) >= 2,
+    "contiguous": lambda e: all(a < b for a, b in zip(e, e[1:])),
+    "unbounded": lambda e: all(math.isfinite(x) for x in e),
+    "center": lambda e: {0, *(bisect_right(e, x) for x in e)}
+    == set(range(len(e) + 1)),
+    "start at 0": lambda e: e[0] > 0,
+    "two bands": lambda e: len(e) >= 1,
 }
 
 
 @pytest.mark.parametrize(
-    "bands,err",
+    "edges,err",
     [
-        (((0.0, 40.0, 0), (50.0, math.inf, 1)), "contiguous"),
-        (((0.0, 40.0, 0), (40.0, 95.0, 1)), "unbounded"),
-        (((0.0, 40.0, 0), (40.0, math.inf, 2)), "center"),
-        (((5.0, 40.0, 0), (40.0, math.inf, 1)), "start at 0"),
-        (((0.0, 40.0, 0),), "two bands"),
+        ((95.0, 40.0), "contiguous"),
+        ((40.0, math.inf), "unbounded"),
+        ((40.0, 40.0, 95.0), "center"),
+        ((0.0, 40.0), "start at 0"),
+        ((), "two bands"),
     ],
     ids=["contiguous", "unbounded", "center", "start at 0", "two bands"],
 )
-def test_table_validation_errors(bands, err):
-    """``DEFAULT_TABLE`` is the only table, so its shape is checked here
-    rather than by a constructor: bands start at 0, are nonempty and
-    contiguous, end unbounded, and carry the centers 0, 1, 2, ...  Each
-    case's malformed table breaks its rule, so the rule can fail."""
+def test_table_validation_errors(edges, err):
+    """``BAND_EDGES`` is the only table, so its shape is checked here: the
+    edges ascend strictly from above 0, are finite, there is at least one,
+    and so every center 0, 1, 2, ... is some reading's band.  Each case's
+    malformed edges break its rule, so the rule can fail."""
     rule = _TABLE_RULES[err]
-    assert rule(DEFAULT_TABLE.bands)
-    assert not rule(bands)
+    assert rule(BAND_EDGES)
+    assert not rule(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +124,7 @@ def test_zero_center_is_exact_with_degenerate_window():
     "center,lo,hi", [(1, 1, 2), (2, 1, 3), (3, 2, 4), (5, 4, 6)]
 )
 def test_nonzero_window_is_plus_minus_one_with_floor_at_one(center, lo, hi):
-    got = infer_hd(DEFAULT_TABLE.midpoint(center))
+    got = infer_hd(midpoint(center))
     assert (got.center, got.lo, got.hi) == (center, lo, hi)
 
 
@@ -160,7 +166,7 @@ def read_error(hd, model, rng):
 
 def test_exact_model_never_errs():
     rng = random.Random(1)
-    hds = range(DEFAULT_TABLE.top_center + 1)  # past the top band it saturates
+    hds = range(len(BAND_EDGES) + 1)  # past the top band it saturates
     assert all(read_error(hd, NoiseModel.exact(), rng) == 0 for hd in hds)
 
 
@@ -205,7 +211,7 @@ def test_banded_error_floors_at_distance_one():
 
 def test_table3_synthesis_emits_shifted_band_midpoints():
     rng = random.Random(5)
-    anchors = {DEFAULT_TABLE.midpoint(h) for h in (2, 3, 4)}
+    anchors = {midpoint(h) for h in (2, 3, 4)}
     for _ in range(500):
         assert synthesize_current(3, NoiseModel.table3(), rng) in anchors
 
@@ -214,7 +220,7 @@ def test_gaussian_sigma_zero_is_exact():
     rng = random.Random(6)
     model = NoiseModel.gaussian(sigma=0.0)
     for hd in range(5):
-        assert synthesize_current(hd, model, rng) == DEFAULT_TABLE.midpoint(hd)
+        assert synthesize_current(hd, model, rng) == midpoint(hd)
 
 
 def test_gaussian_default_sigma_stays_within_one_band():

@@ -14,10 +14,8 @@ from fsmrecon.cnf import encode_cnf
 from fsmrecon.constraints import (
     ConstraintSet,
     build_constraints,
-    evaluate,
     find_violation,
     forced_width,
-    r_min,
 )
 from fsmrecon.fsm import MooreFsm, assign_binary_encoding, int_to_bits
 from fsmrecon.verify import brute_force_min_width
@@ -46,7 +44,7 @@ def test_empty_window_marks_trivially_unsat_but_is_recorded():
     cs = build_constraints(trace, width=1)
     assert cs.trivially_unsat
     assert cs.windows == [(2, 1)]
-    assert not evaluate(cs, [0, 1])  # no assignment can satisfy an empty window
+    assert find_violation(cs, [0, 1]) is not None  # no assignment can satisfy an empty window
 
 
 def test_distinct_pairs_cover_exactly_output_inequality():
@@ -97,9 +95,11 @@ def test_distinct_pairs_are_deduplicated_unordered():
     [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (13, 4)],
 )
 def test_minimal_width_from_distinct_output_count(n_outputs, want):
+    """All outputs distinct, so no step splits a group: the bound is
+    ceil(log2) of the output count."""
     outputs = [format(k % n_outputs, "04b") for k in range(n_outputs)]
     trace = synthetic_trace(outputs, [1] * (len(outputs) - 1))
-    assert r_min(trace) == want
+    assert forced_width(trace) == want
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,6 @@ def test_minimal_width_from_distinct_output_count(n_outputs, want):
 def test_forced_width_counts_output_groups_a_step_splits(outputs, centers, want):
     trace = synthetic_trace(outputs, centers)
     assert forced_width(trace) == want
-    assert forced_width(trace) >= r_min(trace)
 
 
 @st.composite
@@ -210,9 +209,9 @@ def test_evaluator_rejects_malformed_assignments():
     trace = synthetic_trace(["0", "1"], [1])
     cs = build_constraints(trace, width=1)
     with pytest.raises(ValueError, match="expected 2 values"):
-        evaluate(cs, [0])
+        find_violation(cs, [0])
     with pytest.raises(ValueError, match="fit width"):
-        evaluate(cs, [0, 2])
+        find_violation(cs, [0, 2])
 
 
 @pytest.mark.parametrize("name", ["lion", "train4", "dk27", "bbtas", "mc"])

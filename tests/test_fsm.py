@@ -137,6 +137,32 @@ def test_syntax_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+ROWS_2X1 = "00 a a 0\n01 a a 0\n10 a a 0\n11 a a 0\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        # rows set 2 input bits; a later .i must not rewrite them as 3
+        (ROWS_2X1 + ".i 3\n", 5),
+        # rows set 1 output bit; a later .o 2 would claim 2-bit outputs
+        (ROWS_2X1 + ".o 2\n", 5),
+        (".i 2\n.i 3\n" + ROWS_2X1, 2),
+    ],
+    ids=["trailing .i", "trailing .o", "repeated .i"],
+)
+def test_width_directive_disagreeing_with_an_earlier_width_is_refused(text, line):
+    with pytest.raises(Kiss2Error, match="disagrees with the width") as exc:
+        parse_kiss2(text)
+    assert exc.value.line == line
+
+
+def test_width_directive_agreeing_with_an_earlier_width_is_accepted():
+    m = parse_kiss2(".i 2\n.o 1\n" + ROWS_2X1 + ".i 2\n.o 1\n")
+    assert (m.input_bits, m.output_bits) == (2, 1)
+    assert transition_count(m) == 4
+
+
 def test_empty_input_rejected():
     with pytest.raises(Kiss2Error, match="no transition rows"):
         parse_kiss2("# nothing here\n.i 2\n.o 1\n")

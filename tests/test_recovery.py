@@ -22,11 +22,9 @@ from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
 from fsmrecon.congruence import Congruence
 from fsmrecon.constraints import (
     build_constraints,
-    evaluate,
     find_violation,
     forced_width,
     output_groups,
-    r_min,
 )
 from fsmrecon.fsm import assign_binary_encoding
 from fsmrecon.recovery import (
@@ -249,7 +247,7 @@ def test_recover_lion_exact_walk_finds_minimal_width():
     assert forced_width(trace) == 2
     assert [a.status for a in result.attempts] == ["seed"]
     cs = build_constraints(trace, 2)
-    assert evaluate(cs, list(result.assignment.values))
+    assert find_violation(cs, list(result.assignment.values)) is None
     # started below the bound, width 1 is refuted, not skipped, and the
     # answer is the same
     probed = recover_encodings(trace, width_start=1)
@@ -264,8 +262,8 @@ def test_recover_under_banded_noise(name):
     assert result.assignment is not None
     width = result.assignment.width
     cs = build_constraints(trace, width)
-    assert evaluate(cs, list(result.assignment.values))
-    assert width >= r_min(trace)
+    assert find_violation(cs, list(result.assignment.values)) is None
+    assert width >= forced_width(trace)
 
 
 def test_recovered_values_respect_identical_steps():
@@ -437,7 +435,7 @@ def test_seeding_yields_conflict_free_descent_at_scale():
     import random
 
     from fsmrecon.capture import Trace
-    from fsmrecon.channel import DEFAULT_TABLE
+    from fsmrecon.channel import midpoint
 
     # a deterministic 13-state machine with a unique output per state
     rng = random.Random(11)
@@ -456,7 +454,7 @@ def test_seeding_yields_conflict_free_descent_at_scale():
         output_bits=7,
         stimulus=stimulus,
         outputs=[outputs[s] for s in seq],
-        currents=[DEFAULT_TABLE.midpoint(c) for c in centers],
+        currents=[midpoint(c) for c in centers],
         seed=0,
     )
     classes = merge_hypothesis(trace)
@@ -549,7 +547,6 @@ def test_seed_answers_equal_solver_answers_on_random_walks(**args):
 def test_starting_at_the_forced_width_skips_only_refuted_widths(**args):
     walks = random_walks(**args)
     bound = forced_width(walks[0])
-    assert bound >= r_min(walks[0])
     classes = merge_hypothesis(walks[0], walks[1:])
     full = recover_encodings(walks[0], width_start=1, classes=classes)
     assert full.assignment is not None

@@ -7,7 +7,7 @@ import random
 from conftest import synthetic_trace
 from fsmrecon import sat
 from fsmrecon.cnf import decode_positions, encode_cnf
-from fsmrecon.constraints import build_constraints, evaluate
+from fsmrecon.constraints import build_constraints, find_violation
 from fsmrecon.sat import (
     SAT,
     TIMEOUT,
@@ -232,7 +232,7 @@ def test_solved_trace_constraints_decode_to_valid_values():
     out = solve_cnf(cnf.n_vars, cnf.clauses)
     assert out.status == SAT
     values = decode_positions(cnf, out.model)
-    assert evaluate(cs, values)
+    assert find_violation(cs, values) is None
 
 
 def test_too_narrow_width_is_unsat():

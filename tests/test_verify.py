@@ -9,7 +9,7 @@ from fsmrecon import recovery
 from fsmrecon.constraints import (
     ConstraintSet,
     build_constraints,
-    evaluate,
+    find_violation,
 )
 from fsmrecon.fsm import MooreFsm, transition_count
 from fsmrecon.recovery import recover_encodings
@@ -354,7 +354,7 @@ def test_solver_width_matches_exhaustive_minimum():
         assert result.assignment is not None
         assert result.assignment.width == w_star
         probe = build_constraints(trace, w_star)
-        assert evaluate(probe, list(result.assignment.values))
+        assert find_violation(probe, list(result.assignment.values)) is None
         checked += 1
 
 

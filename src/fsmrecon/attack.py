@@ -33,7 +33,7 @@ from .capture import (
     gen_stimulus,
     run_trace,
 )
-from .fsm import MooreFsm, transition_count
+from .fsm import MooreFsm, code_width, transition_count
 from .recovery import EncodingAssignment, WidthAttempt, recover_encodings
 from .stg import (
     StgConflictError,
@@ -225,7 +225,7 @@ def _solve_round(
     # the next one.  The retry starts at the narrowest width with a code
     # per guessed class and never returns a narrower one, so the guess
     # always fits its answer and a second retry could never run.
-    fit = max(classes).bit_length()
+    fit = code_width(max(classes) + 1)
     solver_ms = 0.0
     attempts: list[WidthAttempt] = []
     for escalations, width_start in enumerate((None, fit)):

@@ -28,6 +28,7 @@ from .fsm import (
     MealyFsm,
     MooreFsm,
     assign_binary_encoding,
+    code_width,
     int_to_bits,
     moorify,
     parse_kiss2,
@@ -244,7 +245,7 @@ def _calibration_device(seed: int, noise: NoiseModel) -> tuple:
                 delta[(s, v)] = s
             else:
                 delta[(s, v)] = rng.randrange(n)
-    width = n.bit_length() - 1  # n is a power of two
+    width = code_width(n)
     machine = MooreFsm(
         input_bits=_CAL_INPUT_BITS,
         output_bits=width,

@@ -38,9 +38,9 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     Variables 1 .. n_positions*width are the position bits, most significant
     bit first within each position; auxiliary variables follow.  Clauses
     come in a fixed order: the windows in step order, then one
-    distinctness clause per differing-group pair ``i < j``, ascending.  An
-    empty window (lo > hi) contributes the empty clause — the only case
-    one is ever emitted.
+    distinctness clause per differing-group pair ``i < j``, ascending.  A
+    window no width-bit distance meets (lo > min(hi, width)) contributes
+    the empty clause — the only case one is ever emitted.
     """
     width = cs.width
     n_positions = cs.n_positions
@@ -72,68 +72,43 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
         return ds
 
     def counter_window(ds: list[int], lo: int, hi: int) -> None:
-        """Sequential-counter register asserting lo <= sum(ds) <= hi."""
+        """Sequential counter (Sinz, CP 2005) asserting lo <= sum(ds) <= hi,
+        for 1 <= hi and lo <= min(hi, len(ds)); ``reg[k][j - 1]`` is "at
+        least j of ds[:k] are true", up to the highest rank a bound reads."""
         nonlocal n_vars
         n = len(ds)
         track = hi if hi < n else lo  # highest register rank we consult
         if track == 0:
             return
-        # reg[k][j] (1-based k, j) <-> at least j of ds[:k] are true
         reg: list[list[int]] = [[]]
         for k in range(1, n + 1):
-            row = []
-            for j in range(1, min(k, track) + 1):
-                n_vars += 1
-                row.append(n_vars)
-            reg.append(row)
-
-        def r(k: int, j: int) -> int | None:
-            """Register var, or None when constant (j==0 true, j>k false)."""
-            if j <= 0 or j > track:
-                return None  # j<=0 is TRUE, j>track untracked (treated FALSE)
-            if j > k:
-                return None  # FALSE
-            return reg[k][j - 1]
-
+            reg.append(list(range(n_vars + 1, n_vars + min(k, track) + 1)))
+            n_vars += len(reg[k])
         for k in range(1, n + 1):
             dk = ds[k - 1]
-            for j in range(1, min(k, track) + 1):
-                skj = r(k, j)
-                prev_same = r(k - 1, j)
-                prev_less = r(k - 1, j - 1)
+            prev = reg[k - 1]
+            for j, skj in enumerate(reg[k], start=1):
+                same = prev[j - 1:j]  # "j of ds[:k-1]", absent when j == k
                 # forward: carrying j-1 and seeing dk reaches j
                 if j == 1:
                     clauses.append([-dk, skj])
-                elif prev_less is not None:
-                    clauses.append([-prev_less, -dk, skj])
+                else:
+                    clauses.append([-prev[j - 2], -dk, skj])
                 # forward: already at j stays at j
-                if prev_same is not None:
-                    clauses.append([-prev_same, skj])
+                if same:
+                    clauses.append([-same[0], skj])
                 # backward: reaching j needs a justification
-                head = [-skj]
-                if prev_same is not None:
-                    head.append(prev_same)
-                clauses.append(head + [dk])
+                clauses.append([-skj, *same, dk])
                 if j > 1:
-                    tail = [-skj]
-                    if prev_same is not None:
-                        tail.append(prev_same)
-                    if prev_less is not None:
-                        tail.append(prev_less)
-                    clauses.append(tail)
-        if hi < n:
-            # one more true bit past a full register would exceed hi
-            for k in range(hi + 1, n + 1):
-                prev_full = r(k - 1, hi)
-                if prev_full is not None:
-                    clauses.append([-ds[k - 1], -prev_full])
+                    clauses.append([-skj, *same, prev[j - 2]])
+        # one more true bit past a full register would exceed hi
+        for k in range(hi + 1, n + 1):
+            clauses.append([-ds[k - 1], -reg[k - 1][hi - 1]])
         if lo >= 1:
-            final = r(n, lo)
-            assert final is not None
-            clauses.append([final])
+            clauses.append([reg[n][lo - 1]])
 
     for k, (lo, hi) in enumerate(cs.windows):
-        if lo > hi:
+        if lo > min(hi, width):
             clauses.append([])
         elif hi == 0:
             for xi in range(k * width + 1, (k + 1) * width + 1):

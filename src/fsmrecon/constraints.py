@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .capture import Trace
+from .fsm import code_width
 
 
 @dataclass
@@ -87,7 +88,7 @@ def forced_width(trace: Trace) -> int:
         if inf.lo >= 1 and groups[k] == groups[k + 1]
     }
     k = max(groups) + 1 + len(doubled)
-    return max(1, (k - 1).bit_length())
+    return code_width(k)
 
 
 def output_groups(outputs: list[str]) -> list[int]:

@@ -9,7 +9,6 @@ vectors are held as '0'/'1' strings so width is always explicit.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +38,11 @@ class DanglingStateError(Kiss2Error):
 
 class IncompleteMachineError(ValueError):
     """An operation that needs a completely specified machine got a partial one."""
+
+
+def code_width(n: int) -> int:
+    """Fewest register bits that give ``n`` states distinct codes, at least 1."""
+    return max(1, (n - 1).bit_length())
 
 
 def int_to_bits(value: int, width: int) -> str:
@@ -201,6 +205,11 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
             elif directive == ".r":
                 if len(parts) != 2:
                     raise Kiss2Error("bad .r directive", lineno)
+                if reset_name not in (None, parts[1]):
+                    raise Kiss2Error(
+                        f".r {parts[1]} disagrees with the reset {reset_name} named earlier",
+                        lineno,
+                    )
                 reset_name = parts[1]
             else:
                 raise Kiss2Error(f"unknown directive {directive}", lineno)
@@ -389,7 +398,7 @@ def assign_binary_encoding(m: MooreFsm) -> EncodedFsm:
     return EncodedFsm(
         machine=m,
         encodings=list(range(m.state_count)),
-        width=max(1, math.ceil(math.log2(m.state_count))),
+        width=code_width(m.state_count),
     )
 
 

@@ -31,6 +31,7 @@ from .constraints import (
     forced_width,
     output_groups,
 )
+from .fsm import code_width
 from .sat import SAT, TIMEOUT, UNSAT, CdclSolver, SolverStats
 
 WIDTH_STEPS = 16  # probe r0 .. r0 + WIDTH_STEPS, r0 the forced width by default
@@ -268,9 +269,10 @@ def search_class_codes(
     """Search for pairwise-distinct class codes meeting every hull.
 
     Most-constrained-first ordering with forward checking; deterministic.
-    Returns None when no assignment exists or the node budget runs out.
+    Returns None when no assignment exists or the node budget runs out;
+    a spent budget fails every open choice, so the search unwinds.
     """
-    if width > _SEED_MAX_WIDTH or n_classes > (1 << width):
+    if width > _SEED_MAX_WIDTH or width < code_width(n_classes):
         return None
     size = 1 << width
     neighbors: dict[int, list[tuple[int, int, int]]] = {}
@@ -294,7 +296,7 @@ def search_class_codes(
         for code in sorted(domains[cid]):
             budget -= 1
             if budget <= 0:
-                raise _BudgetExhausted
+                return False
             codes[cid] = code
             removed: list[tuple[int, int]] = []
             wiped = False
@@ -324,16 +326,7 @@ def search_class_codes(
             codes[cid] = -1
         return False
 
-    try:
-        if not bt():
-            return None
-    except _BudgetExhausted:
-        return None
-    return codes
-
-
-class _BudgetExhausted(Exception):
-    pass
+    return codes if bt() else None
 
 
 def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:

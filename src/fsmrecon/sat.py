@@ -9,6 +9,7 @@ the solver always takes the same path.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ class SolverStats:
     conflicts: int = 0
     propagations: int = 0
     restarts: int = 0
-    learned: int = 0
     elapsed_s: float = 0.0
 
 
@@ -50,7 +50,10 @@ def luby(i: int) -> int:
 class CdclSolver:
     """Solver over clean clauses: literals in range, no tautologies, no
     repeated literals (see :func:`solve_cnf` for raw input).  The solver
-    takes ownership of the clause lists and reorders their literals."""
+    takes ownership of the clause lists and reorders their literals.
+    The decision level is ``len(trail_lim)``.  A bump only ever touches an
+    assigned variable, which re-enters the ``order`` heap on backtracking.
+    """
 
     def __init__(
         self,
@@ -80,7 +83,6 @@ class CdclSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.decision_level = 0
         self.unsat_at_load = False
 
         self.clauses: list[list[int]] = []
@@ -88,9 +90,6 @@ class CdclSolver:
         self.first_learned = 0  # set after loading; earlier clauses are core
         self.reduce_budget = 20_000
 
-        import heapq  # stdlib; local alias for the hot paths
-
-        self._heapq = heapq
         self.order: list[tuple[float, int]] = [(0.0, v) for v in range(1, n_vars + 1)]
         heapq.heapify(self.order)
 
@@ -124,15 +123,15 @@ class CdclSolver:
         if cur != 0:
             return cur == val
         self.assigns[var] = val
-        self.level[var] = self.decision_level
+        self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
     def _backtrack(self, target: int) -> None:
-        if self.decision_level <= target:
+        if len(self.trail_lim) <= target:
             return
-        heappush = self._heapq.heappush
+        heappush = heapq.heappush
         order = self.order
         activity = self.activity
         assigns = self.assigns
@@ -147,7 +146,6 @@ class CdclSolver:
         del self.trail[bound:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
-        self.decision_level = target
 
     # ----------------------------------------------------------- propagate
 
@@ -160,7 +158,7 @@ class CdclSolver:
         level = self.level
         reason = self.reason
         nv = self.n_vars
-        dl = self.decision_level
+        dl = len(self.trail_lim)
         props = 0
         qhead = self.qhead
         conflict = -1
@@ -221,12 +219,9 @@ class CdclSolver:
     # ------------------------------------------------------------- analyze
 
     def _bump(self, var: int) -> None:
-        act = self.activity[var] + self.act_inc
-        self.activity[var] = act
-        if act > _RESCALE_LIMIT:
+        self.activity[var] += self.act_inc
+        if self.activity[var] > _RESCALE_LIMIT:
             self._rescale()
-        elif self.assigns[var] == 0:
-            self._heapq.heappush(self.order, (-act, var))
 
     def _rescale(self) -> None:
         scale = 1e-100
@@ -234,10 +229,9 @@ class CdclSolver:
         for v in range(1, self.n_vars + 1):
             activity[v] *= scale
         self.act_inc *= scale
-        heapify = self._heapq.heapify
         self.order = [(-activity[v], v) for v in range(1, self.n_vars + 1)
                       if self.assigns[v] == 0]
-        heapify(self.order)
+        heapq.heapify(self.order)
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP learned clause (asserting literal first) and backjump level."""
@@ -246,7 +240,7 @@ class CdclSolver:
         reason = self.reason
         trail = self.trail
         clauses = self.clauses
-        cur = self.decision_level
+        cur = len(self.trail_lim)
         learnt: list[int] = []
         touched: list[int] = []
         counter = 0
@@ -285,32 +279,29 @@ class CdclSolver:
         return learnt, btlevel
 
     def _record(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            ok = self._enqueue(learnt[0], -1)
-            assert ok, "asserting literal must be enqueueable after backjump"
-            return
-        # position 1 must hold a literal from the backjump level
-        best = 1
-        best_level = self.level[abs(learnt[1])]
-        for k in range(2, len(learnt)):
-            lv = self.level[abs(learnt[k])]
-            if lv > best_level:
-                best_level = lv
-                best = k
-        learnt[1], learnt[best] = learnt[best], learnt[1]
-        ci = len(self.clauses)
-        self.clauses.append(learnt)
-        nv = self.n_vars
-        self.watches[learnt[0] + nv].append(ci)
-        self.watches[learnt[1] + nv].append(ci)
-        self.stats.learned += 1
+        ci = -1  # a learned unit is a level-0 fact, kept as no clause
+        if len(learnt) > 1:
+            # position 1 must hold a literal from the backjump level
+            best = 1
+            best_level = self.level[abs(learnt[1])]
+            for k in range(2, len(learnt)):
+                lv = self.level[abs(learnt[k])]
+                if lv > best_level:
+                    best_level = lv
+                    best = k
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+            ci = len(self.clauses)
+            self.clauses.append(learnt)
+            nv = self.n_vars
+            self.watches[learnt[0] + nv].append(ci)
+            self.watches[learnt[1] + nv].append(ci)
         ok = self._enqueue(learnt[0], ci)
         assert ok, "asserting literal must be enqueueable after backjump"
 
     # ------------------------------------------------------------ decisions
 
     def _decide(self) -> int:
-        heappop = self._heapq.heappop
+        heappop = heapq.heappop
         order = self.order
         assigns = self.assigns
         activity = self.activity
@@ -329,14 +320,11 @@ class CdclSolver:
             return
         for lit in self.trail:  # level-0 facts are permanent
             self.reason[abs(lit)] = -1
-        keep = self.clauses[: self.first_learned]
-        learned = self.clauses[self.first_learned:]
-        learned.sort(key=len)
-        retain = max(len(learned) // 2, 1)
-        kept_learned = [c for c in learned[:retain]]
-        kept_learned += [c for c in learned[retain:] if len(c) <= 3]
-        keep.extend(kept_learned)
-        self.clauses = keep
+        learned = sorted(self.clauses[self.first_learned:], key=len)
+        half = len(learned) // 2
+        self.clauses[self.first_learned:] = learned[:half] + [
+            c for c in learned[half:] if len(c) <= 3
+        ]
         self.reduce_budget = int(self.reduce_budget * 1.3)
         self._rebuild_watches()
 
@@ -383,7 +371,7 @@ class CdclSolver:
             if confl >= 0:
                 stats.conflicts += 1
                 since_restart += 1
-                if self.decision_level == 0:
+                if not self.trail_lim:
                     return finish(UNSAT, None)
                 learnt, btlevel = self._analyze(confl)
                 self._backtrack(btlevel)
@@ -421,7 +409,6 @@ class CdclSolver:
             ):
                 return finish(TIMEOUT, None)
             self.trail_lim.append(len(self.trail))
-            self.decision_level += 1
             ok = self._enqueue(lit, -1)
             assert ok
 

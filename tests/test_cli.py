@@ -191,6 +191,16 @@ def test_attack_malformed_target_exits_2(tmp_path, capsys):
     assert "attack:" in capsys.readouterr().err
 
 
+def test_state_seen_only_as_a_target_is_numbered_last_and_refused(
+    tmp_path, capsys
+):
+    # c is named before b, but only ever in the next-state column
+    target = tmp_path / "partial.kiss2"
+    target.write_text(".i 1\n.o 1\n0 a c 0\n1 a b 0\n0 b a 0\n1 b b 0\n")
+    assert parse_kiss2(target.read_text()).states == ["a", "b", "c"]
+    assert_one_line_exit_2(capsys, ["attack", "--target", str(target)], "missing")
+
+
 def assert_one_line_exit_2(capsys, argv, word):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -267,6 +277,25 @@ def test_attack_model_violation_keeps_its_traceback(lion_path, monkeypatch):
     monkeypatch.setattr(cli, "attack", violating)
     with pytest.raises(ModelViolationError):
         main(["attack", "--target", lion_path, "--seed", "1"])
+
+
+def test_a_model_the_checker_refuses_is_not_an_input_error(
+    tmp_path, monkeypatch
+):
+    # shiftreg at seed 1 reaches the solver; a flipped model bit must
+    # surface as the checker's error, not as exit 2
+    decode = recovery.decode_positions
+
+    def corrupted(cnf, model):
+        values = decode(cnf, model)
+        values[0] ^= 1
+        return values
+
+    monkeypatch.setattr(recovery, "decode_positions", corrupted)
+    target = tmp_path / "shiftreg.kiss2"
+    target.write_text(benchmarks.load("shiftreg"))
+    with pytest.raises(recovery.ModelViolationError):
+        main(["attack", "--target", str(target), "--seed", "1"])
 
 
 def test_calibrate_negative_sigma_exits_2_with_one_line(capsys):

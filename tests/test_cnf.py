@@ -33,6 +33,7 @@ from fsmrecon.constraints import (
     build_constraints,
     find_violation,
 )
+from fsmrecon.sat import UNSAT, solve_cnf
 
 
 def exhaustive_check(cs: ConstraintSet) -> None:
@@ -109,6 +110,23 @@ def test_infeasible_window_emits_empty_clause():
     assert cs.trivially_unsat
     cnf = encode_cnf(cs)
     assert [] in cnf.clauses
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        ConstraintSet(3, [(4, 5)], [0, 0]),
+        ConstraintSet(1, [(2, 3)], [0, 1]),
+    ],
+    ids=["one group", "two groups"],
+)
+def test_window_floor_past_the_width_is_unsatisfiable(cs):
+    # lo <= hi, so no window is empty, but no width-bit distance reaches lo
+    assert not cs.trivially_unsat
+    for values in itertools.product(range(1 << cs.width), repeat=cs.n_positions):
+        assert find_violation(cs, list(values)) is not None
+    cnf = encode_cnf(cs)
+    assert solve_cnf(cnf.n_vars, cnf.clauses).status == UNSAT
 
 
 def test_no_empty_clause_otherwise():

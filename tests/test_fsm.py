@@ -129,6 +129,9 @@ def test_dangling_reset_reference():
         (".i 2\n.o 1\n00 a a -\n", 3),  # don't-care output
         (".i 2\n.o 1\n000 a a 1\n", 3),  # width mismatch
         (".q 2\n.o 1\n00 a a 1\n", 1),  # unknown directive
+        (".i x\n.o 1\n00 a a 1\n", 1),  # non-numeric width
+        (".i 2\n.o 1\n.r\n00 a a 1\n", 3),  # reset with no name
+        (".i 2\n.o 1\n00 a a 1\n01 a a 10\n", 4),  # output width mismatch
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, line):
@@ -161,6 +164,22 @@ def test_width_directive_agreeing_with_an_earlier_width_is_accepted():
     m = parse_kiss2(".i 2\n.o 1\n" + ROWS_2X1 + ".i 2\n.o 1\n")
     assert (m.input_bits, m.output_bits) == (2, 1)
     assert transition_count(m) == 4
+
+
+ROWS_AB = "0 a b 0\n1 a a 0\n0 b a 1\n1 b b 1\n"
+
+
+def test_reset_directive_naming_a_different_state_is_refused():
+    # a trailing .r must not move the reset named before the rows
+    with pytest.raises(Kiss2Error, match="disagrees with the reset") as exc:
+        parse_kiss2(".r a\n" + ROWS_AB + ".r b\n")
+    assert exc.value.line == 6
+
+
+def test_reset_directive_repeating_the_same_state_is_accepted():
+    m = parse_kiss2(".r b\n" + ROWS_AB + ".r b\n")
+    assert m.states == ["a", "b"]
+    assert m.reset == 1
 
 
 def test_empty_input_rejected():

@@ -358,6 +358,20 @@ def test_dimacs_dump_writes_parseable_files(tmp_path):
         assert len(clauses) == attempt.n_clauses
 
 
+def test_a_model_the_checker_refuses_raises(monkeypatch):
+    # flip one bit of the decoded model: the independent checker must
+    # refuse it rather than let a wrong answer through
+    def corrupted(cnf, model):
+        values = decode_positions(cnf, model)
+        values[0] ^= 1
+        return values
+
+    monkeypatch.setattr(recovery, "decode_positions", corrupted)
+    enc, trace = machine_trace("train4", 60, seed=1)
+    with pytest.raises(recovery.ModelViolationError, match="breaks positions"):
+        recover_encodings(trace)
+
+
 def test_dimacs_dump_leaves_results_unchanged(tmp_path):
     # lion at this seed, started at width 1, is refuted there, then solved
     # by its seed

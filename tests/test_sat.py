@@ -161,6 +161,31 @@ def test_clause_reduction_keeps_solver_correct(monkeypatch):
             assert check_model(clauses, out.model)
 
 
+def test_activity_rescale_keeps_solver_correct(monkeypatch):
+    # a ceiling of 2.0 is passed within the first few conflicts
+    monkeypatch.setattr(sat, "_RESCALE_LIMIT", 2.0)
+    rescale = CdclSolver._rescale
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        rescale(self)
+
+    monkeypatch.setattr(CdclSolver, "_rescale", counted)
+    rng = random.Random(5150)
+    for _ in range(8):
+        n = 10
+        clauses = random_3sat(rng, n, 44)
+        expected = brute_force_sat(n, clauses)
+        out = CdclSolver(n, [list(c) for c in clauses]).solve()
+        assert (out.status == SAT) == expected
+        if out.status == SAT:
+            assert check_model(clauses, out.model)
+    n, clauses = pigeonhole(4, 3)
+    assert solve_cnf(n, clauses).status == UNSAT
+    assert calls
+
+
 # ------------------------------------------------------------- determinism
 
 

@@ -23,8 +23,9 @@ import time
 from . import __version__
 from .attack import AttackConfig, attack
 from .capture import BlackBoxDevice, choose_vector_count, gen_stimulus, run_trace
-from .channel import NoiseModel, pearson
+from .channel import NOISE_KINDS, NoiseModel, pearson
 from .fsm import (
+    MOORIFY_STRATEGIES,
     MealyFsm,
     MooreFsm,
     assign_binary_encoding,
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outfile")
     p.add_argument(
         "--strategy",
-        choices=("first", "majority"),
+        choices=MOORIFY_STRATEGIES,
         default="first",
         help="output to give a state entered with conflicting Mealy outputs",
     )
@@ -359,16 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=int, default=None,
                    help="input vectors per round (default 2·X·2^I)")
     p.add_argument("--multiplier", type=float, default=2.0)
-    p.add_argument("--rounds-max", type=int, default=20)
-    p.add_argument("--goal", type=float, default=0.90,
+    p.add_argument("--rounds-max", type=int, default=AttackConfig.max_rounds)
+    p.add_argument("--goal", type=float, default=AttackConfig.goal,
                    help="stop once this fraction of transitions is recovered")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: fresh entropy, echoed)")
-    p.add_argument("--noise", choices=("exact", "table3", "gaussian"),
-                   default="exact")
-    p.add_argument("--sigma", type=float, default=10.0,
+    p.add_argument("--noise", choices=NOISE_KINDS, default="exact")
+    p.add_argument("--sigma", type=float, default=NoiseModel.sigma,
                    help="gaussian channel standard deviation")
-    p.add_argument("--timeout-ms", type=int, default=1_000_000)
+    p.add_argument("--timeout-ms", type=int, default=AttackConfig.timeout_ms)
     p.add_argument("--report", default=None,
                    help="write the JSON report here instead of stdout")
     p.add_argument("--recovered", default=None,
@@ -393,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure channel fidelity on a synthetic random device",
     )
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=10.0)
-    p.add_argument("--noise", choices=("exact", "table3", "gaussian"),
-                   default="gaussian")
+    p.add_argument("--sigma", type=float, default=NoiseModel.sigma)
+    p.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--deterministic", action="store_true")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterator
 
 from .capture import Trace
 from .cnf import Cnf, decode_positions, encode_cnf, to_dimacs, variable_map_text
@@ -269,8 +270,9 @@ def search_class_codes(
     """Search for pairwise-distinct class codes meeting every hull.
 
     Most-constrained-first ordering with forward checking; deterministic.
-    Returns None when no assignment exists or the node budget runs out;
-    a spent budget fails every open choice, so the search unwinds.
+    Returns None when no assignment exists or the node budget runs out.
+    The choice points live on an explicit stack, so a thousand classes
+    need no thousand-deep recursion.
     """
     if width > _SEED_MAX_WIDTH or width < code_width(n_classes):
         return None
@@ -282,9 +284,10 @@ def search_class_codes(
     domains = [set(range(size)) for _ in range(n_classes)]
     codes = [-1] * n_classes
     budget = _SEARCH_BUDGET
-
-    def bt() -> bool:
-        nonlocal budget
+    # one frame per assigned class: (class, codes left to try, what the
+    # current code removed from other domains)
+    frames: list[tuple[int, Iterator[int], list[tuple[int, int]]]] = []
+    while True:
         cid = -1
         best = size + 1
         for c in range(n_classes):
@@ -292,13 +295,22 @@ def search_class_codes(
                 best = len(domains[c])
                 cid = c
         if cid < 0:
-            return True
-        for code in sorted(domains[cid]):
+            return codes
+        frames.append((cid, iter(sorted(domains[cid])), []))
+        while frames:  # the next code that survives forward checking
+            cid, values, removed = frames[-1]
+            for other, cand in removed:
+                domains[other].add(cand)
+            removed.clear()
+            codes[cid] = -1
+            code = next(values, None)
+            if code is None:
+                frames.pop()
+                continue
             budget -= 1
             if budget <= 0:
-                return False
+                return None
             codes[cid] = code
-            removed: list[tuple[int, int]] = []
             wiped = False
             for other in range(n_classes):
                 if codes[other] < 0 and code in domains[other]:
@@ -319,14 +331,10 @@ def search_class_codes(
                     if not domains[other]:
                         wiped = True
                         break
-            if not wiped and bt():
-                return True
-            for other, cand in removed:
-                domains[other].add(cand)
-            codes[cid] = -1
-        return False
-
-    return codes if bt() else None
+            if not wiped:
+                break
+        else:
+            return None
 
 
 def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:

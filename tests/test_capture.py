@@ -49,6 +49,19 @@ def test_vector_count_rejects_non_finite_multiplier(multiplier):
         choose_vector_count(4, 2, multiplier)
 
 
+@pytest.mark.parametrize(
+    "states,input_bits,match", [(0, 2, "state count"), (4, 0, "input bits")]
+)
+def test_vector_count_rejects_an_empty_machine(states, input_bits, match):
+    with pytest.raises(ValueError, match=match):
+        choose_vector_count(states, input_bits)
+
+
+def test_negative_stimulus_count_is_refused():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        gen_stimulus(-1, 2, seed=1)
+
+
 def test_stimulus_is_seed_deterministic_and_in_range():
     a = gen_stimulus(200, 3, seed=7)
     b = gen_stimulus(200, 3, seed=7)
@@ -71,6 +84,13 @@ def test_trace_shape_and_reset_output():
     assert len(trace.outputs) == 51
     assert trace.outputs[0] == "00"  # dk27 reset state output
     assert len(trace.currents) == len(trace.inferred) == 50
+
+
+def test_trace_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match="expected 3 outputs, got 2"):
+        Trace(1, 1, [0, 1], ["0", "1"], [1.0, 1.0], seed=0)
+    with pytest.raises(ValueError, match="one entry per step"):
+        Trace(1, 1, [0, 1], ["0", "1", "0"], [1.0], seed=0)
 
 
 def test_trace_is_bit_identical_for_equal_seeds():

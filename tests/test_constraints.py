@@ -178,6 +178,11 @@ def test_chain_is_linear_in_trace_length():
     assert cs.counts() == {"identical": 0, "hd_range": 300, "distinct": 33_975}
 
 
+def test_zero_width_is_refused():
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        build_constraints(synthetic_trace(["0", "1"], [1]), 0)
+
+
 def test_window_count_must_be_one_less_than_positions():
     for n_windows in (0, 1, 3):
         with pytest.raises(ValueError, match="expected 2 windows for 3 positions"):

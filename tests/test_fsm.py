@@ -65,6 +65,15 @@ def test_int_to_bits_is_msb_first():
     assert int_to_bits(4, 3) == "100"
 
 
+@pytest.mark.parametrize(
+    "value,width,match",
+    [(0, 0, "width must be positive"), (4, 2, "does not fit"), (-1, 2, "does not fit")],
+)
+def test_int_to_bits_refuses_what_does_not_fit(value, width, match):
+    with pytest.raises(ValueError, match=match):
+        int_to_bits(value, width)
+
+
 # ---------------------------------------------------------------------------
 # KISS2 parsing
 # ---------------------------------------------------------------------------
@@ -132,6 +141,8 @@ def test_dangling_reset_reference():
         (".i x\n.o 1\n00 a a 1\n", 1),  # non-numeric width
         (".i 2\n.o 1\n.r\n00 a a 1\n", 3),  # reset with no name
         (".i 2\n.o 1\n00 a a 1\n01 a a 10\n", 4),  # output width mismatch
+        (".i ²\n.o 1\n00 a a 1\n", 1),  # a digit int() refuses
+        (".p ¹\n.i 2\n.o 1\n00 a a 1\n", 1),  # likewise in an advisory count
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, line):
@@ -346,6 +357,12 @@ def test_step_exhaustive_hd_bounded_and_consistent():
             assert res.output == moore.outputs[res.next_state]
             assert 0 <= res.hd <= width
             assert (res.hd == 0) == (res.next_state == s)
+
+
+def test_step_refuses_a_missing_transition():
+    m = MooreFsm(1, 1, ["a", "b"], 0, {(0, 0): 1}, ["0", "1"])
+    with pytest.raises(IncompleteMachineError, match="no transition for state 'a', input 1"):
+        step(EncodedFsm(m, [0, 1], 1), 0, 1)
 
 
 def test_step_rejects_bad_state_and_vector():

@@ -156,6 +156,16 @@ def test_inconsistent_pooled_resets_fall_back_to_output_grouping():
     assert merge_hypothesis(a, (b,)) == [0, 1]
 
 
+def test_pooled_walks_whose_resets_cannot_merge_fall_back_to_output_grouping():
+    # a's nonzero first step joins two equal outputs, so the one-pass
+    # check fails and the search starts; it cannot merge the two resets,
+    # whose outputs differ, and falls back to output grouping
+    a = synthetic_trace(["0", "0", "1"], [1, 2])
+    b = synthetic_trace(["1", "1"], [0])
+    assert not recovery._outputs_identify_states([a, b])
+    assert merge_hypothesis(a, (b,)) == [0, 0, 1] == output_groups(a.outputs)
+
+
 # ------------------------------------------------------------------- hulls
 
 
@@ -207,6 +217,88 @@ def test_search_detects_unsatisfiable_hulls():
 
 def test_search_declines_giant_widths():
     assert search_class_codes(2, 13, {}) is None
+
+
+def recursive_class_code_search(n_classes, width, hulls, budget):
+    """The class-code search as a recursion, one frame per class: the
+    reference ``search_class_codes`` must match, codes or None."""
+    if width > recovery._SEED_MAX_WIDTH or width < (n_classes - 1).bit_length():
+        return None
+    size = 1 << width
+    neighbors = {}
+    for (a, b), (lo, hi) in hulls.items():
+        neighbors.setdefault(a, []).append((b, lo, hi))
+        neighbors.setdefault(b, []).append((a, lo, hi))
+    domains = [set(range(size)) for _ in range(n_classes)]
+    codes = [-1] * n_classes
+
+    def bt():
+        nonlocal budget
+        cid, best = -1, size + 1
+        for c in range(n_classes):
+            if codes[c] < 0 and len(domains[c]) < best:
+                best, cid = len(domains[c]), c
+        if cid < 0:
+            return True
+        for code in sorted(domains[cid]):
+            budget -= 1
+            if budget <= 0:
+                return False
+            codes[cid] = code
+            removed, wiped = [], False
+            for other in range(n_classes):
+                if codes[other] < 0 and code in domains[other]:
+                    domains[other].discard(code)
+                    removed.append((other, code))
+                    if not domains[other]:
+                        wiped = True
+                        break
+            if not wiped:
+                for other, lo, hi in neighbors.get(cid, ()):
+                    if codes[other] >= 0:
+                        continue
+                    for cand in sorted(domains[other]):
+                        if not lo <= (cand ^ code).bit_count() <= hi:
+                            domains[other].discard(cand)
+                            removed.append((other, cand))
+                    if not domains[other]:
+                        wiped = True
+                        break
+            if not wiped and bt():
+                return True
+            for other, cand in removed:
+                domains[other].add(cand)
+            codes[cid] = -1
+        return False
+
+    return codes if bt() else None
+
+
+@st.composite
+def code_search_cases(draw):
+    n_classes = draw(st.integers(min_value=1, max_value=9))
+    width = draw(st.integers(min_value=1, max_value=4))
+    pairs = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+    hulls = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        lo = draw(st.integers(min_value=0, max_value=width))
+        hulls[pair] = (lo, draw(st.integers(min_value=max(0, lo - 1), max_value=width)))
+    budget = draw(st.one_of(st.integers(min_value=1, max_value=60), st.just(500_000)))
+    return n_classes, width, hulls, budget
+
+
+@given(code_search_cases())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_recursive_search(case):
+    n_classes, width, hulls, budget = case
+    with mock.patch.object(recovery, "_SEARCH_BUDGET", budget):
+        got = search_class_codes(n_classes, width, hulls)
+    assert got == recursive_class_code_search(n_classes, width, hulls, budget)
+
+
+def test_search_runs_past_the_recursion_limit():
+    # a recursion would need one frame per class: 1,500 of them
+    assert search_class_codes(1500, 11, {}) == list(range(1500))
 
 
 def test_phases_prime_position_bits_msb_first():
@@ -285,6 +377,11 @@ def test_width_cap_reported_when_probes_exhaust(monkeypatch):
     result = recover_encodings(trace, width_start=1)
     assert result.assignment is None
     assert [a.status for a in result.attempts] == ["unsat"]
+
+
+def test_zero_start_width_is_refused():
+    with pytest.raises(ValueError, match="width_start must be at least 1"):
+        recover_encodings(synthetic_trace(["0", "1"], [1]), width_start=0)
 
 
 def test_infeasible_windows_are_skipped_then_solved():

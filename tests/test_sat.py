@@ -4,6 +4,8 @@ restarts/reduction paths, and timeout behavior."""
 import itertools
 import random
 
+import pytest
+
 from conftest import synthetic_trace
 from fsmrecon import sat
 from fsmrecon.cnf import decode_positions, encode_cnf
@@ -243,6 +245,28 @@ def test_timeout_reports_timeout():
     assert out.status == TIMEOUT
     assert out.model is None
     assert out.stats.elapsed_s >= 0.05
+
+
+def test_deadline_is_checked_at_decisions_restarts_and_conflicts(monkeypatch):
+    # a spent deadline is seen at the first check on each path: every
+    # 4,096 decisions, at a restart, and every 256 conflicts
+    out = CdclSolver(5000, [], timeout_s=0.0).solve()
+    assert out.status == TIMEOUT
+    assert (out.stats.decisions, out.stats.conflicts) == (4096, 0)
+    n, clauses = pigeonhole(8, 7)
+    out = solve_cnf(n, clauses, timeout_s=0.0)
+    assert out.status == TIMEOUT
+    assert (out.stats.restarts, out.stats.conflicts) == (1, 101)
+    monkeypatch.setattr(sat, "_RESTART_INTERVAL", 10**9)
+    out = solve_cnf(n, clauses, timeout_s=0.0)
+    assert out.status == TIMEOUT
+    assert (out.stats.restarts, out.stats.conflicts) == (0, 256)
+
+
+def test_phase_for_an_unknown_variable_is_refused():
+    for v in (0, 3):
+        with pytest.raises(ValueError, match="unknown variable"):
+            CdclSolver(2, [[1, 2]], initial_phases={v: True})
 
 
 # -------------------------------------------------------------- integration

@@ -11,6 +11,7 @@ the rest:
 - ``recovery`` — minimal-width encoding search over one or more traces
 - ``congruence`` — union-find with determinism closure, shared by recovery and stg
 - ``stg`` — folding traces into partial ``MooreFsm`` graphs, merging rounds
+  into one ``MergeGraph`` that replays each trace where it stopped
 - ``attack`` — the round loop tying everything together
 - ``verify`` — replay consistency, behavioral equivalence, brute-force width
 - ``benchmarks`` — bundled KISS2 machines used by the tests and docs

@@ -13,10 +13,19 @@ operator's upper bound, or when the merged graph fails to replay every
 trace captured so far; a dropped round costs coverage, never soundness.
 ``_challenge`` pools the graphs the accumulated machine refused and lets
 that pool take over once it is the bigger, still consistent body of
-evidence.  The round history is one list of records;
-earlier rounds' traces are pooled from it as evidence for the next round's
-state-grouping guess, which sharpens the phase seed and contributes no
-constraints.
+evidence.  Earlier rounds' traces are pooled as evidence for the next
+round's state-grouping guess, which sharpens the phase seed and
+contributes no constraints.
+
+A round costs its own walk, not the attack so far.  The output-grouping
+check of the state guess keeps its evidence across rounds
+(:class:`~fsmrecon.recovery.OutputEvidence`) and scans each walk once.
+The accumulated machine is one :class:`~fsmrecon.stg.MergeGraph`: a
+round adds its fold to it, a refused merge is taken back in place, each
+trace's replay resumes where it stopped, and states are numbered only
+when the result is handed out.  What still grows with the attack is the
+state guess's evidence-driven search, which pools raw walks when grouping
+by output fails, up to its position ceiling.
 """
 
 from __future__ import annotations
@@ -33,15 +42,19 @@ from .capture import (
     gen_stimulus,
     run_trace,
 )
-from .fsm import MooreFsm, code_width, transition_count
+from .fsm import MooreFsm, code_width
 from .recovery import EncodingAssignment, WidthAttempt, recover_encodings
 from .stg import (
+    MergeGraph,
     StgConflictError,
     build_partial_stg,
-    merge_rounds,
     recovery_fraction,
 )
-from .verify import replay_consistency
+
+# perfbench's tracer rebinds these two names in this module, so they stay
+# importable from it; the attack itself calls neither
+from .stg import merge_rounds  # noqa: F401
+from .verify import replay_consistency  # noqa: F401
 
 
 @dataclass
@@ -162,41 +175,44 @@ def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:
 
     Every round gets a fresh stimulus seed drawn from the master seed and
     is solved, folded and merged by :func:`_solve_round`.  A round the
-    accumulated graph refused is offered to :func:`_challenge`.  Failed
-    rounds never abort the attack — the loop runs until the recovered
-    fraction reaches ``cfg.goal`` or ``cfg.max_rounds`` rounds have
-    executed.
+    accumulated graph refused is offered to :func:`_challenge`, and a
+    round that neither merged nor took over leaves its trace held to the
+    accumulated graph.  Failed rounds never abort the attack — the loop
+    runs until the recovered fraction reaches ``cfg.goal`` or
+    ``cfg.max_rounds`` rounds have executed.
     """
     n_vectors = _validate(cfg, device)
     master = random.Random(cfg.seed)
-    acc: MooreFsm | None = None
-    challenger: MooreFsm | None = None
+    acc = MergeGraph()
+    challenger: MergeGraph | None = None
+    evidence = recovery.OutputEvidence()
+    traces: list[Trace] = []
     records: list[RoundRecord] = []
     goal_met = False
     t_start = time.perf_counter()
     for round_no in range(cfg.max_rounds):
         round_seed = master.getrandbits(32)
         stimulus = gen_stimulus(n_vectors, device.input_bits, round_seed)
-        traces = [r.trace for r in records]
         traces.append(run_trace(device, stimulus, seed=round_seed))
-        record, graph = _solve_round(cfg, round_no, traces, acc)
-        if graph is not None and record.status != "merged":
-            graph, challenger = _challenge(acc, challenger, graph, traces)
-            if graph is not None:
-                record.status = "merged"
-        if graph is not None:
-            before = transition_count(acc) if acc is not None else 0
-            record.new_transitions = transition_count(graph) - before
-            acc = graph
+        evidence.add(traces[-1])
+        before = acc.transitions
+        record, refused = _solve_round(cfg, round_no, traces, evidence, acc)
+        if refused is not None:
+            won, challenger = _challenge(acc, challenger, refused, traces)
+            if won is not None:
+                acc, record.status = won, "merged"
+        if record.status != "merged":
+            acc.hold(traces[-1])
+        record.new_transitions = acc.transitions - before
         record.fraction = recovery_fraction(
-            acc, cfg.state_count_guess, device.input_bits
+            acc.transitions, cfg.state_count_guess, device.input_bits
         )
         records.append(record)
         if record.fraction >= cfg.goal:
             goal_met = True
             break
     return AttackResult(
-        recovered=acc,
+        recovered=acc.machine(),
         rounds=records,
         goal_met=goal_met,
         total_ms=(time.perf_counter() - t_start) * 1000.0,
@@ -207,17 +223,20 @@ def _solve_round(
     cfg: AttackConfig,
     round_no: int,
     traces: list[Trace],
-    acc: MooreFsm | None,
+    evidence: recovery.OutputEvidence,
+    acc: MergeGraph,
 ) -> tuple[RoundRecord, MooreFsm | None]:
-    """Solve the newest trace and fold it into ``acc``, once wider on a misfit.
+    """Solve the newest trace and merge its fold into ``acc``, once wider
+    on a misfit.
 
     Returns the round's record (its new transitions and fraction still to
-    be filled in) and the graph :func:`_fold_and_merge` returned for its
-    last solve.  Earlier traces pool into the state-grouping guess only.
+    be filled in) and the fold :func:`_fold_and_merge` handed on for its
+    last solve.  Earlier traces pool into the state-grouping guess only;
+    ``evidence`` has already judged every trace in ``traces``.
     """
     trace = traces[-1]
     t0 = time.perf_counter()
-    classes = recovery.merge_hypothesis(trace, traces[:-1])
+    classes = recovery.merge_hypothesis(trace, traces[:-1], evidence=evidence)
     # Retry wider only when the state-grouping guess itself does not fit
     # the width — the one case where the first satisfiable width
     # demonstrably cannot separate all the states.  Anything else is a
@@ -240,7 +259,7 @@ def _solve_round(
         solver_ms += (time.perf_counter() - t0) * 1000.0
         attempts += found.attempts
         assignment = found.assignment
-        status, graph = _fold_and_merge(cfg, traces, assignment, acc)
+        status, refused = _fold_and_merge(cfg, traces, assignment, acc)
         if status == "merged" or assignment is None or assignment.width >= fit:
             break
         t0 = time.perf_counter()
@@ -253,23 +272,23 @@ def _solve_round(
         assignment=assignment,
         attempts=tuple(attempts),
     )
-    return record, graph
+    return record, refused
 
 
 def _fold_and_merge(
     cfg: AttackConfig,
     traces: list[Trace],
     assignment: EncodingAssignment | None,
-    acc: MooreFsm | None,
+    acc: MergeGraph,
 ) -> tuple[str, MooreFsm | None]:
     """Fold the newest trace under ``assignment`` and merge it into ``acc``.
 
-    Returns (status, graph): the merged graph when ``"merged"``, the fold
-    when ``acc`` refused it but it replays every trace in ``traces`` on its
-    own, else None.  The merged graph, a homomorphic image of the fold,
-    fails every trace the fold fails, so it is replayed first and the fold
-    only when the merge clashed or failed.  No assignment means the solve
-    failed.
+    ``acc`` keeps the merge when the closure finds no clash and every
+    trace it holds still replays; the newest trace replays on its own fold
+    and so on every image of it.  Returns (status, fold): the fold is
+    handed on when ``acc`` refused it but it replays every trace in
+    ``traces`` on its own, and is None otherwise.  No assignment means the
+    solve failed.
     """
     if assignment is None:
         return "solver-failed", None
@@ -282,25 +301,24 @@ def _fold_and_merge(
         # same-state positions apart, so the fold is redundant even though
         # it is deterministic
         return "fold-rejected", None
-    try:
-        merged = merge_rounds(acc, graph)
-    except StgConflictError:
-        merged = None
-    if merged is not None and replay_consistency(merged, traces).consistent:
-        return "merged", merged
-    if not replay_consistency(graph, traces).consistent:
+    merged = acc.merge(graph)
+    if merged:
+        if acc.replays():
+            return "merged", None
+        acc.undo()
+    if not MergeGraph(graph).replays(traces):
         return "replay-rejected", None
     # the fold replays everything on its own, so the clash with the
     # accumulated graph leaves either side suspect
-    return ("merge-rejected" if merged is None else "replay-rejected"), graph
+    return ("replay-rejected" if merged else "merge-rejected"), graph
 
 
 def _challenge(
-    acc: MooreFsm | None,
-    challenger: MooreFsm | None,
+    acc: MergeGraph,
+    challenger: MergeGraph | None,
     refused: MooreFsm,
     traces: list[Trace],
-) -> tuple[MooreFsm | None, MooreFsm | None]:
+) -> tuple[MergeGraph | None, MergeGraph | None]:
     """Pool a graph ``acc`` refused into the challenger; maybe take over.
 
     A dropped round may be right while the accumulated graph is wrong: a
@@ -308,22 +326,15 @@ def _challenge(
     seniority alone.  Refused graphs pool into a challenger graph, which
     starts over from the newest one when they clash; when that mutually
     consistent body strictly outgrows the accumulated graph and still
-    replays every captured trace, the bigger body of evidence takes over.
-    Artifact rounds rarely cohere with each other, so a healthy
-    accumulated graph is never displaced.
+    replays every captured trace from the reset, the bigger body of
+    evidence takes over, holding those traces.  Artifact rounds rarely
+    cohere with each other, so a healthy accumulated graph is never
+    displaced.
 
     Returns (graph that takes over or None, challenger kept for later).
     """
-    if challenger is None:
-        challenger = refused
-    else:
-        try:
-            challenger = merge_rounds(challenger, refused)
-        except StgConflictError:
-            challenger = refused
-    acc_count = transition_count(acc) if acc is not None else 0
-    if transition_count(challenger) > acc_count and replay_consistency(
-        challenger, traces
-    ).consistent:
+    if challenger is None or not challenger.merge(refused):
+        challenger = MergeGraph(refused)
+    if challenger.transitions > acc.transitions and challenger.replays(traces):
         return challenger, None
     return None, challenger

@@ -73,9 +73,11 @@ class BlackBoxDevice:
 class Trace:
     """One capture run: N input vectors, N+1 outputs, N current readings.
 
-    ``inferred`` is not passed in: it is ``infer_hd`` of each current,
-    computed when the trace is built.  Equal bands give the same shared
-    ``InferredHd`` object, which is frozen.
+    ``inferred`` and ``groups`` are not passed in but computed when the
+    trace is built: ``inferred`` is ``infer_hd`` of each current, and equal
+    bands give the same shared ``InferredHd`` object, which is frozen;
+    ``groups`` is :func:`output_groups` of the outputs, read by the state
+    guess, the width bound and every constraint set built from the trace.
     """
 
     input_bits: int
@@ -85,6 +87,7 @@ class Trace:
     currents: list[float]
     seed: int
     inferred: list[InferredHd] = field(init=False)
+    groups: list[int] = field(init=False)
 
     @property
     def n_steps(self) -> int:
@@ -97,6 +100,13 @@ class Trace:
         if len(self.currents) != n:
             raise ValueError("currents must have one entry per step")
         self.inferred = [infer_hd(c) for c in self.currents]
+        self.groups = output_groups(self.outputs)
+
+
+def output_groups(outputs: list[str]) -> list[int]:
+    """Dense output-group id per position, numbered in first-seen order."""
+    ids: dict[str, int] = {}
+    return [ids.setdefault(out, len(ids)) for out in outputs]
 
 
 def choose_vector_count(state_count: int, input_bits: int, multiplier: float = 2.0) -> int:

@@ -26,7 +26,8 @@ class Congruence:
     ``loop``.  The smaller node id always becomes the root, so a class is
     named by its least member.  ``edges`` is keyed by root: a merged-away
     node's edges move to its root.  ``undo`` takes back the last ``merge``,
-    so a trial merge needs no copy.
+    so a trial merge needs no copy; ``add`` appends nodes and ``truncate``
+    drops them again, so one structure can grow by a graph at a time.
     """
 
     def __init__(
@@ -112,6 +113,26 @@ class Congruence:
             else:
                 self.edges[rx] = kept
         self.trail = []
+
+    def add(
+        self, outputs: list[str], edges: dict[int, dict[int, tuple[int, Any]]]
+    ) -> None:
+        """Append one node per output, each in a class of its own.  The new
+        nodes take the ids from ``len(parent)`` on, and ``edges`` holds
+        their out-edges under those ids."""
+        first = len(self.parent)
+        self.parent.extend(range(first, first + len(outputs)))
+        self.outputs.extend(outputs)
+        self.edges.update(edges)
+
+    def truncate(self, n: int) -> None:
+        """Drop every node from ``n`` on.  No node below ``n`` may be joined
+        to one of them or step to one, as after an ``undo`` of every merge
+        since they were added."""
+        for node in range(n, len(self.parent)):
+            self.edges.pop(node, None)
+        del self.parent[n:]
+        del self.outputs[n:]
 
     def classes(self, n: int) -> list[int]:
         """Class per node for the first ``n`` nodes, ids dense from 0 in

@@ -81,7 +81,7 @@ def forced_width(trace: Trace) -> int:
     every narrower width is unsatisfiable (Heule & Verwer, "Exact DFA
     Identification Using SAT Solvers", ICGI 2010).
     """
-    groups = output_groups(trace.outputs)
+    groups = trace.groups
     doubled = {
         groups[k]
         for k, inf in enumerate(trace.inferred)
@@ -91,27 +91,22 @@ def forced_width(trace: Trace) -> int:
     return code_width(k)
 
 
-def output_groups(outputs: list[str]) -> list[int]:
-    """Dense output-group id per position, numbered in first-seen order."""
-    ids: dict[str, int] = {}
-    return [ids.setdefault(out, len(ids)) for out in outputs]
-
-
 def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     """Constraints for ``trace`` at register width ``width``.
 
     Each step keeps the channel's inference window [``lo``, min(width,
     ``hi``)], so an exact zero reading gives (0, 0).  A window that empties
     after clamping (the width cannot carry the observed distance) is still
-    recorded and makes the set trivially unsatisfiable.  Output groups come
-    from :func:`output_groups`.  The set is O(N).
+    recorded and makes the set trivially unsatisfiable.  The output groups
+    are the trace's own, :func:`~fsmrecon.capture.output_groups` of its
+    outputs, shared rather than copied.  The set is O(N).
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     return ConstraintSet(
         width=width,
         windows=[(inf.lo, min(width, inf.hi)) for inf in trace.inferred],
-        groups=output_groups(trace.outputs),
+        groups=trace.groups,
     )
 
 

@@ -30,7 +30,6 @@ from .constraints import (
     build_constraints,
     find_violation,
     forced_width,
-    output_groups,
 )
 from .fsm import code_width
 from .sat import SAT, TIMEOUT, UNSAT, CdclSolver, SolverStats
@@ -95,20 +94,38 @@ def _window_meet(
 _MERGE_MAX_POSITIONS = 2000
 
 
-def _outputs_identify_states(walks: list[Trace]) -> bool:
-    """Whether grouping the pooled positions by output is a consistent guess.
+class OutputEvidence:
+    """Whether grouping positions by output is a consistent state guess,
+    judged one walk at a time.
 
     Determinism closure never joins two outputs, so closing the output
     partition either fails or returns it unchanged, and it fails exactly
     when one (output, input) pair steps to two successor outputs or over
     distance windows with no common point.  Add the rule that a nonzero
     step never joins one class to itself, and one dictionary pass decides
-    it, with no union-find.
+    it, with no union-find.  ``seen`` maps each (output, input) pair to its
+    successor output and the running window intersection.  The verdict
+    ``holds`` does not depend on the order the walks come in, and once
+    false it stays false, so an attack adds each round's walk once and
+    scans nothing twice.
     """
-    seen: dict[tuple[str, int], tuple[str, int, int]] = {}
-    for w in walks:
-        outs = w.outputs
-        for out, nxt, vec, inf in zip(outs, outs[1:], w.stimulus, w.inferred):
+
+    def __init__(self) -> None:
+        self.seen: dict[tuple[str, int], tuple[str, int, int]] = {}
+        self.holds = True
+
+    def add(self, walk: Trace) -> bool:
+        """Judge one more walk; returns the verdict over every walk added."""
+        if self.holds:
+            self.holds = self._scan(walk)
+        return self.holds
+
+    def _scan(self, walk: Trace) -> bool:
+        seen = self.seen
+        outs = walk.outputs
+        for out, nxt, vec, inf in zip(
+            outs, outs[1:], walk.stimulus, walk.inferred
+        ):
             if inf.center > 0 and out == nxt:
                 return False
             key = (out, vec)
@@ -125,19 +142,28 @@ def _outputs_identify_states(walks: list[Trace]) -> bool:
                 if lo > hi:
                     return False
                 seen[key] = (to, lo, hi)
-    return True
+        return True
+
+
+def _outputs_identify_states(walks: list[Trace]) -> bool:
+    """The :class:`OutputEvidence` verdict over ``walks``, all at once."""
+    evidence = OutputEvidence()
+    return all(evidence.add(w) for w in walks)
 
 
 def merge_hypothesis(
-    trace: Trace, extra: list[Trace] | tuple[Trace, ...] = ()
+    trace: Trace,
+    extra: list[Trace] | tuple[Trace, ...] = (),
+    evidence: OutputEvidence | None = None,
 ) -> list[int]:
     """Guess which trace positions share a state, by evidence-driven merging.
 
-    Grouping by output vector is tried first, in one dictionary pass over
-    every walk with no union-find.  It holds when each (output, input) pair
-    steps to one successor output, the distance windows of those steps
-    share a point, and no step with a nonzero distance joins two equal
-    outputs; it is exact whenever every state owns its output vector.
+    Grouping by output vector is tried first, by :class:`OutputEvidence`
+    over every walk, with no union-find.  It holds when each (output,
+    input) pair steps to one successor output, the distance windows of
+    those steps share a point, and no step with a nonzero distance joins
+    two equal outputs; it is exact whenever every state owns its output
+    vector.
     Failing that, positions joined by exact zero-distance
     steps are one node from the start, and determinism closure runs over
     them: one node stepped by one input reaches one node.  A core of
@@ -154,7 +180,11 @@ def merge_hypothesis(
     without contributing positions: all traces start at the one reset state,
     so their position graphs join at the root and every extra observation
     sharpens the merges.  A single walk rarely pins down machines with few
-    distinct outputs; pooled walks usually do.
+    distinct outputs; pooled walks usually do.  ``evidence``, when given,
+    must hold exactly ``trace`` and ``extra``: a caller that adds each walk
+    as it is captured need not have them all rescanned.  Past the search's
+    position ceiling the pooled walks are shed, and the trace alone is
+    judged afresh.
     """
     n = trace.n_steps + 1
     walks = [trace, *extra]
@@ -164,15 +194,18 @@ def merge_hypothesis(
             trace.output_bits,
         ):
             raise ValueError("pooled traces must share input/output arity")
-    if _outputs_identify_states(walks):
-        return output_groups(trace.outputs)
+    grouped = (
+        _outputs_identify_states(walks) if evidence is None else evidence.holds
+    )
+    if grouped:
+        return trace.groups
     *offsets, total = accumulate((w.n_steps + 1 for w in walks), initial=0)
     if total > _MERGE_MAX_POSITIONS:
         # the merge search below is too costly here: shed the optional
         # pooled evidence first, past that settle for output grouping
         if extra and n <= _MERGE_MAX_POSITIONS:
             return merge_hypothesis(trace)
-        return output_groups(trace.outputs)
+        return trace.groups
     outs: list[str] = []
     succs: dict[int, dict[int, tuple[int, tuple[int, int]]]] = {}
     for w, off in zip(walks, offsets):
@@ -188,14 +221,14 @@ def merge_hypothesis(
     # every walk begins at the same physical reset state
     for off in offsets[1:]:
         if cong.merge(0, off) < 0:
-            return output_groups(trace.outputs)
+            return trace.groups
     # zero-distance steps: same state before and after, merge up front
     for w, off in zip(walks, offsets):
         for k, inf in enumerate(w.inferred):
             if inf.center == 0:
                 if cong.merge(off + k, off + k + 1) < 0:
                     # inconsistent; best effort
-                    return output_groups(trace.outputs)
+                    return trace.groups
 
     find = cong.find
     red: list[int] = [find(0)]

@@ -1,5 +1,6 @@
 """End-to-end attack-loop behavior: termination, accounting, invariants."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -19,17 +20,23 @@ from fsmrecon.attack import (
     _challenge,
     attack,
 )
-from fsmrecon.capture import BlackBoxDevice
+from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cli import main
 from fsmrecon.fsm import (
     MooreFsm,
     assign_binary_encoding,
+    code_width,
     serialize_kiss2,
     transition_count,
 )
-from fsmrecon.recovery import EncodingAssignment, RecoveryResult
+from fsmrecon.recovery import (
+    EncodingAssignment,
+    RecoveryResult,
+    recover_encodings,
+)
 from fsmrecon.stg import (
+    MergeGraph,
     StgConflictError,
     build_partial_stg,
     merge_rounds,
@@ -161,13 +168,13 @@ def test_escalations_reuse_the_round_state_guess(monkeypatch):
     depth = 0
     guess = recovery.merge_hypothesis
 
-    def counting(trace, extra=()):
+    def counting(trace, extra=(), **kw):
         nonlocal depth
         if depth == 0:  # its own fallback re-enters through the module
             calls.append(trace.seed)
         depth += 1
         try:
-            return guess(trace, extra)
+            return guess(trace, extra, **kw)
         finally:
             depth -= 1
 
@@ -195,7 +202,9 @@ def test_failed_escalation_reports_no_width(monkeypatch):
     monkeypatch.setattr(
         recovery,
         "merge_hypothesis",
-        lambda trace, extra=(): [k % 3 for k in range(trace.n_steps + 1)],
+        lambda trace, extra=(), **kw: [
+            k % 3 for k in range(trace.n_steps + 1)
+        ],
     )
     monkeypatch.setattr(attack_mod, "recover_encodings", fake_recover)
     _, _, res = run_attack("lion", max_rounds=1)
@@ -286,9 +295,11 @@ def test_recovered_graph_endpoints_are_known_states():
         assert 0 <= vec < (1 << enc.machine.input_bits)
 
 
-def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
+def random_attack_setup(seed, n_states, input_bits, output_bits, kind,
+                        vectors):
     """A 4-round, goal-1.0 attack on a seeded random complete Moore machine,
-    with the machine's state count as the operator's bound X."""
+    with the machine's state count as the operator's bound X: a maker of
+    fresh devices and the config."""
     machine = random_moore(
         random.Random(seed), n_states, input_bits, output_bits
     )
@@ -299,10 +310,17 @@ def random_attack(seed, n_states, input_bits, output_bits, kind, vectors):
         max_rounds=4,
         seed=seed,
     )
-    device = BlackBoxDevice(
-        assign_binary_encoding(machine), NoiseModel(kind=kind), noise_seed=seed
-    )
-    return attack(device, cfg)
+    enc = assign_binary_encoding(machine)
+
+    def make_device():
+        return BlackBoxDevice(enc, NoiseModel(kind=kind), noise_seed=seed)
+
+    return make_device, cfg
+
+
+def random_attack(**args):
+    make_device, cfg = random_attack_setup(**args)
+    return attack(make_device(), cfg)
 
 
 random_attack_args = dict(
@@ -332,7 +350,7 @@ def test_attack_accounting_holds_on_random_machines(**args):
         assert res.recovered is None
         total = 0
     assert res.fraction == recovery_fraction(
-        res.recovered, args["n_states"], args["input_bits"]
+        total, args["n_states"], args["input_bits"]
     )
     assert sum(r.new_transitions for r in res.rounds) == total
     assert res.goal_met == (res.fraction >= 1.0)
@@ -395,19 +413,23 @@ def fold_first_and_merge(cfg, traces, assignment, acc):
 
 def checking_stages(run):
     """Call ``run`` with every fold-and-merge stage checked against
-    :func:`fold_first_and_merge`; return its result and a count of the
-    (status, graph handed on) kinds seen."""
+    :func:`fold_first_and_merge` on the accumulated graph as a MooreFsm;
+    return its result and a count of the (status, graph handed on) kinds
+    seen."""
     seen = Counter()
     stage = attack_mod._fold_and_merge
 
     def checked(cfg, traces, assignment, acc):
-        status, graph = stage(cfg, traces, assignment, acc)
+        before = acc.machine()
         old, merged, refused = fold_first_and_merge(
-            cfg, traces, assignment, acc
+            cfg, traces, assignment, before
         )
+        status, graph = stage(cfg, traces, assignment, acc)
         assert status == old
-        assert graph == (merged if merged is not None else refused)
-        seen[status, graph is not None] += 1
+        # merged in place, or left exactly as it was
+        assert acc.machine() == (merged if merged is not None else before)
+        assert graph == refused
+        seen[status, merged is not None or refused is not None] += 1
         return status, graph
 
     with pytest.MonkeyPatch.context() as mp:
@@ -438,6 +460,177 @@ def test_merged_first_replay_matches_on_bundled_machines_under_noise():
         assert seen[kind] > 0, kind
 
 
+# ------------------------------------------------- full-rescan reference
+
+
+def full_rescan_challenge(acc, challenger, refused, traces):
+    """:func:`_challenge` on MooreFsm graphs: a pooled merge rebuilds the
+    challenger, and a takeover replays every trace from reset."""
+    if challenger is None:
+        challenger = refused
+    else:
+        try:
+            challenger = merge_rounds(challenger, refused)
+        except StgConflictError:
+            challenger = refused
+    acc_count = transition_count(acc) if acc is not None else 0
+    if transition_count(challenger) > acc_count and replay_consistency(
+        challenger, traces
+    ).consistent:
+        return challenger, None
+    return None, challenger
+
+
+def full_rescan_attack(device, cfg, seen):
+    """The attack with every round rescanning the attack so far.
+
+    The state guess runs the batch output-grouping check over every walk,
+    each merge rebuilds the accumulated MooreFsm with ``merge_rounds``, and
+    every trace is replayed from reset (:func:`fold_first_and_merge`).
+    ``seen`` counts the (status, graph handed on) kinds of the stage calls
+    as :func:`checking_stages` does, and ``"takeover"`` per challenger
+    takeover.  Returns the recovered graph and the round records.
+    """
+    n_vectors = attack_mod._validate(cfg, device)
+    master = random.Random(cfg.seed)
+    acc = challenger = None
+    records = []
+    for round_no in range(cfg.max_rounds):
+        round_seed = master.getrandbits(32)
+        stimulus = gen_stimulus(n_vectors, device.input_bits, round_seed)
+        traces = [r.trace for r in records]
+        traces.append(run_trace(device, stimulus, seed=round_seed))
+        trace = traces[-1]
+        classes = recovery.merge_hypothesis(trace, traces[:-1])
+        fit = code_width(max(classes) + 1)
+        attempts = []
+        for escalations, width_start in enumerate((None, fit)):
+            found = recover_encodings(
+                trace, width_start=width_start, timeout_ms=cfg.timeout_ms,
+                classes=classes,
+            )
+            attempts += found.attempts
+            assignment = found.assignment
+            status, graph, refused = fold_first_and_merge(
+                cfg, traces, assignment, acc
+            )
+            seen[status, graph is not None or refused is not None] += 1
+            if (status == "merged" or assignment is None
+                    or assignment.width >= fit):
+                break
+        if refused is not None:
+            graph, challenger = full_rescan_challenge(
+                acc, challenger, refused, traces
+            )
+            if graph is not None:
+                status = "merged"
+                seen["takeover"] += 1
+        before = transition_count(acc) if acc is not None else 0
+        if graph is not None:
+            acc = graph
+        after = transition_count(acc) if acc is not None else 0
+        fraction = recovery_fraction(
+            after, cfg.state_count_guess, device.input_bits
+        )
+        records.append(attack_mod.RoundRecord(
+            round_no, status, 0.0, escalations, trace, assignment,
+            tuple(attempts), after - before, fraction,
+        ))
+        if fraction >= cfg.goal:
+            break
+    return acc, records
+
+
+def accounting(records):
+    """Round records with their wall times zeroed."""
+    def untimed(a):
+        if a.stats is None:
+            return a
+        return dataclasses.replace(
+            a, stats=dataclasses.replace(a.stats, elapsed_s=0.0)
+        )
+
+    return [
+        dataclasses.replace(
+            r, solver_ms=0.0, attempts=tuple(map(untimed, r.attempts))
+        )
+        for r in records
+    ]
+
+
+def assert_matches_full_rescan(make_device, cfg, seen):
+    res = attack(make_device(), cfg)
+    recovered, records = full_rescan_attack(make_device(), cfg, seen)
+    assert accounting(res.rounds) == accounting(records)
+    assert res.recovered == recovered
+
+
+@given(**random_attack_args)
+@settings(max_examples=100, deadline=None)
+def test_attack_matches_the_full_rescan_reference(**args):
+    assert_matches_full_rescan(*random_attack_setup(**args), Counter())
+
+
+def test_the_full_rescan_comparison_reaches_rejections_and_takeovers():
+    # 300 cases of the generator, parameters drawn per case from the
+    # ranges of random_attack_args; every kind below is reached by case 59
+    seen = Counter()
+    for case in range(300):
+        rng = random.Random(case)
+        args = dict(
+            seed=rng.randrange(2**32), n_states=rng.randint(1, 4),
+            input_bits=rng.randint(1, 2), output_bits=rng.randint(1, 2),
+            kind=rng.choice(["exact", "table3", "gaussian"]),
+            vectors=rng.randint(4, 40),
+        )
+        assert_matches_full_rescan(*random_attack_setup(**args), seen)
+    for kind in (("fold-rejected", False), ("merge-rejected", True),
+                 ("replay-rejected", True), ("replay-rejected", False),
+                 "takeover"):
+        assert seen[kind] > 0, kind
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel.exact(), NoiseModel.table3(), NoiseModel.gaussian(30.0)],
+    ids=["exact", "table3", "gaussian-30"],
+)
+def test_attack_matches_the_full_rescan_reference_on_bundled_machines(noise):
+    seen = Counter()
+    for name in SMALL_BENCHMARKS:
+        enc = encoded_fixture(name)
+        for seed in (1, 2, 3):
+            cfg = AttackConfig(
+                state_count_guess=enc.machine.state_count, goal=1.0,
+                max_rounds=15, seed=seed,
+            )
+            assert_matches_full_rescan(
+                lambda enc=enc, seed=seed: BlackBoxDevice(
+                    enc, noise, noise_seed=seed
+                ),
+                cfg,
+                seen,
+            )
+    assert seen["merged", True] > 0
+
+
+def test_attack_matches_the_full_rescan_reference_over_56_rounds():
+    # s386 under table3 at 420 vectors, goal 1.0, seed 1: the merge graph
+    # and the replays' stop points live through 56 rounds
+    enc = encoded_fixture("s386")
+    cfg = AttackConfig(
+        state_count_guess=enc.machine.state_count, vectors_per_round=420,
+        goal=1.0, max_rounds=80, seed=1,
+    )
+    seen = Counter()
+    assert_matches_full_rescan(
+        lambda: BlackBoxDevice(enc, NoiseModel.table3(), noise_seed=1),
+        cfg,
+        seen,
+    )
+    assert seen == Counter({("merged", True): 56})
+
+
 # ---------------------------------------------------------------- challenger
 #
 # A one-input toggle: state 0 emits "0", state 1 emits "1", input 1 flips
@@ -455,50 +648,50 @@ TOGGLE_WALK = synthetic_trace(["0", "1", "0", "0"], [1, 1, 0],
 
 
 def test_challenger_pools_consistent_refused_graphs():
-    acc = stg(["0", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+    acc = MergeGraph(stg(["0", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1}))
     won, pool = _challenge(acc, None, stg(["0"], {(0, 0): 0}), [TOGGLE_WALK])
     assert won is None
     won, pool = _challenge(acc, pool, stg(["0", "1"], {(0, 1): 1}),
                            [TOGGLE_WALK])
     assert won is None
-    assert pool.outputs == ["0", "1"]
-    assert pool.delta == {(0, 0): 0, (0, 1): 1}
+    assert pool.machine().outputs == ["0", "1"]
+    assert pool.machine().delta == {(0, 0): 0, (0, 1): 1}
 
 
 def test_challenger_restarts_from_the_new_graph_on_a_clash():
-    acc = stg(["0", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1})
-    pool = stg(["0", "1"], {(0, 1): 1})
+    acc = MergeGraph(stg(["0", "1"], {(0, 0): 0, (0, 1): 1, (1, 0): 1}))
+    pool = MergeGraph(stg(["0", "1"], {(0, 1): 1}))
     refused = stg(["0"], {(0, 1): 0})  # input 1 from reset emits "0" here
     won, kept = _challenge(acc, pool, refused, [TOGGLE_WALK])
     assert won is None
-    assert kept is refused
+    assert kept.machine() is refused
 
 
 def test_challenger_takes_over_only_when_strictly_larger_and_replaying():
     refused = stg(["0", "1"], {(0, 1): 1, (1, 1): 0})
     # as large as the accumulated graph: no takeover
-    same_size = stg(["0"], {(0, 0): 0, (0, 1): 0})
+    same_size = MergeGraph(stg(["0"], {(0, 0): 0, (0, 1): 0}))
     won, kept = _challenge(same_size, None, refused, [TOGGLE_WALK])
-    assert won is None and kept is refused
+    assert won is None and kept.machine() is refused
     # larger, but contradicted by a captured trace: no takeover
-    acc = stg(["0"], {(0, 0): 0})
+    acc = MergeGraph(stg(["0"], {(0, 0): 0}))
     stuck = synthetic_trace(["0", "0"], [1], stimulus=[1])
     won, kept = _challenge(acc, None, refused, [TOGGLE_WALK, stuck])
-    assert won is None and kept is refused
+    assert won is None and kept.machine() is refused
     # larger and replays every trace: the pool takes over and is spent
     won, kept = _challenge(acc, None, refused, [TOGGLE_WALK])
-    assert won is refused and kept is None
+    assert won.machine() is refused and kept is None
 
 
 def test_pooled_challenger_takes_over_once_it_outgrows_the_graph():
-    acc = stg(["0"], {(0, 0): 0})
+    acc = MergeGraph(stg(["0"], {(0, 0): 0}))
     won, pool = _challenge(acc, None, stg(["0", "1"], {(0, 1): 1}),
                            [TOGGLE_WALK])
     assert won is None  # one transition against one
     won, pool = _challenge(acc, pool, stg(["0", "1"], {(0, 1): 1, (1, 1): 0}),
                            [TOGGLE_WALK])
     assert pool is None
-    assert won.delta == {(0, 1): 1, (1, 1): 0}
+    assert won.machine().delta == {(0, 1): 1, (1, 1): 0}
 
 
 # ---------------------------------------------------------------- bookkeeping

@@ -118,6 +118,47 @@ def test_a_zero_self_loop_is_accepted():
     assert c.edges == {0: {0: (0, (0, 0))}}
 
 
+@st.composite
+def edge_maps(draw, sources, targets):
+    """At most one edge per input bit from each source node."""
+    edges = {}
+    for src in sources:
+        for vec in (0, 1):
+            dst = draw(st.none() | st.sampled_from(targets))
+            if dst is not None:
+                edges.setdefault(src, {})[vec] = (dst, vec)
+    return edges
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_added_nodes_truncate_back_to_the_structure_before(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    outputs = data.draw(st.lists(st.sampled_from("ab"), min_size=n,
+                                 max_size=n))
+    c = Congruence(list(outputs), data.draw(edge_maps(range(n), range(n))),
+                   keep_first)
+    node = st.integers(min_value=0, max_value=n - 1)
+    for a, b in data.draw(st.lists(st.tuples(node, node), max_size=3)):
+        if c.merge(a, b) < 0:
+            c.undo()
+    before = snapshot(c)
+    classes = c.classes(n)
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    grown = data.draw(st.lists(st.sampled_from("ab"), min_size=k, max_size=k))
+    # the new nodes step among themselves and into the old ones
+    c.add(grown, data.draw(edge_maps(range(n, n + k), range(n + k))))
+    assert c.outputs == outputs + grown
+    assert c.classes(n) == classes
+    assert [c.find(x) for x in range(n, n + k)] == list(range(n, n + k))
+    # a merge that joins old and new nodes, taken back
+    c.merge(data.draw(node), data.draw(st.integers(n, n + k - 1)))
+    c.undo()
+    c.truncate(n)
+    assert snapshot(c) == before
+    assert c.outputs == outputs
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_states=st.integers(min_value=1, max_value=6),

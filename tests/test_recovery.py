@@ -16,7 +16,12 @@ from conftest import (
     true_state_sequence,
 )
 from fsmrecon import benchmarks, recovery
-from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
+from fsmrecon.capture import (
+    BlackBoxDevice,
+    gen_stimulus,
+    output_groups,
+    run_trace,
+)
 from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
 from fsmrecon.congruence import Congruence
@@ -24,7 +29,6 @@ from fsmrecon.constraints import (
     build_constraints,
     find_violation,
     forced_width,
-    output_groups,
 )
 from fsmrecon.fsm import assign_binary_encoding
 from fsmrecon.recovery import (
@@ -787,6 +791,39 @@ def test_one_pass_output_grouping_agrees_with_the_closure(**args):
         assert classes == reference == output_groups(trace.outputs)
     else:
         assert classes == evidence_search(trace, extra)
+
+
+@given(data=st.data(), **pooled_walk_args)
+@settings(max_examples=200, deadline=None)
+def test_output_evidence_fed_walk_by_walk_matches_the_closure(data, **args):
+    # in any order, each prefix gets the closure's verdict, so the verdict
+    # never turns true again once false, and the last is the batch one
+    walks = random_walks(**args)
+    batch = recovery._outputs_identify_states(walks)
+    walks = [walks[k] for k in data.draw(st.permutations(range(len(walks))))]
+    evidence = recovery.OutputEvidence()
+    verdicts = [evidence.add(w) for w in walks]
+    for k, verdict in enumerate(verdicts):
+        reference = closure_output_grouping(walks[0], walks[1 : k + 1])
+        assert verdict == (reference is not None)
+    assert verdicts == sorted(verdicts, reverse=True)
+    assert verdicts[-1] == evidence.holds == batch
+
+
+@pytest.mark.parametrize("name, holds", [("opus", True), ("lion", False)])
+def test_given_evidence_stands_in_for_the_pooled_check(
+    monkeypatch, name, holds
+):
+    # the guess reads the caller's verdict and scans no walk for it
+    _, trace = machine_trace(name, 30, seed=3)
+    extra = [machine_trace(name, 30, seed)[1] for seed in (1, 2)]
+    evidence = recovery.OutputEvidence()
+    for w in (*extra, trace):
+        evidence.add(w)
+    assert evidence.holds == holds
+    expected = merge_hypothesis(trace, extra)
+    monkeypatch.setattr(recovery, "_outputs_identify_states", None)
+    assert merge_hypothesis(trace, extra, evidence=evidence) == expected
 
 
 def copy_and_rescan_search(trace, extra):

@@ -13,6 +13,7 @@ from fsmrecon.recovery import (
     recover_encodings,
 )
 from fsmrecon.stg import (
+    MergeGraph,
     StgConflictError,
     build_partial_stg,
     fold_states,
@@ -126,7 +127,7 @@ def test_merge_converges_to_true_machine_size():
         acc = merge_rounds(acc, g)
     assert acc.state_count == 4
     assert transition_count(acc) == 4 * 8  # complete coverage
-    assert recovery_fraction(acc, 4, 3) == 1.0
+    assert recovery_fraction(transition_count(acc), 4, 3) == 1.0
 
 
 def test_merge_rejects_reset_output_clash():
@@ -218,15 +219,103 @@ def test_a_merge_fails_every_replay_its_fold_fails(data, input_bits):
     assert set(verdict.issues) <= set(issues)
 
 
+# ------------------------------------------------------------- merge graph
+
+
+@st.composite
+def walks_on(draw, g):
+    """A trace that follows ``g`` from reset while ``g`` has the steps,
+    with arbitrary outputs past the first one it lacks."""
+    steps = draw(st.integers(min_value=0, max_value=6))
+    stimulus = draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << g.input_bits) - 1),
+        min_size=steps, max_size=steps,
+    ))
+    state = g.reset
+    outputs = [g.outputs[state]]
+    for vec in stimulus:
+        state = None if state is None else g.delta.get((state, vec))
+        outputs.append(
+            draw(st.sampled_from("01")) if state is None else g.outputs[state]
+        )
+    return synthetic_trace(
+        outputs, [1] * steps, input_bits=g.input_bits, stimulus=stimulus
+    )
+
+
+def merge_graph_state(g):
+    """Everything a MergeGraph holds, copied: its closure, its transition
+    count, the stop point of every held trace and the graph it hands out."""
+    c = g.cong
+    return (
+        list(c.parent),
+        list(c.outputs),
+        {root: dict(out) for root, out in c.edges.items()},
+        g.transitions,
+        list(g._resume),
+        g.machine(),
+    )
+
+
+@given(data=st.data(), input_bits=st.integers(min_value=1, max_value=2))
+@settings(max_examples=300, deadline=None)
+def test_a_refused_merge_leaves_the_graph_and_its_replays_as_they_were(
+    data, input_bits
+):
+    # each merge and replay also agrees with merge_rounds and a replay of
+    # every trace from reset on the MooreFsm
+    first = data.draw(partial_graphs(input_bits))
+    traces = data.draw(st.lists(walks_on(first), max_size=3))
+    acc = MergeGraph(first)
+    assert acc.replays(traces)
+    machine = first
+    folds = data.draw(
+        st.lists(partial_graphs(input_bits), min_size=1, max_size=3)
+    )
+    for fold in folds:
+        before = merge_graph_state(acc)
+        try:
+            merged = merge_rounds(machine, fold)
+        except StgConflictError:
+            merged = None
+        if acc.merge(fold):
+            assert merged is not None
+            if acc.replays():
+                assert replay_consistency(merged, traces).consistent
+                assert acc.machine() == merged
+                machine = merged
+                continue
+            assert not replay_consistency(merged, traces).consistent
+            acc.undo()
+        else:
+            assert merged is None
+        assert merge_graph_state(acc) == before
+
+
+def test_an_empty_merge_graph_hands_out_its_first_graph_as_given():
+    acc = MergeGraph()
+    assert acc.machine() is None and acc.transitions == 0
+    first = graph(1, ["0", "1"], {(0, 1): 1, (1, 0): 0})
+    assert acc.merge(first)
+    assert acc.machine() is first and acc.transitions == 2
+    # a merge since: numbered breadth-first, so the first graph's state 1
+    # is s2, after the state input 0 reaches
+    assert acc.merge(graph(1, ["0", "1"], {(0, 0): 1}))
+    assert acc.transitions == 3
+    assert acc.machine() == graph(
+        1, ["0", "1", "1"], {(0, 0): 1, (0, 1): 2, (2, 0): 0}
+    )
+
+
 # ---------------------------------------------------------------- fraction
 
 
 def test_fraction_counts_against_full_transition_space():
     stg = graph(2, ["0"], {(0, 0): 0, (0, 1): 0})
-    assert recovery_fraction(stg, 4, 2) == 2 / 16
-    assert recovery_fraction(None, 4, 2) == 0.0
+    assert recovery_fraction(transition_count(stg), 4, 2) == 2 / 16
+    assert recovery_fraction(0, 4, 2) == 0.0  # nothing recovered yet
     with pytest.raises(ValueError):
-        recovery_fraction(stg, 0, 2)
+        recovery_fraction(transition_count(stg), 0, 2)
 
 
 # ------------------------------------------------------------- kiss2 view

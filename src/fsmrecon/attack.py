@@ -57,6 +57,12 @@ from .stg import merge_rounds  # noqa: F401
 from .verify import replay_consistency  # noqa: F401
 
 
+# 8 times the default round of the largest table the reader accepts (2 x
+# 65,536 entries); a round past it is refused before its stimulus is built,
+# which at --multiplier 1e300 would run until memory gave out
+MAX_VECTORS_PER_ROUND = 1 << 20
+
+
 @dataclass
 class AttackConfig:
     """Everything one attack run needs besides the device itself.
@@ -65,7 +71,8 @@ class AttackConfig:
     states; together with the device's input width I it sets the
     transition total X * 2**I that the recovery fraction is measured
     against.  ``vectors_per_round`` overrides the default stimulus length
-    of ceil(2 * X * 2**I).  The constraint set grows
+    of ceil(2 * X * 2**I); either way a round is at most
+    :data:`MAX_VECTORS_PER_ROUND` vectors.  The constraint set grows
     linearly with the round length, but a width whose phase seed fails is
     encoded to a CNF that grows quadratically (one distinctness clause per
     pair of positions with differing outputs), so attacks on large machines
@@ -161,13 +168,20 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
     if cfg.timeout_ms < 1:
         raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
-    if cfg.vectors_per_round is not None:
-        if cfg.vectors_per_round < 1:
-            raise ValueError(
-                f"vectors per round must be >= 1, got {cfg.vectors_per_round}"
-            )
-        return cfg.vectors_per_round
-    return choose_vector_count(cfg.state_count_guess, device.input_bits)
+    if cfg.vectors_per_round is None:
+        n = choose_vector_count(cfg.state_count_guess, device.input_bits)
+    elif cfg.vectors_per_round < 1:
+        raise ValueError(
+            f"vectors per round must be >= 1, got {cfg.vectors_per_round}"
+        )
+    else:
+        n = cfg.vectors_per_round
+    if n > MAX_VECTORS_PER_ROUND:
+        shown = n if n < 10**15 else f"{n:.3g}"  # --multiplier 1e300 is 301 digits
+        raise ValueError(
+            f"vectors per round must be <= {MAX_VECTORS_PER_ROUND}, got {shown}"
+        )
+    return n
 
 
 def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .channel import InferredHd, NoiseModel, infer_hd, synthesize_current
-from .fsm import EncodedFsm, step
+from .fsm import EncodedFsm
 
 
 class BlackBoxDevice:
@@ -22,9 +23,11 @@ class BlackBoxDevice:
 
     The device owns its noise generator, so captured noise depends only on
     the noise seed and the clocking sequence — never on how the stimulus
-    was produced.  Its step table is built once, from ``fsm.step`` for
-    every (state, input vector), so a clock is one range check and one
-    table read before the current is synthesized.
+    was produced.  Its step table is built once, straight from the
+    machine's ``delta`` and the register ``encodings``: for every (state,
+    input vector), the next state, its output and the register distance.
+    A clock is then one range check and one table read before the current
+    is synthesized.
     """
 
     def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int):
@@ -35,9 +38,14 @@ class BlackBoxDevice:
         self._noise_seed = noise_seed
         self._rng = random.Random(noise_seed)
         self._state = m.reset
+        codes = encoded.encodings
         vectors = range(1 << m.input_bits)
         self._table = [
-            [step(encoded, s, v) for v in vectors] for s in range(m.state_count)
+            [
+                (nxt, m.outputs[nxt], (codes[s] ^ codes[nxt]).bit_count())
+                for nxt in (m.delta[s, v] for v in vectors)
+            ]
+            for s in range(m.state_count)
         ]
 
     @property
@@ -54,19 +62,37 @@ class BlackBoxDevice:
         self._state = self._encoded.machine.reset
         return self._encoded.machine.outputs[self._state]
 
-    def clock(self, vector: int) -> tuple[str, float]:
-        """Apply one input vector: the new output and the current reading.
+    def walk(self, stimulus: Iterable[int]) -> tuple[list[str], list[float]]:
+        """Apply each input vector in turn: the outputs and current readings.
 
-        An out-of-range vector raises ValueError and leaves the device as
-        it was; a list index alone would accept a negative one.
+        An out-of-range vector raises ValueError, and the device keeps the
+        state the vectors before it reached, with noise drawn for those
+        vectors only; a list index alone would accept a negative one.
         """
-        row = self._table[self._state]
-        if not 0 <= vector < len(row):
-            raise ValueError(
-                f"input vector {vector} does not fit in {self.input_bits} bits"
-            )
-        self._state, output, hd = row[vector]
-        return output, synthesize_current(hd, self._noise, self._rng)
+        table = self._table
+        n_vectors = 1 << self.input_bits
+        noise, rng = self._noise, self._rng
+        state = self._state
+        outputs: list[str] = []
+        currents: list[float] = []
+        try:
+            for vector in stimulus:
+                if not 0 <= vector < n_vectors:
+                    raise ValueError(
+                        f"input vector {vector} does not fit in "
+                        f"{self.input_bits} bits"
+                    )
+                state, output, hd = table[state][vector]
+                outputs.append(output)
+                currents.append(synthesize_current(hd, noise, rng))
+        finally:
+            self._state = state
+        return outputs, currents
+
+    def clock(self, vector: int) -> tuple[str, float]:
+        """Apply one input vector: the new output and the current reading."""
+        outputs, currents = self.walk((vector,))
+        return outputs[0], currents[0]
 
 
 @dataclass
@@ -99,7 +125,11 @@ class Trace:
             raise ValueError(f"expected {n + 1} outputs, got {len(self.outputs)}")
         if len(self.currents) != n:
             raise ValueError("currents must have one entry per step")
-        self.inferred = [infer_hd(c) for c in self.currents]
+        # one infer_hd per distinct current: a banded channel emits few
+        band: dict[float, InferredHd] = {}
+        self.inferred = [
+            band.get(c) or band.setdefault(c, infer_hd(c)) for c in self.currents
+        ]
         self.groups = output_groups(self.outputs)
 
 
@@ -123,7 +153,10 @@ def choose_vector_count(state_count: int, input_bits: int, multiplier: float = 2
         raise ValueError(
             f"multiplier must be finite and >= 2.0, got {multiplier}"
         )
-    return math.ceil(multiplier * state_count * (1 << input_bits))
+    count = multiplier * state_count * (1 << input_bits)
+    if count == math.inf:
+        raise ValueError(f"multiplier {multiplier} gives an infinite vector count")
+    return math.ceil(count)
 
 
 def gen_stimulus(count: int, input_bits: int, seed: int) -> list[int]:
@@ -137,11 +170,8 @@ def gen_stimulus(count: int, input_bits: int, seed: int) -> list[int]:
 def run_trace(device: BlackBoxDevice, stimulus: list[int], seed: int) -> Trace:
     """Reset the device and replay ``stimulus``, recording everything seen."""
     outputs = [device.reset()]
-    currents: list[float] = []
-    for vector in stimulus:
-        out, current = device.clock(vector)
-        outputs.append(out)
-        currents.append(current)
+    more, currents = device.walk(stimulus)
+    outputs += more
     return Trace(
         input_bits=device.input_bits,
         output_bits=device.output_bits,

@@ -99,6 +99,11 @@ def midpoint(hd: int) -> float:
     return BAND_EDGES[-1] + step * (hd - top)
 
 
+# midpoint() of distances 0 to 15, read by synthesize_current; a wider
+# register falls back to computing it
+_MIDPOINTS = tuple(midpoint(hd) for hd in range(16))
+
+
 def sample_error(hd: int, rng: random.Random) -> int:
     """``table3`` band error for one clocking at actual distance ``hd``.
 
@@ -128,11 +133,13 @@ def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
     """
     if hd < 0:
         raise ValueError(f"hd must be >= 0, got {hd}")
-    if model.kind == "exact":
-        return midpoint(hd)
-    if model.kind == "table3":
-        return midpoint(hd + sample_error(hd, rng))
-    value = midpoint(hd) + rng.gauss(0.0, model.sigma)
+    kind = model.kind
+    if kind == "table3":
+        hd += sample_error(hd, rng)
+    mid = _MIDPOINTS[hd] if hd < len(_MIDPOINTS) else midpoint(hd)
+    if kind != "gaussian":
+        return mid
+    value = mid + rng.gauss(0.0, model.sigma)
     zero_edge = BAND_EDGES[0]
     if hd == 0:
         return min(max(value, 0.0), math.nextafter(zero_edge, 0.0))
@@ -147,7 +154,9 @@ def _band_reading(center: int) -> InferredHd:
 
 
 # one reading per band, indexed by its center
-_READINGS = tuple(_band_reading(center) for center in range(len(BAND_EDGES) + 1))
+BAND_READINGS = tuple(
+    _band_reading(center) for center in range(len(BAND_EDGES) + 1)
+)
 
 
 def infer_hd(current: float) -> InferredHd:
@@ -155,7 +164,7 @@ def infer_hd(current: float) -> InferredHd:
 
     Every reading in one band gets the same shared ``InferredHd``.
     """
-    return _READINGS[band_center(current)]
+    return BAND_READINGS[band_center(current)]
 
 
 def pearson(xs, ys) -> float:

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .capture import Trace
+from .channel import BAND_READINGS
 from .fsm import code_width
 
 
@@ -95,7 +96,9 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     """Constraints for ``trace`` at register width ``width``.
 
     Each step keeps the channel's inference window [``lo``, min(width,
-    ``hi``)], so an exact zero reading gives (0, 0).  A window that empties
+    ``hi``)], so an exact zero reading gives (0, 0); a reading is one of
+    the channel's shared band readings, so each band is clamped once and
+    a step looks its window up by the band's center.  A window that empties
     after clamping (the width cannot carry the observed distance) is still
     recorded and makes the set trivially unsatisfiable.  The output groups
     are the trace's own, :func:`~fsmrecon.capture.output_groups` of its
@@ -103,9 +106,10 @@ def build_constraints(trace: Trace, width: int) -> ConstraintSet:
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    band = [(r.lo, min(width, r.hi)) for r in BAND_READINGS]
     return ConstraintSet(
         width=width,
-        windows=[(inf.lo, min(width, inf.hi)) for inf in trace.inferred],
+        windows=[band[inf.center] for inf in trace.inferred],
         groups=trace.groups,
     )
 

@@ -121,7 +121,7 @@ class EncodedFsm:
 
 
 class StepResult(NamedTuple):
-    """One clocking; a tuple, so a step table of them is cheap to build."""
+    """One checked clocking, as :func:`step` returns it."""
 
     next_state: int
     output: str
@@ -302,14 +302,15 @@ def serialize_kiss2(m: MealyFsm | MooreFsm) -> str:
         f".s {len(m.states)}",
         f".r {m.states[m.reset]}",
     ]
-    # probed in order: sorting a recovered s386 table costs more (3.2 ms, not 2.1)
+    # probed in order: sorting a recovered s386 table costs more (3.2 ms, not
+    # 2.1); each input vector's bits are rendered once, not once per row
+    vectors = [int_to_bits(v, m.input_bits) for v in range(1 << m.input_bits)]
     for s, name in enumerate(m.states):
-        for v in range(1 << m.input_bits):
-            if (s, v) in table:
-                nxt, out = table[s, v]
-                lines.append(
-                    f"{int_to_bits(v, m.input_bits)} {name} {m.states[nxt]} {out}"
-                )
+        for v, bits in enumerate(vectors):
+            entry = table.get((s, v))
+            if entry is not None:
+                nxt, out = entry
+                lines.append(f"{bits} {name} {m.states[nxt]} {out}")
     lines.append(".e")
     return "\n".join(lines) + "\n"
 

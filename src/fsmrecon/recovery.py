@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
 
 from .capture import Trace
 from .cnf import Cnf, decode_positions, encode_cnf, to_dimacs, variable_map_text
@@ -275,11 +274,14 @@ def class_hulls(
     The partition is a lax guess, so windows that contradict it — one
     inside a single class, or two between one class pair that do not
     overlap — are dropped, and such a pair is constrained by distinctness
-    alone.
+    alone.  A walk repeats few (window, class, class) steps, and
+    intersecting a window twice changes nothing, so each distinct step is
+    taken once, in first-seen order.
     """
     hulls: dict[tuple[int, int], tuple[int, int]] = {}
     dead: set[tuple[int, int]] = set()
-    for (w_lo, w_hi), a, b in zip(cs.windows, classes, classes[1:]):
+    steps = dict.fromkeys(zip(cs.windows, classes, classes[1:]))
+    for (w_lo, w_hi), a, b in steps:
         if w_hi == 0 or a == b:
             continue
         key = (a, b) if a < b else (b, a)
@@ -304,70 +306,128 @@ def search_class_codes(
 
     Most-constrained-first ordering with forward checking; deterministic.
     Returns None when no assignment exists or the node budget runs out.
-    The choice points live on an explicit stack, so a thousand classes
-    need no thousand-deep recursion.
+    A domain is a bit mask over the ``2**width`` codes, and distinctness
+    is one mask of the codes still free, so a class's live codes are its
+    domain and that mask.  Only hull prunings are undone when the search
+    backs up, and a code that leaves some class no live code is caught by
+    the next most-constrained pick.  The choice points live on an
+    explicit stack, so a thousand classes need no thousand-deep
+    recursion.
     """
     if width > _SEED_MAX_WIDTH or width < code_width(n_classes):
         return None
     size = 1 << width
-    neighbors: dict[int, list[tuple[int, int, int]]] = {}
-    for (a, b), (lo, hi) in hulls.items():
-        neighbors.setdefault(a, []).append((b, lo, hi))
-        neighbors.setdefault(b, []).append((a, lo, hi))
-    domains = [set(range(size)) for _ in range(n_classes)]
+    full = (1 << size) - 1
+    neighbors = _hull_windows(n_classes, width, hulls)
+    domains = [full] * n_classes
+    free = full  # the codes no class holds
     codes = [-1] * n_classes
     budget = _SEARCH_BUDGET
-    # one frame per assigned class: (class, codes left to try, what the
-    # current code removed from other domains)
-    frames: list[tuple[int, Iterator[int], list[tuple[int, int]]]] = []
+    # one frame per assigned class: [class, codes left to try, the
+    # (class, domain) pairs its current code pruned]
+    frames: list[list] = []
     while True:
         cid = -1
         best = size + 1
         for c in range(n_classes):
-            if codes[c] < 0 and len(domains[c]) < best:
-                best = len(domains[c])
-                cid = c
+            if codes[c] < 0:
+                live = (domains[c] & free).bit_count()
+                if live < best:
+                    best = live
+                    cid = c
         if cid < 0:
             return codes
-        frames.append((cid, iter(sorted(domains[cid])), []))
-        while frames:  # the next code that survives forward checking
-            cid, values, removed = frames[-1]
-            for other, cand in removed:
-                domains[other].add(cand)
-            removed.clear()
-            codes[cid] = -1
-            code = next(values, None)
-            if code is None:
-                frames.pop()
-                continue
-            budget -= 1
-            if budget <= 0:
-                return None
-            codes[cid] = code
-            wiped = False
-            for other in range(n_classes):
-                if codes[other] < 0 and code in domains[other]:
-                    domains[other].discard(code)  # codes stay distinct
-                    removed.append((other, code))
-                    if not domains[other]:
-                        wiped = True
-                        break
-            if not wiped:
-                for other, lo, hi in neighbors.get(cid, ()):
-                    if codes[other] >= 0:
-                        continue
-                    for cand in sorted(domains[other]):
-                        hd = (cand ^ code).bit_count()
-                        if not lo <= hd <= hi:
-                            domains[other].discard(cand)
-                            removed.append((other, cand))
-                    if not domains[other]:
-                        wiped = True
-                        break
-            if not wiped:
+        if best:
+            frames.append([cid, domains[cid] & free, []])
+        # with best 0 the newest code wiped a class out: try its next one
+        while frames:
+            frame = frames[-1]
+            cid, left, pruned = frame
+            for other, domain in pruned:
+                domains[other] = domain
+            pruned.clear()
+            if codes[cid] >= 0:
+                free |= 1 << codes[cid]
+                codes[cid] = -1
+            if left:
                 break
+            frames.pop()
         else:
             return None
+        low = left & -left  # codes are tried in ascending order
+        frame[1] = left ^ low
+        budget -= 1
+        if budget <= 0:
+            return None
+        code = low.bit_length() - 1
+        codes[cid] = code
+        free ^= low
+        for other, window in neighbors[cid]:
+            if codes[other] < 0:
+                mask = window[code]
+                if mask is None:
+                    mask = window.fill(code)
+                domain = domains[other]
+                if domain & mask != domain:
+                    pruned.append((other, domain))
+                    domains[other] = domain & mask
+
+
+class _Window(list):
+    """``self[code]``: the mask of the codes whose distance from ``code``
+    lies in one hull's window, filled in on first use.
+
+    Slot 0 holds the codes whose popcount lies in the window.  Another
+    code's mask is that of its parent, ``code`` less its lowest set bit
+    b, with bit b flipped in every position: the parent mask's blocks of
+    ``2**b`` positions swap pairwise.
+    """
+
+    def __init__(self, around_zero: int, low_half: list[int]):
+        super().__init__([None] * (1 << len(low_half)))
+        self[0] = around_zero
+        self.low_half = low_half  # low_half[b]: the positions with bit b 0
+
+    def fill(self, code: int) -> int:
+        low = code & -code
+        parent = self[code ^ low]
+        if parent is None:
+            parent = self.fill(code ^ low)
+        keep = self.low_half[low.bit_length() - 1]
+        self[code] = ((parent & keep) << low) | ((parent >> low) & keep)
+        return self[code]
+
+
+def _hull_windows(
+    n_classes: int, width: int, hulls: dict[tuple[int, int], tuple[int, int]]
+) -> list[list[tuple[int, _Window]]]:
+    """Per class, (other class, window) for each hull it is in; hulls with
+    one window share its masks.  Built per search, so nothing outlives
+    the call: a table of every mask at width 12 would take about 29 MB."""
+    full = (1 << (1 << width)) - 1
+    by_count = [1]  # by_count[d]: the codes of popcount d
+    for b in range(width):
+        by_count = [
+            (by_count[d] if d <= b else 0)
+            | (by_count[d - 1] << (1 << b) if d else 0)
+            for d in range(b + 2)
+        ]
+    low_half = [
+        ((1 << (1 << b)) - 1) * (full // ((1 << (2 << b)) - 1))
+        for b in range(width)
+    ]
+    windows: dict[tuple[int, int], _Window] = {}
+    neighbors: list[list[tuple[int, _Window]]] = [[] for _ in range(n_classes)]
+    for (a, b), (lo, hi) in hulls.items():
+        window = windows.get((lo, hi))
+        if window is None:
+            around_zero = 0
+            for d in range(max(lo, 0), min(hi, width) + 1):
+                around_zero |= by_count[d]
+            window = windows[lo, hi] = _Window(around_zero, low_half)
+        neighbors[a].append((b, window))
+        neighbors[b].append((a, window))
+    return neighbors
 
 
 def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:

@@ -732,14 +732,32 @@ def test_total_time_covers_the_rounds():
         ("goal", 1.5),
         ("max_rounds", -1),
         ("vectors_per_round", 0),
+        ("vectors_per_round", attack_mod.MAX_VECTORS_PER_ROUND + 1),
+        # the default count, 2 * X * 2**I, passes the ceiling too
+        ("state_count_guess", attack_mod.MAX_VECTORS_PER_ROUND),
     ],
 )
-def test_malformed_config_is_rejected(field, value):
+def test_malformed_config_is_rejected(field, value, monkeypatch):
     enc = encoded_fixture("lion")
     cfg = AttackConfig(state_count_guess=4)
     setattr(cfg, field, value)
+
+    def no_capture(*args, **kwargs):
+        pytest.fail("a round was captured")
+
+    monkeypatch.setattr(attack_mod, "gen_stimulus", no_capture)
     with pytest.raises(ValueError):
         attack(BlackBoxDevice(enc, NoiseModel.exact(), noise_seed=0), cfg)
+
+
+def test_the_vector_ceiling_itself_is_accepted():
+    device = BlackBoxDevice(encoded_fixture("lion"), NoiseModel.exact(), 0)
+    top = attack_mod.MAX_VECTORS_PER_ROUND
+    cfg = AttackConfig(state_count_guess=4, vectors_per_round=top)
+    assert attack_mod._validate(cfg, device) == top
+    # lion has 2 input bits: 2 * X * 4 vectors by default, at most the top
+    cfg = AttackConfig(state_count_guess=top // 8)
+    assert attack_mod._validate(cfg, device) == top
 
 
 # ---------------------------------------------------------------- pinned

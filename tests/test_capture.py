@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import encoded_fixture
+from conftest import encoded_fixture, random_moore
 from fsmrecon import benchmarks
 from fsmrecon.capture import (
     BlackBoxDevice,
@@ -15,9 +15,22 @@ from fsmrecon.capture import (
     gen_stimulus,
     run_trace,
 )
-from fsmrecon.channel import NOISE_KINDS, NoiseModel, pearson
+from fsmrecon.channel import (
+    NOISE_KINDS,
+    NoiseModel,
+    infer_hd,
+    midpoint,
+    pearson,
+    synthesize_current,
+)
 from fsmrecon.cli import main
-from fsmrecon.fsm import assign_binary_encoding, moorify, parse_kiss2
+from fsmrecon.fsm import (
+    EncodedFsm,
+    assign_binary_encoding,
+    moorify,
+    parse_kiss2,
+    step,
+)
 
 
 def make_device(name="dk27", noise=None, noise_seed=1234):
@@ -120,23 +133,89 @@ def test_device_noise_is_independent_of_stimulus_generation():
     assert currents == base.currents
 
 
-@pytest.mark.parametrize("past_top", [False, True], ids=["-1", "2**input_bits"])
-def test_out_of_range_vector_is_refused_and_changes_nothing(past_top):
+@pytest.mark.parametrize(
+    "past_top, mid_walk",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["-1", "2**input_bits", "-1-mid-walk", "2**input_bits-mid-walk"],
+)
+def test_out_of_range_vector_is_refused_and_changes_nothing(past_top, mid_walk):
     stim = gen_stimulus(10, 1, seed=8)
     device = make_device("dk27", NoiseModel.table3(), noise_seed=3)
     vector = 1 << device.input_bits if past_top else -1
     device.reset()
-    for v in stim[:5]:
-        device.clock(v)
-    state = device._state
-    with pytest.raises(ValueError, match="does not fit"):
-        device.clock(vector)
+    if mid_walk:
+        # the walk stops at the bad vector, as many clocks would
+        with pytest.raises(ValueError, match="does not fit"):
+            device.walk([*stim[:5], vector, *stim[5:]])
+        reference = make_device("dk27", NoiseModel.table3(), noise_seed=3)
+        reference.reset()
+        reference.walk(stim[:5])
+        state = reference._state
+    else:
+        for v in stim[:5]:
+            device.clock(v)
+        state = device._state
+        with pytest.raises(ValueError, match="does not fit"):
+            device.clock(vector)
     assert device._state == state
     # the noise generator was not advanced either
     rest = [device.clock(v) for v in stim[5:]]
     base = run_trace(make_device("dk27", NoiseModel.table3(), noise_seed=3), stim, seed=8)
     assert [out for out, _ in rest] == base.outputs[6:]
     assert [cur for _, cur in rest] == base.currents[5:]
+
+
+def reference_walk(enc, noise, noise_seed, stimulus):
+    """The walk one checked step at a time: ``fsm.step``, then
+    ``synthesize_current``, then ``infer_hd``, each called per clock."""
+    rng = random.Random(noise_seed)
+    state = enc.machine.reset
+    outputs, currents, inferred = [enc.machine.outputs[state]], [], []
+    for v in stimulus:
+        res = step(enc, state, v)
+        state = res.next_state
+        outputs.append(res.output)
+        currents.append(synthesize_current(res.hd, noise, rng))
+        inferred.append(infer_hd(currents[-1]))
+    return outputs, currents, inferred
+
+
+def assert_walk_matches_reference(enc, noise, noise_seed, stimulus):
+    trace = run_trace(BlackBoxDevice(enc, noise, noise_seed), stimulus, seed=0)
+    outputs, currents, inferred = reference_walk(enc, noise, noise_seed, stimulus)
+    assert trace.outputs == outputs
+    # bit for bit: repr tells -0.0 from 0.0, and names every float exactly
+    assert repr(trace.currents) == repr(currents)
+    assert trace.inferred == inferred
+    assert all(a is b for a, b in zip(trace.inferred, inferred))
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_walk_matches_the_per_step_reference(name, kind):
+    enc = encoded_fixture(name)
+    stim = gen_stimulus(300, enc.machine.input_bits, seed=12)
+    assert_walk_matches_reference(enc, NoiseModel(kind), 31, stim)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_walk_past_the_precomputed_midpoints_matches_the_reference(kind):
+    """Random 24-bit codes move the register 16 bits and more, past the
+    midpoints the channel keeps, so synthesis computes those itself."""
+    rng = random.Random(3)
+    machine = random_moore(rng, 12, 2, 2)
+    enc = EncodedFsm(machine, rng.sample(range(1 << 24), 12), 24)
+    stim = gen_stimulus(400, 2, seed=5)
+    state, hds = machine.reset, []
+    for v in stim:
+        res = step(enc, state, v)
+        hds.append(res.hd)
+        state = res.next_state
+    assert sum(hd >= 16 for hd in hds) >= 20  # the fallback is exercised
+    assert_walk_matches_reference(enc, NoiseModel(kind), 9, stim)
+    if kind == "exact":
+        trace = run_trace(BlackBoxDevice(enc, NoiseModel(kind), 9), stim, seed=0)
+        assert trace.currents == [midpoint(hd) for hd in hds]
 
 
 def test_reset_replays_identical_noise():

@@ -220,6 +220,10 @@ PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
      ("--sigma", "nan", "sigma"), ("--timeout-ms", "-5", "timeout"),
      ("--timeout-ms", "0", "timeout"), ("--multiplier", "inf", "multiplier"),
      ("--multiplier", "nan", "multiplier"),
+     # counts that would build their stimulus for hours, or overflow
+     ("--multiplier", "1e300", "vectors per round must be <= 1048576"),
+     ("--vectors", "1000000000", "vectors per round must be <= 1048576"),
+     ("--multiplier", "1e308", "infinite vector count"),
      ("--report", UNWRITABLE, "no-such-dir"),
      ("--recovered", UNWRITABLE, "no-such-dir"),
      ("--dimacs-dump", UNWRITABLE, "no-such-dir"),

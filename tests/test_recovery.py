@@ -3,6 +3,7 @@ seeding, seed-solved widths, and the width-probing solve loop."""
 
 import dataclasses
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -303,6 +304,36 @@ def test_search_matches_the_recursive_search(case):
 def test_search_runs_past_the_recursion_limit():
     # a recursion would need one frame per class: 1,500 of them
     assert search_class_codes(1500, 11, {}) == list(range(1500))
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_hull_windows_hold_the_codes_in_their_distance_window(width):
+    size = 1 << width
+    hulls = {
+        (0, k + 1): pair
+        for k, pair in enumerate(
+            (lo, hi) for lo in range(width + 2) for hi in range(lo - 1, width + 2)
+        )
+    }
+    neighbors = recovery._hull_windows(len(hulls) + 1, width, hulls)
+    for (_, window), (lo, hi) in zip(neighbors[0], hulls.values()):
+        for code in reversed(range(size)):  # a parent is filled on demand
+            mask = window[code] if window[code] is not None else window.fill(code)
+            want = {v for v in range(size) if lo <= (v ^ code).bit_count() <= hi}
+            assert mask == sum(1 << v for v in want)
+
+
+def test_search_keeps_one_bit_mask_per_class():
+    """300 classes at width 9: a set of 512 codes per class peaked at
+    15.8 MiB under tracemalloc; a mask per class stays far below 2 MiB."""
+    tracemalloc.start()
+    try:
+        codes = search_class_codes(300, 9, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == list(range(300))
+    assert peak < 2 * 2**20
 
 
 def test_phases_prime_position_bits_msb_first():
@@ -655,6 +686,46 @@ def test_seed_answers_equal_solver_answers_on_random_walks(**args):
     result = recover_encodings(walks[0], classes=classes)
     assert result.assignment is not None
     assert_seed_is_the_solver_answer(walks[0], classes, result)
+
+
+def per_position_class_hulls(cs, classes):
+    """``class_hulls`` intersecting every position's window in walk order:
+    the reference the distinct-step version must match, order included."""
+    hulls, dead = {}, set()
+    for (w_lo, w_hi), a, b in zip(cs.windows, classes, classes[1:]):
+        if w_hi == 0 or a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        if key in dead:
+            continue
+        lo, hi = hulls.get(key, (0, cs.width))
+        lo, hi = max(lo, w_lo), min(hi, w_hi)
+        if lo > hi:
+            hulls.pop(key, None)
+            dead.add(key)
+        else:
+            hulls[key] = (lo, hi)
+    return hulls
+
+
+@given(data=st.data(), width=st.integers(min_value=1, max_value=6),
+       **random_walk_args)
+@settings(max_examples=100, deadline=None)
+def test_class_hulls_match_the_per_position_reference(data, width, **args):
+    walks = random_walks(**args)
+    trace = walks[0]
+    cs = build_constraints(trace, width)
+    assert cs.windows == [(i.lo, min(width, i.hi)) for i in trace.inferred]
+    n = trace.n_steps + 1
+    # the state guess, and a coarse random guess that kills class pairs
+    guesses = [
+        merge_hypothesis(trace, walks[1:]),
+        data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+    ]
+    for classes in guesses:
+        got = class_hulls(cs, classes)
+        want = per_position_class_hulls(cs, classes)
+        assert list(got.items()) == list(want.items())
 
 
 @given(**random_walk_args)

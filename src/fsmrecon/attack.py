@@ -30,6 +30,7 @@ by output fails, up to its position ceiling.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -259,6 +260,9 @@ def _solve_round(
     # per guessed class and never returns a narrower one, so the guess
     # always fits its answer and a second retry could never run.
     fit = code_width(max(classes) + 1)
+    dimacs_prefix = None
+    if cfg.dimacs_dir is not None:
+        dimacs_prefix = os.path.join(cfg.dimacs_dir, f"round{round_no:02d}_")
     solver_ms = 0.0
     attempts: list[WidthAttempt] = []
     for escalations, width_start in enumerate((None, fit)):
@@ -267,8 +271,7 @@ def _solve_round(
             width_start=width_start,
             timeout_ms=cfg.timeout_ms,
             classes=classes,
-            dimacs_dir=cfg.dimacs_dir,
-            dimacs_prefix=f"round{round_no:02d}_",
+            dimacs_prefix=dimacs_prefix,
         )
         solver_ms += (time.perf_counter() - t0) * 1000.0
         attempts += found.attempts

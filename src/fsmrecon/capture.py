@@ -26,8 +26,8 @@ class BlackBoxDevice:
     was produced.  Its step table is built once, straight from the
     machine's ``delta`` and the register ``encodings``: for every (state,
     input vector), the next state, its output and the register distance.
-    A clock is then one range check and one table read before the current
-    is synthesized.
+    ``walk`` then clocks each vector with one range check and one table
+    read before the current is synthesized.
     """
 
     def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int):
@@ -88,11 +88,6 @@ class BlackBoxDevice:
         finally:
             self._state = state
         return outputs, currents
-
-    def clock(self, vector: int) -> tuple[str, float]:
-        """Apply one input vector: the new output and the current reading."""
-        outputs, currents = self.walk((vector,))
-        return outputs[0], currents[0]
 
 
 @dataclass

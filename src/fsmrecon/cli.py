@@ -21,7 +21,7 @@ import tempfile
 import time
 
 from . import __version__
-from .attack import AttackConfig, attack
+from .attack import MAX_VECTORS_PER_ROUND, AttackConfig, attack
 from .capture import BlackBoxDevice, choose_vector_count, gen_stimulus, run_trace
 from .channel import NOISE_KINDS, NoiseModel, pearson
 from .fsm import (
@@ -262,7 +262,13 @@ def _calibration_device(seed: int, noise: NoiseModel) -> tuple:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.samples < 100:
         raise ValueError(f"need at least 100 samples, got {args.samples}")
+    # one stimulus list, as long as an attack's longest round
+    if args.samples > MAX_VECTORS_PER_ROUND:
+        raise ValueError(
+            f"need at most {MAX_VECTORS_PER_ROUND} samples, got {args.samples}"
+        )
     noise = NoiseModel(kind=args.noise, sigma=args.sigma)
+    _require_writable([args.report], None)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     t0 = time.perf_counter()
     encoded, device = _calibration_device(seed, noise)

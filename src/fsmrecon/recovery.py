@@ -8,16 +8,17 @@ solve; on refutation grow the width by one and retry.  The seed comes from
 grouping trace positions into guessed state classes (greedy state merging
 under determinism closure) and searching for class codes that honor the
 distance-window hulls between classes.  When the seed already satisfies
-every constraint it is the answer and no CNF is built; otherwise it primes
-the solver's decision phases, where a good seed lets the solver descend to
-a model without conflicts.  Correctness never depends on the seed, because
-every answer is checked against the constraints by an independent
-evaluator.
+every constraint it is the answer and no CNF is built.  Only a seed that
+fits the width but breaks a window primes the solver's decision phases,
+where a good seed lets the solver descend to a model without conflicts.
+At a width narrower than the guess needs (more classes than codes) there
+is no seed, and the solver runs unseeded.  Correctness never depends on
+the seed, because every answer is checked against the constraints by an
+independent evaluator.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -144,12 +145,6 @@ class OutputEvidence:
         return True
 
 
-def _outputs_identify_states(walks: list[Trace]) -> bool:
-    """The :class:`OutputEvidence` verdict over ``walks``, all at once."""
-    evidence = OutputEvidence()
-    return all(evidence.add(w) for w in walks)
-
-
 def merge_hypothesis(
     trace: Trace,
     extra: list[Trace] | tuple[Trace, ...] = (),
@@ -193,10 +188,11 @@ def merge_hypothesis(
             trace.output_bits,
         ):
             raise ValueError("pooled traces must share input/output arity")
-    grouped = (
-        _outputs_identify_states(walks) if evidence is None else evidence.holds
-    )
-    if grouped:
+    if evidence is None:
+        evidence = OutputEvidence()
+        for w in walks:
+            evidence.add(w)
+    if evidence.holds:
         return trace.groups
     *offsets, total = accumulate((w.n_steps + 1 for w in walks), initial=0)
     if total > _MERGE_MAX_POSITIONS:
@@ -465,8 +461,7 @@ def recover_encodings(
     width_start: int | None = None,
     timeout_ms: int | None = 1_000_000,
     classes: list[int] | None = None,
-    dimacs_dir: str | None = None,
-    dimacs_prefix: str = "",
+    dimacs_prefix: str | None = None,
 ) -> RecoveryResult:
     """Find a register width and per-position values satisfying the trace.
 
@@ -477,9 +472,11 @@ def recover_encodings(
     bounds each individual solve.  At each width the phase seed is checked
     first by the direct constraint evaluator; when it passes it is returned
     (status ``"seed"``) with no CNF built and no solver call.  Otherwise
-    the width's CNF is encoded, written to ``dimacs_dir`` when set (so a
-    dump holds exactly the solver's inputs), and solved, and the model is
-    re-validated by the same evaluator before being trusted.
+    the width's CNF is encoded, written to ``{dimacs_prefix}width{W}.cnf``
+    and ``.vars`` when a path prefix is given (so a dump holds exactly the
+    solver's inputs), and solved, seeded only when the guess's class codes
+    fit the width; the model is re-validated by the same evaluator before
+    being trusted.
     ``classes`` is the state-grouping guess behind phase seeding, one class
     per trace position; when omitted it is :func:`merge_hypothesis` of the
     trace alone.  A guess pooled from earlier captures of the same device
@@ -517,8 +514,8 @@ def recover_encodings(
                 return result
 
         cnf = encode_cnf(cs)
-        if dimacs_dir is not None:
-            base = os.path.join(dimacs_dir, f"{dimacs_prefix}width{width}")
+        if dimacs_prefix is not None:
+            base = f"{dimacs_prefix}width{width}"
             with open(base + ".cnf", "w", encoding="ascii") as fh:
                 fh.write(to_dimacs(cnf))
             with open(base + ".vars", "w", encoding="ascii") as fh:

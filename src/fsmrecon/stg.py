@@ -43,50 +43,41 @@ def _graph(
     )
 
 
-def fold_states(trace: Trace, assignment: EncodingAssignment) -> list[int]:
-    """State id per position: equal recovered values fold together.
+def build_partial_stg(trace: Trace, assignment: EncodingAssignment) -> MooreFsm:
+    """Fold a solved trace into a graph; reject nondeterministic folds.
 
-    Ids are dense in order of first appearance, so position 0 (the reset
-    state) always folds to id 0.
+    One pass over the positions numbers each recovered value by first
+    appearance, so position 0 (the reset state) is state 0, checks that
+    the state keeps one output and adds the step into it to ``delta``.
     """
-    if len(assignment.values) != trace.n_steps + 1:
+    values = assignment.values
+    if len(values) != trace.n_steps + 1:
         raise ValueError(
-            f"assignment covers {len(assignment.values)} positions, "
+            f"assignment covers {len(values)} positions, "
             f"trace has {trace.n_steps + 1}"
         )
-    id_of_value: dict[int, int] = {}
-    ids = []
-    output_of_id: dict[int, str] = {}
-    for pos, value in enumerate(assignment.values):
-        sid = id_of_value.setdefault(value, len(id_of_value))
-        ids.append(sid)
-        out = trace.outputs[pos]
-        prev = output_of_id.setdefault(sid, out)
-        if prev != out:
+    ids = {values[0]: 0}
+    outputs = [trace.outputs[0]]
+    delta: dict[tuple[int, int], int] = {}
+    src = 0
+    for value, out, vec in zip(values[1:], trace.outputs[1:], trace.stimulus):
+        dst = ids.setdefault(value, len(ids))
+        if dst == len(outputs):
+            outputs.append(out)
+        elif outputs[dst] != out:
             # cannot happen for evaluator-checked solutions: differing
             # outputs always carry a distinctness constraint
             raise StgConflictError(
-                f"positions with value {value} emit both {prev!r} and {out!r}"
+                f"positions with value {value} emit both "
+                f"{outputs[dst]!r} and {out!r}"
             )
-    return ids
-
-
-def build_partial_stg(trace: Trace, assignment: EncodingAssignment) -> MooreFsm:
-    """Fold a solved trace into a graph; reject nondeterministic folds."""
-    ids = fold_states(trace, assignment)
-    outputs = [""] * (max(ids) + 1)
-    for pos, sid in enumerate(ids):
-        outputs[sid] = trace.outputs[pos]
-    delta: dict[tuple[int, int], int] = {}
-    for k in range(trace.n_steps):
-        key = (ids[k], trace.stimulus[k])
-        target = ids[k + 1]
-        existing = delta.setdefault(key, target)
-        if existing != target:
+        reached = delta.setdefault((src, vec), dst)
+        if reached != dst:
             raise StgConflictError(
-                f"state {key[0]} under input {key[1]} reaches both "
-                f"{existing} and {target}: over-identified positions"
+                f"state {src} under input {vec} reaches both "
+                f"{reached} and {dst}: over-identified positions"
             )
+        src = dst
     return _graph(trace.input_bits, trace.output_bits, outputs, delta)
 
 

@@ -126,7 +126,7 @@ def test_device_noise_is_independent_of_stimulus_generation():
     currents = []
     for v in stim:
         random.random()  # unrelated RNG traffic
-        out, cur = device2.clock(v)
+        (out,), (cur,) = device2.walk((v,))
         outs.append(out)
         currents.append(cur)
     assert outs == base.outputs
@@ -144,7 +144,8 @@ def test_out_of_range_vector_is_refused_and_changes_nothing(past_top, mid_walk):
     vector = 1 << device.input_bits if past_top else -1
     device.reset()
     if mid_walk:
-        # the walk stops at the bad vector, as many clocks would
+        # the walk stops at the bad vector, where a walk of the vectors
+        # before it would have ended
         with pytest.raises(ValueError, match="does not fit"):
             device.walk([*stim[:5], vector, *stim[5:]])
         reference = make_device("dk27", NoiseModel.table3(), noise_seed=3)
@@ -152,17 +153,16 @@ def test_out_of_range_vector_is_refused_and_changes_nothing(past_top, mid_walk):
         reference.walk(stim[:5])
         state = reference._state
     else:
-        for v in stim[:5]:
-            device.clock(v)
+        device.walk(stim[:5])
         state = device._state
         with pytest.raises(ValueError, match="does not fit"):
-            device.clock(vector)
+            device.walk((vector,))
     assert device._state == state
     # the noise generator was not advanced either
-    rest = [device.clock(v) for v in stim[5:]]
+    outputs, currents = device.walk(stim[5:])
     base = run_trace(make_device("dk27", NoiseModel.table3(), noise_seed=3), stim, seed=8)
-    assert [out for out, _ in rest] == base.outputs[6:]
-    assert [cur for _, cur in rest] == base.currents[5:]
+    assert outputs == base.outputs[6:]
+    assert currents == base.currents[5:]
 
 
 def reference_walk(enc, noise, noise_seed, stimulus):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fsmrecon import benchmarks, recovery
+from fsmrecon import benchmarks, cli, recovery
 from fsmrecon.cli import main
 from fsmrecon.constraints import build_constraints
 from fsmrecon.fsm import MooreFsm, parse_kiss2
@@ -465,6 +465,25 @@ def test_calibrate_table3_histogram_matches_the_error_budget(capsys):
 def test_calibrate_rejects_tiny_sample_counts(capsys):
     assert main(["calibrate", "--samples", "99"]) == 2
     assert "100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["--samples", "1048577"], "at most 1048576"),
+     (["--report", UNWRITABLE], "no-such-dir")],
+    ids=["past-the-round-ceiling", "unwritable-report"],
+)
+def test_calibrate_refuses_before_it_samples(
+    tmp_path, monkeypatch, capsys, argv, word
+):
+    # a sample count past an attack round's ceiling would build one list
+    # until memory gave out; neither refusal may wait for the stimulus
+    def unreachable(*args):
+        raise AssertionError("calibrate sampled before refusing")
+
+    monkeypatch.setattr(cli, "gen_stimulus", unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_exit_2(capsys, ["calibrate", "--seed", "1", *argv], word)
 
 
 def test_calibrate_unseeded_still_reports_seed(capsys):

@@ -2,6 +2,7 @@
 seeding, seed-solved widths, and the width-probing solve loop."""
 
 import dataclasses
+import os
 import random
 import tracemalloc
 from unittest import mock
@@ -167,7 +168,7 @@ def test_pooled_walks_whose_resets_cannot_merge_fall_back_to_output_grouping():
     # whose outputs differ, and falls back to output grouping
     a = synthetic_trace(["0", "0", "1"], [1, 2])
     b = synthetic_trace(["1", "1"], [0])
-    assert not recovery._outputs_identify_states([a, b])
+    assert not outputs_identify_states([a, b])
     assert merge_hypothesis(a, (b,)) == [0, 0, 1] == output_groups(a.outputs)
 
 
@@ -474,7 +475,7 @@ def dumped_bases(result, prefix=""):
 def test_dimacs_dump_writes_parseable_files(tmp_path):
     # train4 at this seed is not answered by its seed: the solver runs
     enc, trace = machine_trace("train4", 60, seed=1)
-    result = recover_encodings(trace, dimacs_dir=str(tmp_path), dimacs_prefix="r0_")
+    result = recover_encodings(trace, dimacs_prefix=str(tmp_path / "r0_"))
     assert result.assignment is not None
     bases = dumped_bases(result, "r0_")
     assert bases
@@ -509,7 +510,9 @@ def test_dimacs_dump_leaves_results_unchanged(tmp_path):
     # by its seed
     enc, trace = machine_trace("lion", 300, seed=12)
     plain = recover_encodings(trace, width_start=1)
-    dumped = recover_encodings(trace, width_start=1, dimacs_dir=str(tmp_path))
+    dumped = recover_encodings(
+        trace, width_start=1, dimacs_prefix=os.path.join(tmp_path, "")
+    )
     assert [a.status for a in plain.attempts] == ["unsat", "seed"]
     assert dumped.assignment == plain.assignment
     assert [a.status for a in dumped.attempts] == [
@@ -534,7 +537,7 @@ def test_a_seed_answered_width_encodes_and_dumps_nothing(
         return encode_cnf(cs)
 
     monkeypatch.setattr(recovery, "encode_cnf", counting)
-    result = recover_encodings(trace, dimacs_dir=str(tmp_path))
+    result = recover_encodings(trace, dimacs_prefix=os.path.join(tmp_path, ""))
     assert [a.status for a in result.attempts] == ["seed"]
     assert calls == []
     assert list(tmp_path.iterdir()) == []
@@ -550,7 +553,9 @@ def test_a_dump_changes_no_attempt_field_but_the_timings(
     enc, trace = machine_trace(name, steps, seed=seed)
     plain = recover_encodings(trace, width_start=width_start)
     dumped = recover_encodings(
-        trace, width_start=width_start, dimacs_dir=str(tmp_path)
+        trace,
+        width_start=width_start,
+        dimacs_prefix=os.path.join(tmp_path, ""),
     )
     assert dumped.assignment == plain.assignment
 
@@ -777,7 +782,7 @@ def test_oversized_pooled_walks_are_shed_before_the_search(monkeypatch):
     monkeypatch.setattr(recovery, "_MERGE_MAX_POSITIONS", 60)
     extra = tuple(machine_trace("shiftreg", 30, seed)[1] for seed in (1, 2))
     _, trace = machine_trace("shiftreg", 30, seed=3)
-    assert not recovery._outputs_identify_states([trace, *extra])
+    assert not outputs_identify_states([trace, *extra])
     calls = []
     search = recovery.merge_hypothesis
 
@@ -791,6 +796,14 @@ def test_oversized_pooled_walks_are_shed_before_the_search(monkeypatch):
 
 
 # ------------------------------------------------ one-pass output grouping
+
+
+def outputs_identify_states(walks):
+    """The :class:`OutputEvidence` verdict over ``walks``, fed one by one."""
+    evidence = recovery.OutputEvidence()
+    for w in walks:
+        evidence.add(w)
+    return evidence.holds
 
 
 def closure_output_grouping(trace, extra):
@@ -821,10 +834,9 @@ def evidence_search(trace, extra=()):
     """``merge_hypothesis`` with output grouping refused: the
     evidence-driven search alone.  Walks here stay under the position cap,
     so the search never re-enters ``merge_hypothesis``."""
-    with mock.patch.object(
-        recovery, "_outputs_identify_states", return_value=False
-    ):
-        return merge_hypothesis(trace, extra)
+    refused = recovery.OutputEvidence()
+    refused.holds = False
+    return merge_hypothesis(trace, extra, evidence=refused)
 
 
 pooled_walk_args = dict(
@@ -856,7 +868,7 @@ def test_one_pass_output_grouping_agrees_with_the_closure(**args):
     walks = random_walks(**args)
     trace, extra = walks[0], walks[1:]
     reference = closure_output_grouping(trace, extra)
-    assert recovery._outputs_identify_states(walks) == (reference is not None)
+    assert outputs_identify_states(walks) == (reference is not None)
     classes = merge_hypothesis(trace, extra)
     if reference is not None:
         assert classes == reference == output_groups(trace.outputs)
@@ -870,7 +882,7 @@ def test_output_evidence_fed_walk_by_walk_matches_the_closure(data, **args):
     # in any order, each prefix gets the closure's verdict, so the verdict
     # never turns true again once false, and the last is the batch one
     walks = random_walks(**args)
-    batch = recovery._outputs_identify_states(walks)
+    batch = outputs_identify_states(walks)
     walks = [walks[k] for k in data.draw(st.permutations(range(len(walks))))]
     evidence = recovery.OutputEvidence()
     verdicts = [evidence.add(w) for w in walks]
@@ -893,7 +905,7 @@ def test_given_evidence_stands_in_for_the_pooled_check(
         evidence.add(w)
     assert evidence.holds == holds
     expected = merge_hypothesis(trace, extra)
-    monkeypatch.setattr(recovery, "_outputs_identify_states", None)
+    monkeypatch.setattr(recovery.OutputEvidence, "_scan", None)
     assert merge_hypothesis(trace, extra, evidence=evidence) == expected
 
 

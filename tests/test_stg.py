@@ -16,7 +16,6 @@ from fsmrecon.stg import (
     MergeGraph,
     StgConflictError,
     build_partial_stg,
-    fold_states,
     merge_rounds,
     recovery_fraction,
 )
@@ -61,21 +60,83 @@ def recovered_graph(name, steps, seed, noise=None, pool_seeds=()):
 
 
 def test_fold_assigns_dense_ids_with_reset_zero():
-    trace = synthetic_trace(["0", "1", "0", "1"], [1, 1, 1], input_bits=1)
+    trace = synthetic_trace(
+        ["0", "1", "0", "1"], [1, 1, 1], input_bits=1, stimulus=[1, 1, 0]
+    )
     assignment = EncodingAssignment(width=3, values=(5, 7, 5, 2))
-    assert fold_states(trace, assignment) == [0, 1, 0, 2]
+    # values 5, 7, 2 are states 0, 1, 2 in order of first appearance
+    assert build_partial_stg(trace, assignment) == graph(
+        1, ["0", "1", "1"], {(0, 1): 1, (1, 1): 0, (0, 0): 2}
+    )
 
 
 def test_fold_rejects_wrong_arity():
     trace = synthetic_trace(["0", "1"], [1])
     with pytest.raises(ValueError):
-        fold_states(trace, EncodingAssignment(width=1, values=(0, 1, 0)))
+        build_partial_stg(
+            trace, EncodingAssignment(width=1, values=(0, 1, 0))
+        )
 
 
 def test_fold_rejects_output_clash():
     trace = synthetic_trace(["0", "1"], [1])
     with pytest.raises(StgConflictError):
-        fold_states(trace, EncodingAssignment(width=1, values=(0, 0)))
+        build_partial_stg(trace, EncodingAssignment(width=1, values=(0, 0)))
+
+
+def two_pass_fold(trace, assignment):
+    """The fold in two passes: first a state id per position, numbered by
+    first appearance with every output checked, then ``delta`` from the
+    ids.  Raises as the fold does."""
+    if len(assignment.values) != trace.n_steps + 1:
+        raise ValueError("assignment and trace differ in length")
+    id_of_value, ids, output_of_id = {}, [], {}
+    for value, out in zip(assignment.values, trace.outputs):
+        sid = id_of_value.setdefault(value, len(id_of_value))
+        ids.append(sid)
+        if output_of_id.setdefault(sid, out) != out:
+            raise StgConflictError("output clash")
+    delta = {}
+    for k in range(trace.n_steps):
+        target = ids[k + 1]
+        if delta.setdefault((ids[k], trace.stimulus[k]), target) != target:
+            raise StgConflictError("nondeterministic fold")
+    outputs = [output_of_id[sid] for sid in range(len(output_of_id))]
+    return MooreFsm(
+        input_bits=trace.input_bits,
+        output_bits=trace.output_bits,
+        states=[f"s{i}" for i in range(len(outputs))],
+        reset=0,
+        delta=delta,
+        outputs=outputs,
+    )
+
+
+@given(data=st.data(), steps=st.integers(min_value=0, max_value=8))
+@settings(max_examples=400, deadline=None)
+def test_the_one_pass_fold_matches_the_two_pass_fold(data, steps):
+    # few values, outputs and inputs: clashes and nondeterministic folds
+    # are common, and an assignment one position off now and then
+    trace = synthetic_trace(
+        data.draw(st.lists(st.sampled_from("01"), min_size=steps + 1,
+                           max_size=steps + 1)),
+        [1] * steps,
+        stimulus=data.draw(st.lists(st.integers(min_value=0, max_value=1),
+                                    min_size=steps, max_size=steps)),
+    )
+    n = steps + data.draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+    values = data.draw(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    )
+    assignment = EncodingAssignment(width=2, values=tuple(values))
+    try:
+        expected = two_pass_fold(trace, assignment)
+    except ValueError as exc:  # StgConflictError is a ValueError too
+        with pytest.raises(ValueError) as raised:
+            build_partial_stg(trace, assignment)
+        assert raised.type is type(exc)
+        return
+    assert build_partial_stg(trace, assignment) == expected
 
 
 # -------------------------------------------------------------- per round
@@ -185,6 +246,63 @@ def partial_graphs(draw, input_bits):
     return graph(input_bits, outputs, delta)
 
 
+def closure_merge(a, b):
+    """Two graphs merged by a plain union-find, or None on a clash.
+
+    The states of both graphs are joined from their resets; whenever two
+    states join, their successors under an input that both have join too
+    (determinism), and two joined states with different outputs are a
+    clash.  States are numbered breadth-first from the reset, inputs in
+    ascending order.
+    """
+    off = a.state_count
+    outputs = [*a.outputs, *b.outputs]
+    succ = {}
+    for (q, v), r in a.delta.items():
+        succ.setdefault(q, {})[v] = r
+    for (q, v), r in b.delta.items():
+        succ.setdefault(off + q, {})[v] = off + r
+    parent = list(range(len(outputs)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pending = [(a.reset, off + b.reset)]
+    while pending:
+        x, y = map(find, pending.pop())
+        if x == y:
+            continue
+        if outputs[x] != outputs[y]:
+            return None
+        parent[y] = x
+        into = succ.setdefault(x, {})
+        for v, t in succ.pop(y, {}).items():
+            if v in into:
+                pending.append((into[v], t))
+            else:
+                into[v] = t
+    order = {find(a.reset): 0}
+    queue = list(order)
+    delta = {}
+    for x in queue:
+        for v in sorted(succ.get(x, {})):
+            t = find(succ[x][v])
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+            delta[order[x], v] = order[t]
+    return MooreFsm(
+        input_bits=a.input_bits,
+        output_bits=a.output_bits,
+        states=[f"s{i}" for i in range(len(queue))],
+        reset=0,
+        delta=delta,
+        outputs=[outputs[x] for x in queue],
+    )
+
+
 @st.composite
 def walks(draw, input_bits):
     """A trace with arbitrary outputs; replay reads no currents."""
@@ -205,16 +323,20 @@ def walks(draw, input_bits):
 @settings(max_examples=300, deadline=None)
 def test_a_merge_fails_every_replay_its_fold_fails(data, input_bits):
     # the merged graph is a homomorphic image of the fold: the fold's walk
-    # maps onto it step by step, so each of the fold's replay issues recurs
+    # maps onto it step by step, so each of the fold's replay issues recurs;
+    # the merge itself is checked against a plain union-find merge
     acc = data.draw(st.none() | partial_graphs(input_bits))
     fold = data.draw(partial_graphs(input_bits))
     traces = data.draw(st.lists(walks(input_bits), min_size=1, max_size=3))
     verdict = replay_consistency(fold, traces)
     assume(not verdict.consistent)
+    expected = fold if acc is None else closure_merge(acc, fold)
     try:
         merged = merge_rounds(acc, fold)
     except StgConflictError:
+        assert expected is None
         return
+    assert merged == expected
     issues = replay_consistency(merged, traces).issues
     assert set(verdict.issues) <= set(issues)
 
@@ -262,8 +384,8 @@ def merge_graph_state(g):
 def test_a_refused_merge_leaves_the_graph_and_its_replays_as_they_were(
     data, input_bits
 ):
-    # each merge and replay also agrees with merge_rounds and a replay of
-    # every trace from reset on the MooreFsm
+    # each merge and replay also agrees with a plain union-find merge and
+    # a replay of every trace from reset on the MooreFsm
     first = data.draw(partial_graphs(input_bits))
     traces = data.draw(st.lists(walks_on(first), max_size=3))
     acc = MergeGraph(first)
@@ -274,10 +396,7 @@ def test_a_refused_merge_leaves_the_graph_and_its_replays_as_they_were(
     )
     for fold in folds:
         before = merge_graph_state(acc)
-        try:
-            merged = merge_rounds(machine, fold)
-        except StgConflictError:
-            merged = None
+        merged = closure_merge(machine, fold)
         if acc.merge(fold):
             assert merged is not None
             if acc.replays():

@@ -78,8 +78,8 @@ class AttackConfig:
     encoded to a CNF that grows quadratically (one distinctness clause per
     pair of positions with differing outputs), so attacks on large machines
     where the seed misses should run many short rounds instead of one
-    covering round.  ``seed`` is the master seed of the round stimuli; the
-    device, with its channel and noise seed, is the caller's.
+    covering round.  ``seed``, at least 0, is the master seed of the round
+    stimuli; the device, with its channel and noise seed, is the caller's.
     ``timeout_ms`` bounds each solver call; ``dimacs_dir``, when set,
     receives every CNF solved.
     """
@@ -169,6 +169,9 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
     if cfg.timeout_ms < 1:
         raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
+    # random.Random seeds from |seed|, so -5 would repeat seed 5's attack
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.vectors_per_round is None:
         n = choose_vector_count(cfg.state_count_guess, device.input_bits)
     elif cfg.vectors_per_round < 1:

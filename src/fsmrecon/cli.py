@@ -15,10 +15,12 @@ import argparse
 import json
 import os
 import platform
+import random
 import secrets
 import sys
 import tempfile
 import time
+from itertools import pairwise
 
 from . import __version__
 from .attack import MAX_VECTORS_PER_ROUND, AttackConfig, attack
@@ -34,7 +36,6 @@ from .fsm import (
     moorify,
     parse_kiss2,
     serialize_kiss2,
-    step,
     transition_count,
 )
 
@@ -49,6 +50,9 @@ EXIT_GOAL_MISSED = 3
 _CAL_STATES = 64
 _CAL_INPUT_BITS = 2
 _CAL_SELF_LOOP_BIAS = 0.1
+
+# the versions block of the attack and calibrate reports
+_VERSIONS = {"package": __version__, "python": platform.python_version()}
 
 
 def _load_moore(path: str, strategy: str = "first") -> tuple[MooreFsm, bool]:
@@ -185,10 +189,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             ),
             "report": args.report,
         },
-        "versions": {
-            "package": __version__,
-            "python": platform.python_version(),
-        },
+        "versions": _VERSIONS,
     }
     _emit(report, args.report)
     return EXIT_OK if result.goal_met else EXIT_GOAL_MISSED
@@ -232,11 +233,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- calibrate
 
 
-def _calibration_device(seed: int, noise: NoiseModel) -> tuple:
-    """A random complete Moore machine with dense state codes, plus device."""
-    import random as _random
+def _calibration_device(seed: int, noise: NoiseModel) -> BlackBoxDevice:
+    """A device over a random complete Moore machine with dense state codes.
 
-    rng = _random.Random(seed)
+    State ``i`` holds register code ``i`` and also emits it as its output,
+    so the true register distance of a step is the Hamming distance between
+    the outputs on either side of it: a capture is its own ground truth.
+    """
+    rng = random.Random(seed)
     n = _CAL_STATES
     vecs = 1 << _CAL_INPUT_BITS
     delta = {}
@@ -256,7 +260,7 @@ def _calibration_device(seed: int, noise: NoiseModel) -> tuple:
         outputs=[int_to_bits(i, width) for i in range(n)],
     )
     encoded = assign_binary_encoding(machine)
-    return encoded, BlackBoxDevice(encoded, noise, noise_seed=seed)
+    return BlackBoxDevice(encoded, noise, noise_seed=seed)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -267,20 +271,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"need at most {MAX_VECTORS_PER_ROUND} samples, got {args.samples}"
         )
+    # random.Random seeds from |seed|, so -5 would repeat seed 5's run
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     _require_writable([args.report], None)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     t0 = time.perf_counter()
-    encoded, device = _calibration_device(seed, noise)
+    device = _calibration_device(seed, noise)
     stimulus = gen_stimulus(args.samples, _CAL_INPUT_BITS, seed)
     trace = run_trace(device, stimulus, seed)
-
-    hds = []
-    state = encoded.machine.reset
-    for vector in stimulus:
-        res = step(encoded, state, vector)
-        hds.append(res.hd)
-        state = res.next_state
+    hds = [
+        (int(a, 2) ^ int(b, 2)).bit_count()
+        for a, b in pairwise(trace.outputs)
+    ]
 
     r = pearson(hds, trace.currents)
     nonzero = [
@@ -288,16 +292,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     ]
     zero = [inf for hd, inf in zip(hds, trace.inferred) if hd == 0]
     buckets = {"exact": 0, "minus_one": 0, "plus_one": 0, "other": 0}
+    errors = {0: "exact", -1: "minus_one", 1: "plus_one"}
     for hd, inf in nonzero:
-        err = inf.center - hd
-        if err == 0:
-            buckets["exact"] += 1
-        elif err == 1:
-            buckets["plus_one"] += 1
-        elif err == -1:
-            buckets["minus_one"] += 1
-        else:
-            buckets["other"] += 1
+        buckets[errors.get(inf.center - hd, "other")] += 1
     pct = {
         k: (100.0 * v / len(nonzero) if nonzero else 0.0)
         for k, v in buckets.items()
@@ -316,17 +313,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "input_bits": _CAL_INPUT_BITS,
             "self_loop_bias": _CAL_SELF_LOOP_BIAS,
             "states": _CAL_STATES,
-            "width": encoded.width,
+            "width": code_width(_CAL_STATES),
         },
         "error_histogram_pct": pct,
         "hd0_exact": hd0_exact,
         "hd0_samples": len(zero),
         "nonzero_samples": len(nonzero),
         "pearson_r": r,
-        "versions": {
-            "package": __version__,
-            "python": platform.python_version(),
-        },
+        "versions": _VERSIONS,
         "wall_ms": 0.0 if args.deterministic else wall_ms,
     }
     _emit(report, args.report)

@@ -731,6 +731,8 @@ def test_total_time_covers_the_rounds():
         ("goal", 0.0),
         ("goal", 1.5),
         ("max_rounds", -1),
+        # random.Random would seed from |seed| and repeat seed 1's attack
+        ("seed", -1),
         ("vectors_per_round", 0),
         ("vectors_per_round", attack_mod.MAX_VECTORS_PER_ROUND + 1),
         # the default count, 2 * X * 2**I, passes the ceiling too

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from fsmrecon import benchmarks, cli, recovery
+from fsmrecon.capture import gen_stimulus, run_trace
+from fsmrecon.channel import NOISE_KINDS, NoiseModel, pearson
 from fsmrecon.cli import main
 from fsmrecon.constraints import build_constraints
-from fsmrecon.fsm import MooreFsm, parse_kiss2
+from fsmrecon.fsm import MooreFsm, parse_kiss2, step
 
 
 @pytest.fixture
@@ -224,6 +226,8 @@ PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
      ("--multiplier", "1e300", "vectors per round must be <= 1048576"),
      ("--vectors", "1000000000", "vectors per round must be <= 1048576"),
      ("--multiplier", "1e308", "infinite vector count"),
+     # the later --seed wins over the test's --seed 1
+     ("--seed", "-1", "seed must be >= 0"),
      ("--report", UNWRITABLE, "no-such-dir"),
      ("--recovered", UNWRITABLE, "no-such-dir"),
      ("--dimacs-dump", UNWRITABLE, "no-such-dir"),
@@ -470,8 +474,9 @@ def test_calibrate_rejects_tiny_sample_counts(capsys):
 @pytest.mark.parametrize(
     "argv, word",
     [(["--samples", "1048577"], "at most 1048576"),
-     (["--report", UNWRITABLE], "no-such-dir")],
-    ids=["past-the-round-ceiling", "unwritable-report"],
+     (["--report", UNWRITABLE], "no-such-dir"),
+     (["--seed", "-1"], "seed must be >= 0")],
+    ids=["past-the-round-ceiling", "unwritable-report", "negative-seed"],
 )
 def test_calibrate_refuses_before_it_samples(
     tmp_path, monkeypatch, capsys, argv, word
@@ -484,6 +489,61 @@ def test_calibrate_refuses_before_it_samples(
     monkeypatch.setattr(cli, "gen_stimulus", unreachable)
     monkeypatch.chdir(tmp_path)
     assert_one_line_exit_2(capsys, ["calibrate", "--seed", "1", *argv], word)
+
+
+def two_walk_calibration(samples, seed, noise):
+    """calibrate's measures as two walks give them: the device's capture,
+    then ``fsm.step`` over the same stimulus for each true distance."""
+    device = cli._calibration_device(seed, noise)
+    stimulus = gen_stimulus(samples, cli._CAL_INPUT_BITS, seed)
+    trace = run_trace(device, stimulus, seed)
+    encoded = device._encoded
+    hds, state = [], encoded.machine.reset
+    for vector in stimulus:
+        res = step(encoded, state, vector)
+        hds.append(res.hd)
+        state = res.next_state
+    nonzero = [(hd, inf) for hd, inf in zip(hds, trace.inferred) if hd > 0]
+    zero = [inf for hd, inf in zip(hds, trace.inferred) if hd == 0]
+    hist = {"exact": 0, "minus_one": 0, "plus_one": 0, "other": 0}
+    for hd, inf in nonzero:
+        err = inf.center - hd
+        if err == 0:
+            hist["exact"] += 1
+        elif err == 1:
+            hist["plus_one"] += 1
+        elif err == -1:
+            hist["minus_one"] += 1
+        else:
+            hist["other"] += 1
+    return {
+        "error_histogram_pct": {
+            k: 100.0 * v / len(nonzero) if nonzero else 0.0
+            for k, v in hist.items()
+        },
+        "hd0_exact": sum(1 for inf in zero if inf.center == 0),
+        "hd0_samples": len(zero),
+        "nonzero_samples": len(nonzero),
+        "pearson_r": pearson(hds, trace.currents),
+        "width": encoded.width,
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_calibrate_matches_a_two_walk_reference(capsys, kind, seed):
+    # calibrate reads each step's true distance off the capture's outputs,
+    # which holds only while every state emits its own register code
+    encoded = cli._calibration_device(seed, NoiseModel(kind))._encoded
+    assert [int(out, 2) for out in encoded.machine.outputs] == encoded.encodings
+    assert main([
+        "calibrate", "--samples", "2000", "--noise", kind,
+        "--seed", str(seed), "--deterministic",
+    ]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rep["width"] = rep["machine"]["width"]
+    want = two_walk_calibration(2000, seed, NoiseModel(kind))
+    assert {k: rep[k] for k in want} == want
 
 
 def test_calibrate_unseeded_still_reports_seed(capsys):

@@ -1,5 +1,6 @@
 """Machine model: KISS2 parsing/serialization, conversion, encodings, stepping."""
 
+import hashlib
 import math
 import random
 import time
@@ -230,6 +231,31 @@ def test_fixture_round_trip_preserves_machine(name):
     m1 = parse_kiss2(benchmarks.load(name))
     m2 = parse_kiss2(serialize_kiss2(m1))
     assert m1 == m2
+    # a Moore table is stored as the writer writes it; the Mealy ones
+    # (lion, train4) keep their don't-care rows, so their text cannot
+    if isinstance(m1, MooreFsm):
+        assert serialize_kiss2(m1) == benchmarks.load(name)
+
+
+# sha256 of every bundled fixture text: the tables the attack is judged on
+PINNED_FIXTURES = {
+    "bbtas": "77db90fc6d2c37f3de7c6278972ce69831836d78106dd02f9cc86881a759fc7a",
+    "dk27": "7f0f2c12668e33c7948ac1937d7a0e6dd974b23a1510ab3122a8a3d84a690193",
+    "lion": "ea022909c97ffa959c51dd2c8f3c45f0c4ce3f27f0084d6cb7458589bfd6781e",
+    "mc": "d1af6f3979fa7d43fe368e29d09bd3485c2cf2af5f8d808f99f6749919c83400",
+    "opus": "820de45b75fce0826d255ac99cc8733e569d1bac3d5ee3de907ed77b38a297a9",
+    "s386": "57d66b7b6fc70563f949f103a313f2e02da11df3d47ff50284d0d88acd17f398",
+    "shiftreg": "2bbd1fddecfa8b465d527066faaf912a7ecfe3a5f6f0d5afe19ea1bfadc5e1d9",
+    "train4": "c6e87ece795e1f52d76c62be9ee369e5a43483adb01f580f64c186b389f77dc8",
+}
+
+
+def test_fixture_texts_are_pinned():
+    got = {
+        name: hashlib.sha256(benchmarks.load(name).encode()).hexdigest()
+        for name in benchmarks.names()
+    }
+    assert got == PINNED_FIXTURES
 
 
 def random_moore(rng: random.Random) -> MooreFsm:

@@ -170,14 +170,23 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ValueError(f"line {lineno}: second problem line {line!r}")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            # counts and literals are plain ASCII decimal: int() would also
+            # read '+1', '1_0' and other scripts' digits
+            if len(parts) != 4 or parts[1] != "cnf" or not all(
+                c.isascii() and c.isdigit() for c in parts[2:]
+            ):
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
         for tok in line.split():
+            digits = tok[1:] if tok.startswith("-") else tok
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"line {lineno}: bad literal {tok!r}")
             lit = int(tok)
             if lit == 0:
                 clauses.append(pending)

@@ -328,17 +328,30 @@ def test_parse_dimacs_accepts_comments_and_multiline_clauses():
     assert clauses == [[1, -2], [2, 3]]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p cnf x 2\n1 0\n",
-        "1 2 0\n",
-        "p cnf 2 1\n1 3 0\n",
-        "p cnf 2 1\n1 2\n",
-        "p cnf 2 2\n1 0\n",
-        "",
-    ],
-)
+# malformed text -> what the error must say, with its line when it has one
+MALFORMED_DIMACS = {
+    "p cnf x 2\n1 0\n": "line 1: bad problem line",
+    "1 2 0\n": "line 1: clause before problem line",
+    "p cnf 2 1\n1 3 0\n": "line 2: literal 3 out of range",
+    "p cnf 2 1\n1 2\n": "not 0-terminated",
+    "p cnf 2 2\n1 0\n": "declares 2 clauses, found 1",
+    "": "missing problem line",
+    "p cnf 2 1\n1 x 0\n": "line 2: bad literal 'x'",
+    "c two\np cnf 2 1\n1 2.0 0\n": "line 3: bad literal '2.0'",
+    "p cnf 12 1\n1_0 0\n": "line 2: bad literal '1_0'",
+    "p cnf 2 1\n+1 0\n": "line 2: bad literal '\\+1'",
+    "p cnf 2 1\n--1 0\n": "line 2: bad literal '--1'",
+    "p cnf -1 0\n": "line 1: bad problem line",
+    "p cnf 2 -1\n": "line 1: bad problem line",
+    "p cnf +2 1\n1 0\n": "line 1: bad problem line",
+    "p cnf 1_0 1\n1 0\n": "line 1: bad problem line",
+    "p cnf \u00b2 1\n1 0\n": "line 1: bad problem line",  # superscript two
+    "p cnf 2 1\np cnf 3 1\n1 0\n": "line 2: second problem line",
+    "p cnf 2 1\n1 0\np cnf 2 1\n": "line 3: second problem line",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_DIMACS))
 def test_parse_dimacs_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MALFORMED_DIMACS[text]):
         parse_dimacs(text)

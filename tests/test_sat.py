@@ -1,11 +1,16 @@
 """Solver tests: correctness against brute force, determinism, phases,
-restarts/reduction paths, and timeout behavior."""
+restarts/reduction paths, timeout behavior, and the same search path as
+the reference copy in ``sat_reference``."""
 
 import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sat_reference
 from conftest import synthetic_trace
 from fsmrecon import sat
 from fsmrecon.cnf import decode_positions, encode_cnf
@@ -95,6 +100,11 @@ def test_literal_out_of_range_rejected():
 
     with pytest.raises(ValueError):
         solve_cnf(2, [[3]])
+
+
+def test_negative_variable_count_is_refused():
+    with pytest.raises(ValueError, match="variable count must be >= 0, got -1"):
+        solve_cnf(-1, [])
 
 
 def test_check_model_detects_falsified_clause():
@@ -234,6 +244,172 @@ def test_good_phases_solve_without_conflicts():
     assert out.status == SAT
     assert out.stats.conflicts == 0
     assert all((out.model[v] > 0) == secret[v] for v in range(1, n + 1))
+
+
+# ------------------------------------------------------- same search path
+
+
+@contextmanager
+def tunables(restart_interval=None, rescale_limit=None):
+    """Patch the solver's tunables in both solver modules at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (sat, sat_reference):
+            if restart_interval is not None:
+                mp.setattr(module, "_RESTART_INTERVAL", restart_interval)
+            if rescale_limit is not None:
+                mp.setattr(module, "_RESCALE_LIMIT", rescale_limit)
+        yield
+
+
+def search_path(solver_class, n_vars, clauses, phases, reduce_budget):
+    """Everything a solve shows: status, model, counters, clause database."""
+    solver = solver_class(n_vars, [list(c) for c in clauses], initial_phases=phases)
+    if reduce_budget is not None:
+        solver.reduce_budget = reduce_budget
+    out = solver.solve()
+    stats = out.stats
+    return (
+        out.status,
+        out.model,
+        (stats.decisions, stats.conflicts, stats.propagations, stats.restarts),
+        solver.clauses,
+    )
+
+
+def assert_same_path(n_vars, clauses, phases=None, reduce_budget=None):
+    got = search_path(CdclSolver, n_vars, clauses, phases, reduce_budget)
+    want = search_path(
+        sat_reference.CdclSolver, n_vars, clauses, phases, reduce_budget
+    )
+    assert got == want
+    return got
+
+
+@st.composite
+def cnfs(draw):
+    """A clean CNF of 1-6-literal clauses (units and binaries included),
+    with optional seeded phases.  Half the draws are dense random formulas
+    of 2-6-literal clauses, mostly ternary, at 4-5 clauses per variable
+    (units would settle them at level 0), so that conflicts, restarts,
+    reductions and rescales are reached."""
+    if draw(st.booleans()):
+        n_vars = draw(st.integers(1, 12))
+        clause = st.lists(
+            st.integers(1, n_vars), min_size=1, max_size=min(6, n_vars), unique=True
+        ).flatmap(lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+        clauses = draw(st.lists(clause.map(list), max_size=60))
+    else:
+        n_vars = draw(st.integers(15, 30))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        lengths = (2, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6)
+        clauses = []
+        for _ in range(rng.randint(4 * n_vars, 5 * n_vars)):
+            vs = rng.sample(range(1, n_vars + 1), rng.choice(lengths))
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    phases = draw(
+        st.none() | st.dictionaries(st.integers(1, n_vars), st.booleans())
+    )
+    return n_vars, clauses, phases
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cnf=cnfs(),
+    restart_interval=st.sampled_from([None, 1, 2, 3]),
+    reduce_budget=st.sampled_from([None, 4]),
+    rescale_limit=st.sampled_from([None, 2.0]),
+)
+def test_search_path_matches_the_reference(
+    cnf, restart_interval, reduce_budget, rescale_limit
+):
+    n_vars, clauses, phases = cnf
+    with tunables(restart_interval, rescale_limit):
+        status, model, _, _ = assert_same_path(
+            n_vars, clauses, phases, reduce_budget
+        )
+    assert status in (SAT, UNSAT)
+    assert status == UNSAT or check_model(clauses, model)
+
+
+@pytest.mark.parametrize(
+    "restart_interval, reduce_budget, rescale_limit",
+    [(None, None, None), (1, 4, 2.0), (2, 4, None), (3, None, 2.0)],
+)
+def test_pigeonhole_search_path_matches_the_reference(
+    restart_interval, reduce_budget, rescale_limit
+):
+    n, clauses = pigeonhole(5, 4)
+    with tunables(restart_interval, rescale_limit):
+        status, _, (_, conflicts, _, restarts), _ = assert_same_path(
+            n, clauses, reduce_budget=reduce_budget
+        )
+    assert status == UNSAT
+    assert conflicts > 0
+    assert restarts > 0 or restart_interval is None
+
+
+def test_decide_picks_the_most_active_free_variable(monkeypatch):
+    # checked before every decision, by brute force over all variables:
+    # value mirrors assigns, no variable has two order entries at its
+    # current activity, each free one has exactly one, and the pick is the
+    # free variable of highest activity, lowest index on ties
+    monkeypatch.setattr(sat, "_RESTART_INTERVAL", 1)
+    monkeypatch.setattr(sat, "_RESCALE_LIMIT", 2.0)
+    decide, rescale, reduce_db = (
+        CdclSolver._decide, CdclSolver._rescale, CdclSolver._reduce_db
+    )
+    seen = {"decisions": 0, "rescales": 0, "reductions": 0}
+
+    def checked_decide(self):
+        nv = self.n_vars
+        free = []
+        for v in range(1, nv + 1):
+            assert self.value[nv + v] == self.assigns[v]
+            assert self.value[nv - v] == -self.assigns[v]
+            entries = self.order.count((-self.activity[v], v))
+            assert entries <= 1
+            if self.assigns[v] == 0:
+                assert entries == 1 and self.queued[v] == self.activity[v]
+                free.append(v)
+        lit = decide(self)
+        if free:
+            best = max(free, key=lambda v: (self.activity[v], -v))
+            assert lit == (best if self.phase[best] else -best)
+            seen["decisions"] += 1
+        else:
+            assert lit == 0
+        return lit
+
+    def counted_rescale(self):
+        seen["rescales"] += 1
+        rescale(self)
+
+    def counted_reduce_db(self):
+        before = len(self.clauses)
+        reduce_db(self)
+        seen["reductions"] += len(self.clauses) < before
+
+    monkeypatch.setattr(CdclSolver, "_decide", checked_decide)
+    monkeypatch.setattr(CdclSolver, "_rescale", counted_rescale)
+    monkeypatch.setattr(CdclSolver, "_reduce_db", counted_reduce_db)
+    # 25 variables at the hard ratio: each rescale finds free variables
+    # with nonzero activity, whose one live entry it must re-queue
+    rng = random.Random(5150)
+    restarts = 0
+    for _ in range(6):
+        n = 25
+        clauses = random_3sat(rng, n, 107)
+        solver = CdclSolver(n, [list(c) for c in clauses])
+        solver.reduce_budget = 4
+        out = solver.solve()
+        assert out.status == UNSAT or check_model(clauses, out.model)
+        restarts += out.stats.restarts
+    n, clauses = pigeonhole(5, 4)
+    solver = CdclSolver(n, clauses)
+    solver.reduce_budget = 4
+    assert solver.solve().status == UNSAT
+    assert restarts > 0
+    assert min(seen.values()) > 0, seen
 
 
 # ----------------------------------------------------------------- timeout

@@ -73,13 +73,13 @@ class AttackConfig:
     transition total X * 2**I that the recovery fraction is measured
     against.  ``vectors_per_round`` overrides the default stimulus length
     of ceil(2 * X * 2**I); either way a round is at most
-    :data:`MAX_VECTORS_PER_ROUND` vectors.  The constraint set grows
-    linearly with the round length, but a width whose phase seed fails is
-    encoded to a CNF that grows quadratically (one distinctness clause per
-    pair of positions with differing outputs), so attacks on large machines
-    where the seed misses should run many short rounds instead of one
-    covering round.  ``seed``, at least 0, is the master seed of the round
-    stimuli; the device, with its channel and noise seed, is the caller's.
+    :data:`MAX_VECTORS_PER_ROUND` vectors.  The constraint set, and the
+    CNF a width whose phase seed fails is encoded to, grow linearly with
+    the round length, but that CNF's solve is bounded only by
+    ``timeout_ms``, so attacks on large machines where the seed misses
+    should run many short rounds instead of one covering round.
+    ``seed``, at least 0, is the master seed of the round stimuli; the
+    device, with its channel and noise seed, is the caller's.
     ``timeout_ms`` bounds each solver call; ``dimacs_dir``, when set,
     receives every CNF solved.
     """

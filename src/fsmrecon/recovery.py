@@ -427,13 +427,19 @@ def _hull_windows(
 
 
 def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:
-    """Class codes for the phase seed at ``cs.width``, or None."""
+    """Class codes for the phase seed at ``cs.width``, or None.
+
+    A width with fewer codes than classes, or past ``_SEED_MAX_WIDTH``,
+    returns None before any hull is built."""
+    n_classes = max(classes) + 1
+    if cs.width < code_width(n_classes) or cs.width > _SEED_MAX_WIDTH:
+        return None
     hulls = class_hulls(cs, classes)
-    codes = search_class_codes(max(classes) + 1, cs.width, hulls)
+    codes = search_class_codes(n_classes, cs.width, hulls)
     if codes is None and hulls:
         # hulls may be jointly unsatisfiable under a guessed partition;
         # a distinctness-only seed still beats none
-        codes = search_class_codes(max(classes) + 1, cs.width, {})
+        codes = search_class_codes(n_classes, cs.width, {})
     return codes
 
 

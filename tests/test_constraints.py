@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import encoded_fixture, synthetic_trace
 from fsmrecon.capture import BlackBoxDevice, gen_stimulus, run_trace
 from fsmrecon.channel import NoiseModel
-from fsmrecon.cnf import encode_cnf
 from fsmrecon.constraints import (
     ConstraintSet,
     build_constraints,
@@ -70,24 +69,22 @@ def test_distinct_pairs_cover_exactly_output_inequality():
 def test_distinct_pairs_are_deduplicated_unordered():
     trace = synthetic_trace(["0", "1", "0", "1"], [1, 1, 1])
     cs = build_constraints(trace, width=2)
-    cnf = encode_cnf(cs)
-    # difference variable d of bit b of pair i < j is defined by the XOR
-    # clause [-d, x_ib, x_jb], position bit x_pb being p*width + b + 1
-    n_bits = cnf.n_positions * cnf.width
-    pair_of = {
-        -c[0]: ((c[1] - 1) // cnf.width, (c[2] - 1) // cnf.width)
-        for c in cnf.clauses
-        if len(c) == 3 and c[0] < 0 and 0 < c[1] <= n_bits and 0 < c[2] <= n_bits
-    }
-    # distinctness clauses are the ones over difference variables alone,
-    # each one pair's list
-    distinct = [c for c in cnf.clauses if c and all(d in pair_of for d in c)]
-    assert all(len({pair_of[d] for d in c}) == 1 for c in distinct)
-    pairs = [pair_of[c[0]] for c in distinct]
-    assert len(pairs) == len(set(frozenset(p) for p in pairs))
-    assert all(i < j for i, j in pairs)
+    # the set keeps apart each unordered position pair whose output groups
+    # differ, and counts each such pair once
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(cs.n_positions), 2)
+        if cs.groups[i] != cs.groups[j]
+    ]
     assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]  # ascending
     assert len(pairs) == cs.counts()["distinct"]
+    # with the windows left out, each is the clash reported for an
+    # assignment where only that pair shares a value
+    bare = ConstraintSet(width=2, windows=[(0, 2)] * 3, groups=cs.groups)
+    for i, j in pairs:
+        others = iter(range(1, 4))
+        values = [0 if k in (i, j) else next(others) for k in range(4)]
+        assert find_violation(bare, values) == (i, j)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from fsmrecon.channel import NoiseModel
 from fsmrecon.cnf import decode_positions, encode_cnf, parse_dimacs
 from fsmrecon.congruence import Congruence
 from fsmrecon.constraints import (
+    ConstraintSet,
     build_constraints,
     find_violation,
     forced_width,
@@ -463,6 +464,20 @@ def test_exhausted_seed_search_falls_back_to_an_unseeded_solve(monkeypatch):
     assert (attempt.status, attempt.seeded) == ("sat", False)
     cs = build_constraints(trace, result.assignment.width)
     assert find_violation(cs, list(result.assignment.values)) is None
+
+
+@pytest.mark.parametrize("width", [1, 13])
+def test_seed_codes_builds_no_hulls_for_a_width_that_cannot_hold_the_guess(
+    monkeypatch, width
+):
+    # three classes need width 2, and no code search runs past width 12
+    def unreachable(*args):
+        raise AssertionError("a seed search ran at an unusable width")
+
+    monkeypatch.setattr(recovery, "class_hulls", unreachable)
+    monkeypatch.setattr(recovery, "search_class_codes", unreachable)
+    cs = ConstraintSet(width, [(1, width)] * 2, [0, 1, 2])
+    assert seed_codes(cs, [0, 1, 2]) is None
 
 
 def dumped_bases(result, prefix=""):

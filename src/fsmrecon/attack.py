@@ -17,15 +17,17 @@ evidence.  Earlier rounds' traces are pooled as evidence for the next
 round's state-grouping guess, which sharpens the phase seed and
 contributes no constraints.
 
-A round costs its own walk, not the attack so far.  The output-grouping
-check of the state guess keeps its evidence across rounds
-(:class:`~fsmrecon.recovery.OutputEvidence`) and scans each walk once.
-The accumulated machine is one :class:`~fsmrecon.stg.MergeGraph`: a
-round adds its fold to it, a refused merge is taken back in place, each
-trace's replay resumes where it stopped, and states are numbered only
-when the result is handed out.  What still grows with the attack is the
-state guess's evidence-driven search, which pools raw walks when grouping
-by output fails, up to its position ceiling.
+A round costs its own walk, not the attack so far, when the outputs
+identify the states.  The output-grouping check of the state guess keeps
+its evidence across rounds (:class:`~fsmrecon.recovery.OutputEvidence`)
+and scans each walk once.  The accumulated machine is one
+:class:`~fsmrecon.stg.MergeGraph`: a round adds its fold to it, a refused
+merge is taken back in place, each trace's replay resumes where it
+stopped, and states are numbered only when the result is handed out.
+When states share outputs, grouping by output fails and the guess's
+evidence-driven search runs over every walk captured so far, up to its
+position ceiling, so there a round's guess grows with the rounds before
+it.
 """
 
 from __future__ import annotations

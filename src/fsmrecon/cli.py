@@ -12,6 +12,7 @@ reaching its goal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -402,8 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built on its first call: parsing
+    leaves nothing in it, so one serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

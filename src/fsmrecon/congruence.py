@@ -12,7 +12,7 @@ may step to itself (``loop``).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
 class Congruence:
@@ -25,9 +25,11 @@ class Congruence:
     an edge from a class back into itself must carry a label that meets
     ``loop``.  The smaller node id always becomes the root, so a class is
     named by its least member.  ``edges`` is keyed by root: a merged-away
-    node's edges move to its root.  ``undo`` takes back the last ``merge``,
-    so a trial merge needs no copy; ``add`` appends nodes and ``truncate``
-    drops them again, so one structure can grow by a graph at a time.
+    node's edges move to its root.  ``meet`` must be idempotent: two equal
+    labels, and a loop label equal to ``loop``, are kept without a call.
+    ``undo`` takes back the last ``merge`` or ``merge_all``, so a trial
+    merge needs no copy; ``add`` appends nodes and ``truncate`` drops them
+    again, so one structure can grow by a graph at a time.
     """
 
     def __init__(
@@ -60,7 +62,18 @@ class Congruence:
         evidence corroborates the merge.  A merge that returns -1 leaves
         the structure half-merged until ``undo``.
         """
-        find = self.find
+        return self.merge_all([(a, b)])
+
+    def merge_all(self, pairs: list[tuple[int, int]]) -> int:
+        """``merge`` every pair in one closure pass, undone by one ``undo``.
+
+        The closure is the least congruence holding every pair, whatever
+        order its unions come in, and a contradiction, once met, stays in
+        every coarser partition; so ``merge`` of the pairs one at a time
+        reaches the same classes, roots and labels, or is refused too.
+        ``trail`` then holds one (absorbed root, kept root, ...) record per
+        union.
+        """
         parent = self.parent
         outputs = self.outputs
         edges = self.edges
@@ -68,10 +81,14 @@ class Congruence:
         loop = self.loop
         trail = self.trail = []
         score = 0
-        stack = [(a, b)]
+        stack = list(pairs)
         while stack:
-            x, y = stack.pop()
-            rx, ry = find(x), find(y)
+            rx, ry = stack.pop()
+            # find, inlined in the closure's hot loop
+            while parent[rx] != rx:
+                rx = parent[rx]
+            while parent[ry] != ry:
+                ry = parent[ry]
             if rx == ry:
                 continue
             if outputs[rx] != outputs[ry]:
@@ -85,25 +102,30 @@ class Congruence:
             score += 1
             ex = edges[rx] = dict(kept) if kept else {}
             for vec, (ty, label_y) in (moved or {}).items():
-                if vec in ex:
-                    tx, label_x = ex[vec]
+                step = ex.get(vec)
+                if step is None:
+                    ex[vec] = (ty, label_y)
+                    continue
+                tx, label_x = step
+                if label_x != label_y:
                     label = meet(label_x, label_y)
                     if label is None:
                         return -1
                     ex[vec] = (tx, label)
-                    stack.append((tx, ty))
-                else:
-                    ex[vec] = (ty, label_y)
+                stack.append((tx, ty))
             # checked even when ry had no edges: rx's own edges into ry's
             # class are self-loops now
             if loop is not None:
                 for t, label in ex.values():
-                    if find(t) == rx and meet(label, loop) is None:
+                    while parent[t] != t:
+                        t = parent[t]
+                    if t == rx and label != loop and meet(label, loop) is None:
                         return -1
         return score
 
     def undo(self) -> None:
-        """Take back the last ``merge``, refused or not; then a no-op."""
+        """Take back the last ``merge`` or ``merge_all``, refused or not;
+        then a no-op."""
         for ry, rx, moved, kept in reversed(self.trail):
             self.parent[ry] = ry
             if moved is not None:
@@ -134,9 +156,9 @@ class Congruence:
         del self.parent[n:]
         del self.outputs[n:]
 
-    def classes(self, n: int) -> list[int]:
-        """Class per node for the first ``n`` nodes, ids dense from 0 in
-        order of first appearance."""
+    def classes(self, nodes: Iterable[int]) -> list[int]:
+        """Class per node of ``nodes``, ids dense from 0 in order of first
+        appearance."""
         find = self.find
         remap: dict[int, int] = {}
-        return [remap.setdefault(find(p), len(remap)) for p in range(n)]
+        return [remap.setdefault(find(p), len(remap)) for p in nodes]

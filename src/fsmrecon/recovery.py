@@ -20,7 +20,6 @@ independent evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .capture import Trace
 from .cnf import Cnf, decode_positions, encode_cnf, to_dimacs, variable_map_text
@@ -85,10 +84,14 @@ def _window_meet(
     return (lo, hi) if lo <= hi else None
 
 
+# the window of a step that leaves the state where it was
+_STAY = (0, 0)
+
+
 # Ceiling on positions fed to the evidence-driven merge search below: each
 # step closes and undoes one trial merge per kept class and frontier class,
 # so cost grows with their product; pooled table3 walks of a 32-state,
-# one-output-bit machine took 1.7 s at 2,000 positions and 42 s at 8,000
+# one-output-bit machine took 1.0 s at 2,000 positions and 15 s at 8,000
 # (Python 3.11, 2 vCPUs).  Captures past the ceiling either pass the
 # one-pass output-grouping check or settle for plain output grouping.
 _MERGE_MAX_POSITIONS = 2000
@@ -194,47 +197,28 @@ def merge_hypothesis(
             evidence.add(w)
     if evidence.holds:
         return trace.groups
-    *offsets, total = accumulate((w.n_steps + 1 for w in walks), initial=0)
-    if total > _MERGE_MAX_POSITIONS:
+    if sum(w.n_steps + 1 for w in walks) > _MERGE_MAX_POSITIONS:
         # the merge search below is too costly here: shed the optional
         # pooled evidence first, past that settle for output grouping
         if extra and n <= _MERGE_MAX_POSITIONS:
             return merge_hypothesis(trace)
         return trace.groups
-    outs: list[str] = []
-    succs: dict[int, dict[int, tuple[int, tuple[int, int]]]] = {}
-    for w, off in zip(walks, offsets):
-        outs.extend(w.outputs)
-        for k in range(w.n_steps):
-            inf = w.inferred[k]
-            succs.setdefault(off + k, {})[w.stimulus[k]] = (
-                off + k + 1,
-                (inf.lo, inf.hi),
-            )
-    # a state that steps to itself moves distance 0
-    cong = Congruence(outs, succs, _window_meet, loop=(0, 0))
-    # every walk begins at the same physical reset state
-    for off in offsets[1:]:
-        if cong.merge(0, off) < 0:
-            return trace.groups
-    # zero-distance steps: same state before and after, merge up front
-    for w, off in zip(walks, offsets):
-        for k, inf in enumerate(w.inferred):
-            if inf.center == 0:
-                if cong.merge(off + k, off + k + 1) < 0:
-                    # inconsistent; best effort
-                    return trace.groups
-
+    graph = _run_graph(walks)
+    if graph is None:
+        return trace.groups  # inconsistent; best effort
+    cong, node_of = graph
+    outs = cong.outputs
+    edges = cong.edges
     find = cong.find
+    # (red, blue) -> (score, the roots its closure joined); a kept merge
+    # changes only the classes in its own trail, and a trial none of whose
+    # roots it changed would close the same way again
+    tried: dict[tuple[int, int], tuple[int, set[int]]] = {}
     red: list[int] = [find(0)]
     while True:
         red = [r for r in red if find(r) == r]
         frontier = sorted(
-            {
-                find(t)
-                for r in red
-                for t, _ in cong.edges.get(r, {}).values()
-            }
+            {find(t) for r in red for t, _ in edges.get(r, {}).values()}
             - set(red)
         )
         if not frontier:
@@ -245,8 +229,14 @@ def merge_hypothesis(
             for ri, cand in enumerate(red):
                 if outs[cand] != outs[node]:
                     continue
-                score = cong.merge(cand, node)
-                cong.undo()
+                trial = tried.get((cand, node))
+                if trial is None:
+                    trial = tried[cand, node] = (
+                        cong.merge(cand, node),
+                        _trail_roots(cong),
+                    )
+                    cong.undo()
+                score = trial[0]
                 if score < 0:
                     continue
                 mergeable = True
@@ -258,8 +248,77 @@ def merge_hypothesis(
                 break
         else:
             cong.merge(*best[1:])
+            changed = _trail_roots(cong)
+            tried = {
+                pair: trial
+                for pair, trial in tried.items()
+                if changed.isdisjoint(trial[1])
+            }
 
-    return cong.classes(n)
+    return cong.classes(node_of[:n])
+
+
+def _run_graph(walks: list[Trace]) -> tuple[Congruence, list[int]] | None:
+    """The evidence-driven search's graph, closed, and the node of each
+    pooled position; None when the walks contradict themselves.
+
+    A zero-distance step leaves the state where it was, so each run of
+    positions joined by such steps is one node, and the step a self-loop;
+    a run with two outputs, or a zero step whose window leaves 0 out, is
+    a contradiction.  Nodes are numbered in position order, so a class's
+    least node is the run of its least position, as the search's
+    tie-breaks need.  A node steps under each input over the meet of its
+    members' windows, and two members stepping under one input to two
+    nodes force those to name one state.  Every walk begins at the one
+    reset state.  One closure pass joins the resets and the forced pairs.
+    """
+    outs: list[str] = []
+    edges: dict[int, dict[int, tuple[int, tuple[int, int]]]] = {}
+    pairs: list[tuple[int, int]] = []
+    node_of: list[int] = []
+    for w in walks:
+        node = len(outs)
+        if node:
+            pairs.append((0, node))
+        out = w.outputs[0]
+        outs.append(out)
+        steps = edges[node] = {}
+        node_of.append(node)
+        for nxt, vec, inf in zip(w.outputs[1:], w.stimulus, w.inferred):
+            label = (inf.lo, inf.hi)
+            if inf.center == 0:
+                if nxt != out or _window_meet(label, _STAY) is None:
+                    return None
+                target = node
+            else:
+                target = len(outs)
+            step = steps.get(vec)
+            if step is None:
+                steps[vec] = (target, label)
+            else:
+                to, seen = step
+                if seen != label:
+                    label = _window_meet(seen, label)
+                    if label is None:
+                        return None
+                    steps[vec] = (to, label)
+                if to != target:
+                    pairs.append((to, target))
+            if target != node:
+                node = target
+                out = nxt
+                outs.append(out)
+                steps = edges[node] = {}
+            node_of.append(node)
+    cong = Congruence(outs, edges, _window_meet, loop=_STAY)
+    if cong.merge_all(pairs) < 0:
+        return None
+    return cong, node_of
+
+
+def _trail_roots(cong: Congruence) -> set[int]:
+    """Every root the last merge absorbed or kept."""
+    return {root for ry, rx, _, _ in cong.trail for root in (ry, rx)}
 
 
 def class_hulls(

@@ -366,8 +366,15 @@ def test_deterministic_runs_are_byte_identical(lion_path, tmp_path):
     ]
     main(args)
     snap = (report.read_bytes(), recovered.read_bytes())
+    # main parses with one parser per process: commands in between, and
+    # the same attack with its timings left in, leave nothing behind
+    assert main(["verify", str(recovered), lion_path]) == 0
+    timed = [a for a in args if a != "--deterministic"]
+    timed[timed.index(str(report))] = str(tmp_path / "timed.json")
+    main(timed)
     main(args)
     assert (report.read_bytes(), recovered.read_bytes()) == snap
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_deterministic_zeroes_every_timing_field(lion_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypothesis_reference
 from conftest import (
     machine_trace,
     random_moore,
@@ -671,14 +672,17 @@ def test_seed_answers_equal_solver_answers_on_bundled_machines(name, kind):
     )
 
 
-def random_walks(seed, n_states, input_bits, output_bits, kind, n_extra):
+def random_walks(
+    seed, n_states, input_bits, output_bits, kind, n_extra, tail_steps=0
+):
     """1 + ``n_extra`` walks from reset of a seeded random complete Moore
-    machine, captured under the ``kind`` channel."""
+    machine, captured under the ``kind`` channel, and one more of
+    ``tail_steps`` steps when that is nonzero."""
     rng = random.Random(seed)
     machine = random_moore(rng, n_states, input_bits, output_bits)
     enc = assign_binary_encoding(machine)
     device = BlackBoxDevice(enc, NoiseModel(kind=kind), noise_seed=seed)
-    return [
+    walks = [
         run_trace(
             device,
             gen_stimulus(rng.randint(1, 60), input_bits, rng.randrange(2**32)),
@@ -686,6 +690,10 @@ def random_walks(seed, n_states, input_bits, output_bits, kind, n_extra):
         )
         for k in range(1 + n_extra)
     ]
+    if tail_steps:
+        stimulus = gen_stimulus(tail_steps, input_bits, rng.randrange(2**32))
+        walks.append(run_trace(device, stimulus, seed=1 + n_extra))
+    return walks
 
 
 random_walk_args = dict(
@@ -842,7 +850,7 @@ def closure_output_grouping(trace, extra):
             return None
     if any(closed.find(k) == closed.find(k + 1) for k in nonzero):
         return None
-    return closed.classes(trace.n_steps + 1)
+    return closed.classes(range(trace.n_steps + 1))
 
 
 def evidence_search(trace, extra=()):
@@ -965,7 +973,7 @@ def copy_and_rescan_search(trace, extra):
             - set(red)
         )
         if not frontier:
-            return cong.classes(trace.n_steps + 1)
+            return cong.classes(range(trace.n_steps + 1))
         trials = []
         for bi, node in enumerate(frontier):
             found = False
@@ -991,6 +999,39 @@ def test_evidence_search_matches_the_copy_and_rescan_search(**args):
     walks = random_walks(**args)
     trace, extra = walks[0], walks[1:]
     assert evidence_search(trace, extra) == copy_and_rescan_search(trace, extra)
+
+
+@given(
+    path=st.sampled_from(["fresh", "held", "shed"]),
+    **dict(
+        pooled_walk_args,
+        output_bits=st.integers(min_value=1, max_value=2),
+        n_extra=st.integers(min_value=0, max_value=4),
+    ),
+)
+@example(path="held", seed=74, n_states=2, input_bits=2, output_bits=1,
+         kind="table3", n_extra=1)
+@example(path="shed", seed=3, n_states=8, input_bits=1, output_bits=1,
+         kind="exact", n_extra=2)
+@settings(max_examples=300, deadline=None)
+def test_the_run_graph_guess_matches_the_position_graph_reference(
+    path, **args
+):
+    # "held" passes the verdict the attack keeps across rounds; "shed" adds
+    # a walk that carries the pool past the search's position ceiling, so
+    # the pooled walks are dropped and the trace is judged alone; grouping
+    # by output fails in both examples, so each reaches the search
+    tail = recovery._MERGE_MAX_POSITIONS if path == "shed" else 0
+    walks = random_walks(**args, tail_steps=tail)
+    trace, extra = walks[0], walks[1:]
+    evidence = None
+    if path == "held":
+        evidence = recovery.OutputEvidence()
+        for w in (*extra, trace):
+            evidence.add(w)
+    assert merge_hypothesis(trace, extra, evidence) == (
+        hypothesis_reference.merge_hypothesis(trace, extra, evidence)
+    )
 
 
 def assert_only_pooling_breaks_output_grouping(trace, extra, expected):

@@ -20,7 +20,11 @@ contributes no constraints.
 A round costs its own walk, not the attack so far, when the outputs
 identify the states.  The output-grouping check of the state guess keeps
 its evidence across rounds (:class:`~fsmrecon.recovery.OutputEvidence`)
-and scans each walk once.  The accumulated machine is one
+and scans each walk once.  It also keeps the code each output held in the
+last assignment a round returned, and the next round checks those codes
+first, so a round answered by them builds no class hulls and searches no
+codes; the width and the fold are those the search would have given.
+The accumulated machine is one
 :class:`~fsmrecon.stg.MergeGraph`: a round adds its fold to it, a refused
 merge is taken back in place, each trace's replay resumes where it
 stopped, and states are numbered only when the result is handed out.
@@ -103,9 +107,9 @@ class RoundRecord:
     ``"replay-rejected"`` means the fold or the merged graph failed a trace
     captured so far.  ``trace`` is the round's capture; later rounds pool
     it as evidence and replay it as a check, and ``seed`` is read from it.
-    ``assignment`` is the last solution the round's solver found, kept
-    when its fold was rejected too, and None when the last solve failed;
-    ``width`` is read from it.
+    ``assignment`` is the last assignment the width search returned, seed
+    or model, kept when its fold was rejected too, and None when the last
+    search failed; ``width`` is read from it.
     ``solver_ms`` is the wall time of the guess and the width searches,
     fold and merge left out, so it is not solver time alone.
     ``escalations`` is 1 when the round retried at a wider register and 0
@@ -252,11 +256,14 @@ def _solve_round(
     Returns the round's record (its new transitions and fraction still to
     be filled in) and the fold :func:`_fold_and_merge` handed on for its
     last solve.  Earlier traces pool into the state-grouping guess only;
-    ``evidence`` has already judged every trace in ``traces``.
+    ``evidence`` has already judged every trace in ``traces``, and it
+    hands both solves the codes earlier rounds left and keeps this
+    round's.
     """
     trace = traces[-1]
     t0 = time.perf_counter()
     classes = recovery.merge_hypothesis(trace, traces[:-1], evidence=evidence)
+    prior = evidence.prior(trace)
     # Retry wider only when the state-grouping guess itself does not fit
     # the width — the one case where the first satisfiable width
     # demonstrably cannot separate all the states.  Anything else is a
@@ -276,6 +283,7 @@ def _solve_round(
             width_start=width_start,
             timeout_ms=cfg.timeout_ms,
             classes=classes,
+            prior=prior,
             dimacs_prefix=dimacs_prefix,
         )
         solver_ms += (time.perf_counter() - t0) * 1000.0
@@ -285,6 +293,8 @@ def _solve_round(
         if status == "merged" or assignment is None or assignment.width >= fit:
             break
         t0 = time.perf_counter()
+    if assignment is not None:
+        evidence.keep(trace, assignment.values)
     record = RoundRecord(
         round_no=round_no,
         status=status,

@@ -166,9 +166,26 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
     value that differs is refused.  Don't-care input bits are
     expanded eagerly, so the resulting table is purely binary; a table
     that would expand past :data:`MAX_TABLE_ENTRIES` entries is refused.
+
+    Each row is read once.  An input pattern is checked and expanded, and
+    an output vector checked, the first time it appears.  A row enters
+    its table entries as it is read, under its state's number and its
+    target's name, and its output is held to the target's first one,
+    which decides between Moore and Mealy.  Two rows that conflict are
+    reported only once every row has been checked and the reset found, so
+    any other refusal comes first, as it would from a table built after
+    the reading.
     """
     fixed: dict[str, int | str] = {}  # ".i", ".o" and ".r" once set
-    rows: list[tuple[int, str, str, str, str]] = []  # (line, in, cur, nxt, out)
+    vectors_of: dict[str, list[int]] = {}  # input pattern -> its vectors
+    checked_outputs: set[str] = set()
+    state_ids: dict[str, int] = {}  # current-state column, first-seen order
+    # next-state column, first-seen order -> output of its first row
+    entered: dict[str, str] = {}
+    moore = True  # every row entering a state carries one output
+    # (state, vector) -> (next state name, output, line of the row)
+    table: dict[tuple[int, int], tuple[str, str, int]] = {}
+    conflict: NondeterminismError | None = None  # the first one met
     entries = 0  # table entries once don't-cares are expanded
 
     def set_once(key: str, value: int | str, what: str, lineno: int) -> None:
@@ -208,64 +225,71 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
                 lineno,
             )
         ins, cur, nxt, outs = parts
-        if ins.translate(_DROP_INPUT_CHARS):
+        # a width, once set, never changes, so a field that passed its
+        # checks once passes them again
+        vectors = vectors_of.get(ins)
+        new_outs = outs not in checked_outputs
+        if vectors is None and ins.translate(_DROP_INPUT_CHARS):
             raise Kiss2Error(f"bad input pattern {ins!r}", lineno)
-        if outs.translate(_DROP_OUTPUT_CHARS):
+        if new_outs and outs.translate(_DROP_OUTPUT_CHARS):
             raise Kiss2Error(f"bad output vector {outs!r}", lineno)
-        # compared here, so the helper runs only to set or refuse a width
-        if len(ins) != fixed.get(".i"):
+        if vectors is None and len(ins) != fixed.get(".i"):
             set_once(".i", len(ins), f"input pattern {ins!r}", lineno)
-        if len(outs) != fixed.get(".o"):
-            set_once(".o", len(outs), f"output vector {outs!r}", lineno)
-        entries += 1 << ins.count("-")
+        if new_outs:
+            if len(outs) != fixed.get(".o"):
+                set_once(".o", len(outs), f"output vector {outs!r}", lineno)
+            checked_outputs.add(outs)
+        entries += 1 << ins.count("-") if vectors is None else len(vectors)
         if entries > MAX_TABLE_ENTRIES:
             raise Kiss2Error(
                 f"table expands past {MAX_TABLE_ENTRIES} entries", lineno
             )
-        rows.append((lineno, ins, cur, nxt, outs))
-
-    if not rows:
-        raise Kiss2Error("no transition rows found")
-    states = list(dict.fromkeys([r[2] for r in rows] + [r[3] for r in rows]))
-    index = {name: k for k, name in enumerate(states)}
-    reset_name = fixed.get(".r", rows[0][2])
-    if reset_name not in index:
-        raise DanglingStateError(f"reset state {reset_name!r} never appears in a row")
-
-    transitions: dict[tuple[int, int], tuple[int, str]] = {}
-    for lineno, ins, cur, nxt, outs in rows:
-        s = index[cur]
-        entry = (index[nxt], outs)
-        for v in _expand_dontcare(ins):
-            if transitions.setdefault((s, v), entry) != entry:
-                origin = next(  # the first row covering (cur, v) set it
-                    r[0] for r in rows if r[2] == cur and v in _expand_dontcare(r[1])
-                )
-                raise NondeterminismError(
+        if vectors is None:
+            vectors = vectors_of[ins] = _expand_dontcare(ins)
+        s = state_ids.setdefault(cur, len(state_ids))
+        if entered.setdefault(nxt, outs) != outs:
+            moore = False
+        entry = (nxt, outs, lineno)
+        for v in vectors:
+            got = table.setdefault((s, v), entry)
+            if got is not entry and conflict is None and got[:2] != entry[:2]:
+                conflict = NondeterminismError(
                     f"state {cur!r} input {int_to_bits(v, fixed['.i'])} already "
-                    f"defined differently at line {origin}",
+                    f"defined differently at line {got[2]}",
                     lineno,
                 )
 
-    mealy = MealyFsm(
+    if not state_ids:
+        raise Kiss2Error("no transition rows found")
+    # the current states keep their numbers; targets alone come after
+    states = list(state_ids)
+    states += [name for name in entered if name not in state_ids]
+    index = {name: k for k, name in enumerate(states)}
+    reset_name = fixed.get(".r", states[0])
+    if reset_name not in index:
+        raise DanglingStateError(f"reset state {reset_name!r} never appears in a row")
+    if conflict is not None:
+        raise conflict
+
+    if moore:
+        zero = "0" * fixed[".o"]
+        return MooreFsm(
+            input_bits=fixed[".i"],
+            output_bits=fixed[".o"],
+            states=states,
+            reset=index[reset_name],
+            delta={key: index[entry[0]] for key, entry in table.items()},
+            outputs=[entered.get(name, zero) for name in states],
+        )
+    return MealyFsm(
         input_bits=fixed[".i"],
         output_bits=fixed[".o"],
         states=states,
         reset=index[reset_name],
-        transitions=transitions,
+        transitions={
+            key: (index[nxt], outs) for key, (nxt, outs, _) in table.items()
+        },
     )
-    return _as_moore(mealy) or mealy
-
-
-def _as_moore(m: MealyFsm) -> MooreFsm | None:
-    """Reinterpret a Mealy table as Moore if every state is entered consistently."""
-    outputs: list[str | None] = [None] * m.state_count
-    for nxt, out in m.transitions.values():
-        if outputs[nxt] is None:
-            outputs[nxt] = out
-        elif outputs[nxt] != out:
-            return None
-    return _moore(m, outputs)
 
 
 def _moore(m: MealyFsm, outputs: list[str | None]) -> MooreFsm:

@@ -12,9 +12,13 @@ every constraint it is the answer and no CNF is built.  Only a seed that
 fits the width but breaks a window primes the solver's decision phases,
 where a good seed lets the solver descend to a model without conflicts.
 At a width narrower than the guess needs (more classes than codes) there
-is no seed, and the solver runs unseeded.  Correctness never depends on
-the seed, because every answer is checked against the constraints by an
-independent evaluator.
+is no seed, and the solver runs unseeded.  A caller may pass class codes
+an earlier answer gave the same classes; where the search would run they
+are checked first, and when they pass no hull is built and no code
+searched.  While outputs name the states, an attack's classes are the
+output groups, so :class:`OutputEvidence` keeps each output's last code
+for the next round.  Correctness never depends on the seed, because every
+answer is checked against the constraints by an independent evaluator.
 """
 
 from __future__ import annotations
@@ -111,17 +115,40 @@ class OutputEvidence:
     ``holds`` does not depend on the order the walks come in, and once
     false it stays false, so an attack adds each round's walk once and
     scans nothing twice.
+
+    While it holds the state guess is the output groups, and ``codes``
+    carries each output's code from one round's assignment to the next
+    round's ``prior``; one attack owns one instance, so nothing carries
+    between attacks.
     """
 
     def __init__(self) -> None:
         self.seen: dict[tuple[str, int], tuple[str, int, int]] = {}
         self.holds = True
+        self.codes: dict[str, int] = {}
 
     def add(self, walk: Trace) -> bool:
         """Judge one more walk; returns the verdict over every walk added."""
         if self.holds:
             self.holds = self._scan(walk)
         return self.holds
+
+    def keep(self, walk: Trace, values: tuple[int, ...]) -> None:
+        """Remember the code each output of ``walk`` holds in ``values``,
+        an assignment returned for it."""
+        if self.holds:
+            self.codes.update(zip(walk.outputs, values))
+
+    def prior(self, walk: Trace) -> list[int] | None:
+        """The kept code of each output group of ``walk``, in group
+        order: one code per class of the state guess while the verdict
+        holds.  None when it fails or an output has no code yet."""
+        if not self.holds:
+            return None
+        try:
+            return [self.codes[out] for out in dict.fromkeys(walk.outputs)]
+        except KeyError:
+            return None
 
     def _scan(self, walk: Trace) -> bool:
         seen = self.seen
@@ -526,6 +553,7 @@ def recover_encodings(
     width_start: int | None = None,
     timeout_ms: int | None = 1_000_000,
     classes: list[int] | None = None,
+    prior: list[int] | None = None,
     dimacs_prefix: str | None = None,
 ) -> RecoveryResult:
     """Find a register width and per-position values satisfying the trace.
@@ -547,6 +575,14 @@ def recover_encodings(
     trace alone.  A guess pooled from earlier captures of the same device
     (``merge_hypothesis(trace, earlier)``) is usually sharper; it never
     contributes constraints, so the solved problem is the same either way.
+    ``prior`` is one code per class, say those an earlier answer gave the
+    same classes.  At each width where the class codes would be searched,
+    the prior codes, when pairwise distinct and fitting the width, are
+    checked first, and when they pass they are the seed.  They pass only
+    where every hull is met and no window is dropped, so the search
+    would have found codes there too, and both code sets are one code per
+    class: the width and the partition of the positions are the same as
+    without a prior, barring a search that runs out of its node budget.
     """
     r0 = width_start if width_start is not None else forced_width(trace)
     if r0 < 1:
@@ -555,6 +591,18 @@ def recover_encodings(
     result = RecoveryResult(assignment=None)
     if classes is None:
         classes = merge_hypothesis(trace)
+    prior_seed = None
+    if prior is not None:
+        n_classes = max(classes) + 1
+        if len(prior) != n_classes:
+            raise ValueError(
+                f"expected {n_classes} prior codes, got {len(prior)}"
+            )
+        if len(set(prior)) == n_classes and min(prior) >= 0:
+            # from the first width that has a code per class and holds
+            # every prior code
+            prior_from = max(code_width(n_classes), max(prior).bit_length())
+            prior_seed = [prior[c] for c in classes]
 
     for width in range(r0, r0 + WIDTH_STEPS + 1):
         cs = build_constraints(trace, width)
@@ -564,19 +612,30 @@ def recover_encodings(
             )
             continue
 
-        codes = seed_codes(cs, classes)
-        if codes is not None:
-            seed = [codes[c] for c in classes]
-            if find_violation(cs, seed) is None:
-                # the seed is a model: the solver, deciding position bits
-                # first on these phases, would return exactly it
-                result.attempts.append(
-                    WidthAttempt(width=width, status="seed", seeded=True)
-                )
-                result.assignment = EncodingAssignment(
-                    width=width, values=tuple(seed)
-                )
-                return result
+        codes = None
+        seed = None
+        if (
+            prior_seed is not None
+            and prior_from <= width <= _SEED_MAX_WIDTH
+            and find_violation(cs, prior_seed) is None
+        ):
+            seed = prior_seed
+        else:
+            codes = seed_codes(cs, classes)
+            if codes is not None:
+                seed = [codes[c] for c in classes]
+                if find_violation(cs, seed) is not None:
+                    seed = None
+        if seed is not None:
+            # the seed is a model: the solver, deciding position bits
+            # first on these phases, would return exactly it
+            result.attempts.append(
+                WidthAttempt(width=width, status="seed", seeded=True)
+            )
+            result.assignment = EncodingAssignment(
+                width=width, values=tuple(seed)
+            )
+            return result
 
         cnf = encode_cnf(cs)
         if dimacs_prefix is not None:

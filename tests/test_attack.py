@@ -481,12 +481,35 @@ def full_rescan_challenge(acc, challenger, refused, traces):
     return None, challenger
 
 
+def full_rescan_prior(records, trace):
+    """The class codes the attack carries into the round of ``trace``.
+
+    While grouping by output holds over every walk, each output keeps its
+    code in the latest round assignment of a walk showing it; the prior
+    is one code per output group of ``trace``, None if one has none.
+    """
+    evidence = recovery.OutputEvidence()
+    for walk in [r.trace for r in records] + [trace]:
+        evidence.add(walk)
+    if not evidence.holds:
+        return None
+    codes = {}
+    for r in records:
+        if r.assignment is not None:
+            for out, value in zip(r.trace.outputs, r.assignment.values):
+                codes[out] = value
+    prior = [codes.get(out) for out in dict.fromkeys(trace.outputs)]
+    return None if None in prior else prior
+
+
 def full_rescan_attack(device, cfg, seen):
     """The attack with every round rescanning the attack so far.
 
     The state guess runs the batch output-grouping check over every walk,
-    each merge rebuilds the accumulated MooreFsm with ``merge_rounds``, and
-    every trace is replayed from reset (:func:`fold_first_and_merge`).
+    the carried class codes are rebuilt from the round records
+    (:func:`full_rescan_prior`), each merge rebuilds the accumulated
+    MooreFsm with ``merge_rounds``, and every trace is replayed from reset
+    (:func:`fold_first_and_merge`).
     ``seen`` counts the (status, graph handed on) kinds of the stage calls
     as :func:`checking_stages` does, and ``"takeover"`` per challenger
     takeover.  Returns the recovered graph and the round records.
@@ -502,12 +525,13 @@ def full_rescan_attack(device, cfg, seen):
         traces.append(run_trace(device, stimulus, seed=round_seed))
         trace = traces[-1]
         classes = recovery.merge_hypothesis(trace, traces[:-1])
+        prior = full_rescan_prior(records, trace)
         fit = code_width(max(classes) + 1)
         attempts = []
         for escalations, width_start in enumerate((None, fit)):
             found = recover_encodings(
                 trace, width_start=width_start, timeout_ms=cfg.timeout_ms,
-                classes=classes,
+                classes=classes, prior=prior,
             )
             attempts += found.attempts
             assignment = found.assignment
@@ -843,6 +867,49 @@ def test_deterministic_results_are_pinned(tmp_path, monkeypatch):
         for case, runs in cases.items()
     }
     assert got == PINNED_RESULTS
+
+
+def test_carried_class_codes_change_no_report_or_recovered_machine(
+    tmp_path, monkeypatch
+):
+    # while the outputs name the states, a round first checks the codes
+    # each output held in the round before; with that carry dropped,
+    # every --deterministic report and recovered table is byte-identical
+    monkeypatch.chdir(tmp_path)
+    cases = [(name, ["--goal", "1.0"]) for name in SMALL_BENCHMARKS]
+    cases += [
+        (name, ["--noise", "table3", "--goal", "0.9", "--vectors", vectors,
+                "--rounds-max", "30"])
+        for name, vectors in (("opus", "200"), ("s386", "420"))
+    ]
+    real = attack_mod.recover_encodings
+    priors = []
+
+    def carrying(trace, **kw):
+        priors.append(kw["prior"] is not None)
+        return real(trace, **kw)
+
+    def dropping(trace, *, prior, **kw):
+        return real(trace, **kw)
+
+    def results(recover):
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attack_mod, "recover_encodings", recover)
+            for name, args in cases:
+                Path(f"{name}.kiss2").write_text(benchmarks.load(name))
+                for seed in range(1, 6):
+                    main(["attack", "--target", f"{name}.kiss2",
+                          "--deterministic", "--seed", str(seed),
+                          "--report", "report.json",
+                          "--recovered", "recovered.kiss2", *args])
+                    for path in (Path("report.json"), Path("recovered.kiss2")):
+                        out.append(path.read_bytes() if path.exists() else b"")
+                        path.unlink(missing_ok=True)
+        return out
+
+    assert results(carrying) == results(dropping)
+    assert any(priors)
 
 
 # sha256, as in PINNED_RESULTS, over ``--noise gaussian --sigma 30 --goal

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kiss2_reference
 from fsmrecon import benchmarks
 from fsmrecon.fsm import (
     DanglingStateError,
@@ -219,6 +220,83 @@ def test_huge_dont_care_row_is_refused_before_expanding():
     with pytest.raises(Kiss2Error, match="expands past"):
         parse_kiss2(".i 40\n.o 1\n" + "-" * 40 + " a a 1\n")
     assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def kiss2_texts(draw):
+    """KISS2-like text: rows over a few states, some of them duplicates,
+    conflicting or malformed, among comments, blank lines and directives
+    that may come late, disagree, be malformed or end the table."""
+    in_bits = draw(st.sampled_from([1, 2, 2, 3, 17]))
+    out_bits = draw(st.integers(min_value=1, max_value=2))
+    state = st.sampled_from(["a", "b", "c", "s0"])
+
+    def field(chars, width):
+        return "".join(draw(st.lists(
+            st.sampled_from(chars), min_size=width, max_size=width
+        )))
+
+    def line():
+        kind = draw(st.sampled_from(
+            ["row"] * 12 + ["bad row"] * 3
+            + ["dontcare row", "odd row", "comment", "directive"]
+        ))
+        if kind.endswith("row"):
+            ins = field("01-" if in_bits < 17 else "0011111-", in_bits)
+            if kind == "dontcare row":
+                ins = "-" * in_bits
+            parts = [ins, draw(state), draw(state), field("01", out_bits)]
+            if kind == "odd row":  # a field short or one too many
+                if draw(st.booleans()):
+                    del parts[draw(st.integers(0, 3))]
+                else:
+                    parts.append("x")
+            elif kind == "bad row":  # a bad character, or a width off by one
+                k = draw(st.sampled_from([0, 3]))
+                parts[k] = draw(st.sampled_from([
+                    parts[k][:-1] + "2", parts[k][:-1] + "-", parts[k][1:],
+                    parts[k] + "0",
+                ]))
+            return " ".join(parts)
+        if kind == "comment":
+            return draw(st.sampled_from(["", "   ", "# a comment", "#"]))
+        return draw(st.sampled_from([
+            f".i {in_bits}", f".o {out_bits}", f".i {in_bits + 1}",
+            f".o {out_bits + 1}", ".p 4", ".s 3", ".r a", ".r b", ".r ghost",
+            ".r", ".e", ".q 1", ".i x", ".p ²", ".i 2 3",
+        ]))
+
+    head = draw(st.sampled_from(
+        ["", f".i {in_bits}\n.o {out_bits}\n", ".r c\n"]
+    ))
+    lines = draw(st.lists(st.just(None).map(lambda _: line()), max_size=20))
+    return head + "\n".join(lines)
+
+
+def parse_outcome(parse, text):
+    """The machine ``parse`` makes of ``text``, or its refusal's type,
+    message and line."""
+    try:
+        return parse(text)
+    except Kiss2Error as exc:
+        return type(exc), str(exc), exc.line
+
+
+@given(text=kiss2_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_two_pass_reference(text):
+    got = parse_outcome(parse_kiss2, text)
+    want = parse_outcome(kiss2_reference.parse_kiss2, text)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_fixtures_parse_as_the_two_pass_reference_does(name):
+    text = benchmarks.load(name)
+    got = parse_kiss2(text)
+    assert type(got) is type(kiss2_reference.parse_kiss2(text))
+    assert got == kiss2_reference.parse_kiss2(text)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from fsmrecon.constraints import (
 )
 from fsmrecon.fsm import assign_binary_encoding
 from fsmrecon.recovery import (
+    _SEED_MAX_WIDTH,
     build_phases,
     class_hulls,
     merge_hypothesis,
@@ -44,6 +45,7 @@ from fsmrecon.recovery import (
     seed_codes,
 )
 from fsmrecon.sat import SAT, CdclSolver
+from fsmrecon.stg import StgConflictError, build_partial_stg
 
 
 def hypothesis_matches_truth(enc, trace, classes) -> bool:
@@ -714,6 +716,69 @@ def test_seed_answers_equal_solver_answers_on_random_walks(**args):
     result = recover_encodings(walks[0], classes=classes)
     assert result.assignment is not None
     assert_seed_is_the_solver_answer(walks[0], classes, result)
+
+
+def fold_outcome(trace, assignment):
+    """The round's fold of ``assignment``: a graph, "conflict" or None."""
+    if assignment is None:
+        return None
+    try:
+        return build_partial_stg(trace, assignment)
+    except StgConflictError:
+        return "conflict"
+
+
+@given(data=st.data(), **dict(random_walk_args, n_extra=st.integers(1, 2)))
+@settings(max_examples=150, deadline=None)
+def test_a_prior_changes_no_attempt_and_no_fold(data, **args):
+    walks = random_walks(**args)
+    trace, previous = walks[0], walks[1]
+    classes = merge_hypothesis(trace, walks[1:])
+    n = max(classes) + 1
+    # the previous capture's codes: each class takes the code its first
+    # position's output held there, an output it never showed a fresh one
+    solved = recover_encodings(previous)
+    assert solved.assignment is not None
+    held = dict(zip(previous.outputs, solved.assignment.values))
+    fresh = max(held.values()) + 1
+    firsts = dict.fromkeys(classes)
+    for p, c in enumerate(classes):
+        if firsts[c] is None:
+            firsts[c] = p
+    prior = [held.get(trace.outputs[firsts[c]], fresh + c) for c in range(n)]
+    plain = recover_encodings(trace, classes=classes)
+    assert plain.assignment is not None
+    width = plain.assignment.width
+    priors = [
+        prior,
+        data.draw(st.permutations(prior)),
+        prior[:-1] + prior[:1],  # a duplicate, when there are two classes
+        [prior[0] | 1 << width] + prior[1:],  # too wide for the answer
+    ]
+    for codes in priors:
+        got = recover_encodings(trace, classes=classes, prior=codes)
+        assert [(a.width, a.status, a.seeded) for a in got.attempts] == [
+            (a.width, a.status, a.seeded) for a in plain.attempts
+        ]
+        assert got.assignment.width == width
+        assert fold_outcome(trace, got.assignment) == fold_outcome(
+            trace, plain.assignment
+        )
+        cs = build_constraints(trace, width)
+        assert find_violation(cs, list(got.assignment.values)) is None
+        seed = [codes[c] for c in classes]
+        if (
+            len(set(codes)) == n
+            and max(codes) < 1 << width
+            and width <= _SEED_MAX_WIDTH
+            and find_violation(cs, seed) is None
+        ):
+            # checked first at the answer's width, the prior is the answer
+            assert got.attempts[-1].status == "seed"
+            assert got.assignment.values == tuple(seed)
+    for codes in (prior[:-1], prior + [fresh + n]):
+        with pytest.raises(ValueError, match=f"expected {n} prior codes"):
+            recover_encodings(trace, classes=classes, prior=codes)
 
 
 def per_position_class_hulls(cs, classes):

@@ -5,11 +5,14 @@ step with a nonzero window gets difference variables, one per bit, each
 defined as the XOR of the two positions' bits.  A zero window becomes
 bitwise equality, any other window a sequential-counter register over
 the difference variables.  Distinctness stays a partition: a
-code-ownership table over the width's 2^w codes says which position
-holds which code and which output group owns it, and no code has two
-owners (Heule & Verwer, "Exact DFA Identification Using SAT Solvers",
-ICGI 2010).  The formula is O(N * 2^w * w) in the number of positions N,
-with no clause per pair of positions.
+code-ownership table over the width's 2^w codes says which output group
+owns each code, every position's code is owned by its group, and no code
+has two owners (Heule & Verwer, "Exact DFA Identification Using SAT
+Solvers", ICGI 2010).  Only the direction "p holds c implies its group
+owns c" is encoded, as the formula never reads the other one (Plaisted &
+Greenbaum, J. Symb. Comput. 1986), so an owner is not a function of the
+position bits.  The formula is O(N * 2^w * w) in the number of positions
+N, with no clause per pair of positions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from .constraints import ConstraintSet
 
 @dataclass
 class Cnf:
-    """A propositional formula over ``n_positions`` width-``width`` registers."""
+    """A propositional formula over ``n_positions`` width-``width`` registers.
+
+    Variables 1 .. n_positions*width are the position bits; the rest are
+    auxiliaries, laid out as :func:`encode_cnf` says.
+    """
 
     n_vars: int
     clauses: list[list[int]]
@@ -37,9 +44,13 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     """Encode a constraint set.
 
     Variables 1 .. n_positions*width are the position bits, most significant
-    bit first within each position; auxiliary variables follow, each one
-    functionally determined by the position bits.  Clauses come in a fixed
-    order:
+    bit first within each position.  The windows' auxiliaries follow, each
+    one a function of the position bits.  With two or more output groups,
+    ``owner[g][c]`` ("output group g owns code c") comes next, group by
+    group in first-seen order and code by code, then the chain variables.
+    Owners and chain variables are not functions of the position bits: an
+    owner of a code no member of its group holds is free.  Clauses come in
+    a fixed order:
 
     - the windows, in step order: a zero window is 2 binary clauses per
       bit; any other defines the step's w difference variables (4 ternary
@@ -47,18 +58,19 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
       meets (lo > min(hi, width)) contributes the empty clause, the only
       case one is ever emitted;
     - when the set has two or more output groups, the ownership table,
-      position by position and code by code: ``e[p][c]`` ("position p
-      holds code c") by w binary clauses and one (w+1)-literal clause,
-      then the binary clause "e[p][c] implies owner[g][c]" for p's group g;
-    - per group and code, the long clause "owner[g][c] implies some member
-      holds c";
+      position by position and code by code: the (w+1)-literal clause
+      "owner[g][c], or p does not hold c" for p's group g, owner first;
     - per code, at most one owner, by a sequential chain over the groups
       in first-seen order: ``s[i]`` is "one of the first i+1 groups owns
       c", with ``s[0] = owner[0][c]``, and ``owner[i][c]`` clashes with
       ``s[i-1]``.  With two groups the chain is one binary clause per code.
 
-    So distinctness costs 2^w * (N*(w+2) + 5G - 7) clauses for N positions
-    in G >= 2 groups, not one per pair of positions in different groups.
+    Two positions of different groups holding one code force two owners,
+    which the chain refutes; any assignment that keeps distinctness
+    extends with "owner[g][c] iff some member of g holds c".  So the
+    formula admits exactly the assignments that meet the constraints, and
+    distinctness costs 2^w * (N + 4G - 7) clauses for N positions in
+    G >= 2 groups, not one per pair of positions in different groups.
     """
     width = cs.width
     n_positions = cs.n_positions
@@ -127,35 +139,20 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
     n_groups = len(index)
     if n_groups > 1:
         n_codes = 1 << width
-        e_base = n_vars  # e[p][c] is e_base + p*n_codes + c + 1
-        owner_base = e_base + n_positions * n_codes  # likewise owner[g][c]
-        n_vars = owner_base + n_groups * n_codes
-        # signs[c][b]: +1 when bit b (most significant first) of c is set
+        owner_base = n_vars  # owner[g][c] is owner_base + g*n_codes + c + 1
+        n_vars += n_groups * n_codes
+        # signs[c][b]: -1 when bit b (most significant first) of c is set,
+        # so the literals sign * x all fail exactly when p holds c
         signs = [
-            [1 if (c >> (width - 1 - b)) & 1 else -1 for b in range(width)]
+            [-1 if (c >> (width - 1 - b)) & 1 else 1 for b in range(width)]
             for c in range(n_codes)
         ]
-        members: list[list[int]] = [[] for _ in range(n_groups)]
         for p, g in enumerate(cs.groups):
-            gi = index[g]
-            members[gi].append(p)
             xs = range(p * width + 1, (p + 1) * width + 1)
-            e = e_base + p * n_codes
-            owner = owner_base + gi * n_codes
-            for c, sign in enumerate(signs):
-                e += 1
+            owner = owner_base + index[g] * n_codes
+            for sign in signs:
                 owner += 1
-                lits = [s * x for s, x in zip(sign, xs)]
-                for lit in lits:
-                    clauses.append([-e, lit])
-                clauses.append([e, *[-lit for lit in lits]])
-                clauses.append([-e, owner])
-        for gi, ps in enumerate(members):
-            for c in range(n_codes):
-                owner = owner_base + gi * n_codes + c + 1
-                clauses.append(
-                    [-owner, *[e_base + p * n_codes + c + 1 for p in ps]]
-                )
+                clauses.append([owner, *(s * x for s, x in zip(sign, xs))])
         for c in range(n_codes):
             prefix = owner_base + c + 1  # s[0] is owner[0][c]
             for gi in range(1, n_groups):

@@ -88,13 +88,11 @@ def true_state_sequence(encoded, stimulus):
 
 
 def unit_propagate_complete(n_vars, clauses, fixed):
-    """Independent propagation oracle for formulas whose auxiliaries are
-    functionally determined by the fixed variables.
+    """Independent propagation oracle.
 
     ``fixed`` maps variable -> bool.  Returns (status, assignment) where
     status is "sat" (every variable got forced, all clauses hold),
-    "conflict", or "stuck" (propagation halted with variables still free —
-    a structural failure for the formulas under test).
+    "conflict", or "stuck" (propagation halted with variables still free).
     """
     assign = [0] * (n_vars + 1)  # 0 unknown, 1 true, -1 false
     for var, val in fixed.items():
@@ -125,11 +123,27 @@ def unit_propagate_complete(n_vars, clauses, fixed):
     return "sat", assign
 
 
-def cnf_projection_status(cnf, values):
-    """SAT status of a CNF under a full position-value assignment."""
+def cnf_projection_status(cnf, values, owners=range(0)):
+    """SAT status of a CNF under a full position-value assignment, decided
+    by unit propagation alone.
+
+    Every auxiliary before ``owners`` must be forced by the position bits.
+    The variables from ``owners`` on, the code owners and then the
+    at-most-one-owner chain, may stay open: setting every open owner false
+    must then force the rest without a conflict.  Returns "sat",
+    "conflict", or "stuck" when the formula breaks that contract.
+    """
     fixed = {}
     for p, value in enumerate(values):
         for b in range(cnf.width):
             fixed[cnf.var(p, b)] = bool((value >> (cnf.width - 1 - b)) & 1)
-    status, _ = unit_propagate_complete(cnf.n_vars, cnf.clauses, fixed)
-    return status
+    status, assign = unit_propagate_complete(cnf.n_vars, cnf.clauses, fixed)
+    if status != "stuck" or not owners:
+        return status
+    open_vars = [v for v in range(1, cnf.n_vars + 1) if not assign[v]]
+    if open_vars[0] < owners.start:
+        return "stuck"
+    forced = {v: assign[v] > 0 for v in range(1, cnf.n_vars + 1) if assign[v]}
+    forced.update((v, False) for v in open_vars if v in owners)
+    status, _ = unit_propagate_complete(cnf.n_vars, cnf.clauses, forced)
+    return "sat" if status == "sat" else "stuck"

@@ -3,9 +3,11 @@ and DIMACS round-trips.
 
 The equivalence oracle enumerates every assignment of register values to
 positions and checks that the formula is satisfiable under that projection
-exactly when the constraint evaluator accepts it.  Auxiliary variables are
-functionally determined by the position bits, so unit propagation completes
-(or refutes) each projection without search.
+exactly when the constraint evaluator accepts it.  Under the position
+bits, unit propagation either refutes a projection or leaves open only the
+code owners and the at-most-one-owner chain; setting every open owner
+false then propagates to a model without a conflict.  So each projection
+is decided without search.
 """
 
 import hashlib
@@ -45,12 +47,23 @@ from fsmrecon.constraints import (
 from fsmrecon.sat import SAT, UNSAT, solve_cnf
 
 
+def owner_variables(cs: ConstraintSet) -> range:
+    """The ownership table's owner variables, 2^w per output group, right
+    after the windows' auxiliaries; the chain variables follow them."""
+    n_groups = len(set(cs.groups))
+    if n_groups < 2:
+        return range(0)
+    bare = encode_cnf(cset(cs.width, [0] * cs.n_positions, cs.windows))
+    return range(bare.n_vars + 1, bare.n_vars + 1 + (n_groups << cs.width))
+
+
 def exhaustive_check(cs: ConstraintSet) -> None:
     """Assert CNF-satisfiability == evaluator verdict on every projection."""
     cnf = encode_cnf(cs)
+    owners = owner_variables(cs)
     n = cs.n_positions
     for values in itertools.product(range(1 << cs.width), repeat=n):
-        status = cnf_projection_status(cnf, list(values))
+        status = cnf_projection_status(cnf, list(values), owners)
         assert status in ("sat", "conflict"), f"propagation stuck on {values}"
         expected = find_violation(cs, list(values)) is None
         assert (status == "sat") == expected, (
@@ -77,9 +90,9 @@ def test_position_variables_are_contiguous_msb_first():
         [4, 5, 6],
     ]
     # the vacuous window's three difference variables follow, then the
-    # ownership table: e[p][c] for 2 positions and owner[g][c] for 2
-    # groups, over 8 codes each (two groups need no chain variable)
-    assert cnf.n_vars == 6 + 3 + 2 * 8 + 2 * 8
+    # ownership table: owner[g][c] for 2 groups over 8 codes (two groups
+    # need no chain variable)
+    assert cnf.n_vars == 6 + 3 + 2 * 8
 
 
 def test_identical_emits_two_equivalence_clauses_per_bit():
@@ -99,47 +112,36 @@ def test_distinct_emits_the_code_ownership_table():
         [-5, 1, 3], [-5, -1, -3], [5, -1, 3], [5, 1, -3],
         [-6, 2, 4], [-6, -2, -4], [6, -2, 4], [6, 2, -4],
     ]
-    # then e[p][c] = 7 + 4p + c, "position p holds code c", and
-    # owner[g][c] = 15 + 4g + c, "output group g owns code c": per
-    # position and code, e implies each bit, the bits imply e, and e
-    # implies its group's owner
+    # then owner[g][c] = 7 + 4g + c, "output group g owns code c": per
+    # position and code, "p holds c" implies its group's owner
     assert cnf.clauses[8:] == [
-        [-7, -1], [-7, -2], [7, 1, 2], [-7, 15],  # p0 holds 00
-        [-8, -1], [-8, 2], [8, 1, -2], [-8, 16],  # p0 holds 01
-        [-9, 1], [-9, -2], [9, -1, 2], [-9, 17],  # p0 holds 10
-        [-10, 1], [-10, 2], [10, -1, -2], [-10, 18],  # p0 holds 11
-        [-11, -3], [-11, -4], [11, 3, 4], [-11, 19],  # p1 holds 00
-        [-12, -3], [-12, 4], [12, 3, -4], [-12, 20],  # p1 holds 01
-        [-13, 3], [-13, -4], [13, -3, 4], [-13, 21],  # p1 holds 10
-        [-14, 3], [-14, 4], [14, -3, -4], [-14, 22],  # p1 holds 11
-        # an owner needs a member holding the code
-        [-15, 7], [-16, 8], [-17, 9], [-18, 10],
-        [-19, 11], [-20, 12], [-21, 13], [-22, 14],
+        [7, 1, 2], [8, 1, -2], [9, -1, 2], [10, -1, -2],  # p0 in group 0
+        [11, 3, 4], [12, 3, -4], [13, -3, 4], [14, -3, -4],  # p1 in group 1
         # at most one owner per code: with two groups, one binary clause
-        [-19, -15], [-20, -16], [-21, -17], [-22, -18],
+        [-11, -7], [-12, -8], [-13, -9], [-14, -10],
     ]
-    assert cnf.n_vars == 22
+    assert cnf.n_vars == 14
 
 
 def test_ownership_chain_defines_one_prefix_per_inner_group():
     # three groups at width 1: per code, s = owner[0] OR owner[1] is the
     # one chain variable, and owner[1] and owner[2] each clash with the
     # prefix before them; variables 4 and 5 are the vacuous windows'
-    # difference variables, and e[p][c] is 6 + 2p + c
+    # difference variables
     cnf = encode_cnf(cset(1, [0, 1, 2]))
-    owner = {(g, c): 12 + 2 * g + c for g in range(3) for c in range(2)}
+    owner = {(g, c): 6 + 2 * g + c for g in range(3) for c in range(2)}
     chain = cnf.clauses[-10:]
     assert chain[:5] == [
         [-owner[1, 0], -owner[0, 0]],
-        [-owner[0, 0], 18], [-owner[1, 0], 18], [-18, owner[0, 0], owner[1, 0]],
-        [-owner[2, 0], -18],
+        [-owner[0, 0], 12], [-owner[1, 0], 12], [-12, owner[0, 0], owner[1, 0]],
+        [-owner[2, 0], -12],
     ]
     assert chain[5:] == [
         [-owner[1, 1], -owner[0, 1]],
-        [-owner[0, 1], 19], [-owner[1, 1], 19], [-19, owner[0, 1], owner[1, 1]],
-        [-owner[2, 1], -19],
+        [-owner[0, 1], 13], [-owner[1, 1], 13], [-13, owner[0, 1], owner[1, 1]],
+        [-owner[2, 1], -13],
     ]
-    assert cnf.n_vars == 19
+    assert cnf.n_vars == 13
     assert solve_cnf(cnf.n_vars, cnf.clauses).status == UNSAT  # 3 groups, 2 codes
 
 
@@ -288,7 +290,7 @@ def test_randomized_constraint_sets_match_evaluator():
         exhaustive_check(cset(width, groups, windows))
 
 
-# ------------------------------------------------ pair-expansion reference
+# ------------------------------------------------------------- references
 
 # Width the distinct outputs of each machine's 30-step walk (seed 3)
 # force, under either channel: ceil(log2(distinct outputs)), at least 1.
@@ -297,15 +299,18 @@ PINNED_WIDTH = {
     "opus": 4, "s386": 4, "shiftreg": 1, "train4": 1,
 }
 
+REFERENCES = (cnf_reference.pair_expansion, cnf_reference.ownership_rows)
 
-def assert_agrees_with_pair_expansion(cs: ConstraintSet) -> str:
-    """Both encodings are satisfiable alike, and the ownership table's
-    model decodes to values the independent checker accepts; returns the
-    status."""
+
+def assert_agrees_with_references(cs: ConstraintSet) -> str:
+    """The encoder and both reference encodings are satisfiable alike, and
+    the encoder's model decodes to values the independent checker accepts;
+    returns the status."""
     cnf = encode_cnf(cs)
-    ref = cnf_reference.encode_cnf(cs)
     got = solve_cnf(cnf.n_vars, cnf.clauses)
-    assert got.status == solve_cnf(ref.n_vars, ref.clauses).status
+    for encode in REFERENCES:
+        ref = encode(cs)
+        assert solve_cnf(ref.n_vars, ref.clauses).status == got.status, encode
     if got.status == SAT:
         assert find_violation(cs, decode_positions(cnf, got.model)) is None
     return got.status
@@ -317,7 +322,20 @@ def test_ownership_table_agrees_with_pair_expansion_on_pinned_walks(name, kind):
     _, trace = machine_trace(name, 30, 3, NoiseModel(kind=kind))
     r0 = forced_width(trace)
     for width in range(r0, r0 + 3):
-        assert_agrees_with_pair_expansion(build_constraints(trace, width))
+        assert_agrees_with_references(build_constraints(trace, width))
+
+
+def random_window(rng, width: int) -> tuple[int, int]:
+    """A zero, nonzero, vacuous or infeasible window, the last rarely."""
+    kind = rng.choices(range(4), weights=(3, 3, 3, 1))[0]
+    if kind == 0:
+        return (0, 0)
+    if kind == 1:
+        lo = rng.randint(1, width)
+        return (lo, rng.randint(lo, width))
+    if kind == 2:
+        return (0, width)
+    return rng.choice([(1, 0), (width + 1, width + 1)])
 
 
 def test_ownership_table_agrees_with_pair_expansion_on_random_sets():
@@ -336,9 +354,33 @@ def test_ownership_table_agrees_with_pair_expansion_on_random_sets():
         n_groups = rng.randint(1, 4)
         groups = [rng.randrange(n_groups) for _ in range(n)]
         statuses.add(
-            assert_agrees_with_pair_expansion(cset(width, groups, windows))
+            assert_agrees_with_references(cset(width, groups, windows))
         )
     assert statuses == {SAT, UNSAT}
+
+
+def test_ownership_table_admits_what_the_ownership_rows_admit():
+    # every position assignment of small random sets, each decided by
+    # propagation: the rows' auxiliaries are functions of the position
+    # bits, the table's owners are not
+    rng = random.Random(27_2710)
+    admitted = total = 0
+    for _ in range(100):
+        width = rng.randint(1, 3)
+        n = rng.randint(1, 6 if width < 3 else 4)
+        windows = [random_window(rng, width) for _ in range(n - 1)]
+        n_groups = rng.randint(1, 4)
+        cs = cset(width, [rng.randrange(n_groups) for _ in range(n)], windows)
+        cnf = encode_cnf(cs)
+        rows = cnf_reference.ownership_rows(cs)
+        owners = owner_variables(cs)
+        for values in itertools.product(range(1 << width), repeat=n):
+            got = cnf_projection_status(cnf, list(values), owners)
+            assert got in ("sat", "conflict"), f"propagation stuck on {values}"
+            assert got == cnf_projection_status(rows, list(values)), (cs, values)
+            admitted += got == "sat"
+            total += 1
+    assert 0 < admitted < total
 
 
 # ----------------------------------------------------------------- growth
@@ -355,15 +397,41 @@ def test_clauses_grow_linearly_in_positions():
     assert grown <= 2.1
     # the pair expansion adds a clause per differing pair, so it grows
     # about fourfold
-    ref = cnf_reference.encode_cnf
+    ref = cnf_reference.pair_expansion
     assert alternating_clauses(ref, 200) / alternating_clauses(ref, 100) > 3
 
 
-def test_opus_gaussian_round_encodes_under_400k_clauses():
+def test_distinctness_costs_one_clause_per_position_and_code():
+    # past the windows' clauses and variables: 2^w * (N + 4G - 7) clauses
+    # and 2^w * (2G - 2) variables, G owners and G - 2 chain variables per
+    # code; nothing with one output group
+    rng = random.Random(27_0027)
+    grouped = 0
+    for _ in range(60):
+        width = rng.randint(1, 4)
+        n = rng.randint(1, 30)
+        windows = [random_window(rng, width) for _ in range(n - 1)]
+        n_groups = rng.randint(1, 6)
+        groups = [rng.randrange(n_groups) for _ in range(n)]
+        cnf = encode_cnf(cset(width, groups, windows))
+        bare = encode_cnf(cset(width, [0] * n, windows))
+        assert cnf.clauses[:len(bare.clauses)] == bare.clauses
+        g = len(set(groups))
+        if g < 2:
+            assert (cnf.n_vars, cnf.clauses) == (bare.n_vars, bare.clauses)
+            continue
+        grouped += 1
+        codes = 1 << width
+        assert len(cnf.clauses) - len(bare.clauses) == codes * (n + 4 * g - 7)
+        assert cnf.n_vars - bare.n_vars == codes * (2 * g - 2)
+    assert grouped > 30
+
+
+def test_opus_gaussian_round_encodes_under_60k_clauses():
     # round 0 of ``attack --target opus --noise gaussian --sigma 30
     # --seed 1``, default vectors: the forced width 4 cannot carry one of
     # its windows, and the phase seed fails at width 5, where the pair
-    # expansion encoded 3,864,786 clauses
+    # expansion encoded 3,864,786 clauses and the ownership rows 173,690
     enc = encoded_fixture("opus")
     machine = enc.machine
     device = BlackBoxDevice(enc, NoiseModel.gaussian(30.0), noise_seed=1)
@@ -375,48 +443,49 @@ def test_opus_gaussian_round_encodes_under_400k_clauses():
     cs = build_constraints(trace, forced_width(trace) + 1)
     assert (cs.width, cs.n_positions) == (5, 641)
     assert not cs.trivially_unsat
-    assert len(encode_cnf(cs).clauses) < 400_000
+    assert len(encode_cnf(cs).clauses) < 60_000
 
 
 # ---------------------------------------------------------------- pinned
 
 # sha256 of the DIMACS text for that walk on each bundled machine, at
 # PINNED_WIDTH and one wider.  Recorded from the encoder whose
-# distinctness is a code-ownership table; any change to variable
-# numbering or clause order changes solver runs and must show up here.
+# ownership table has one clause per position and code; any change to
+# variable numbering or clause order changes solver runs and must show up
+# here.
 PINNED_DIMACS_SHA256 = {
-    ("bbtas", "exact", 0): "1733606b5fd8856ca018d048b694210ed7f03d3be11313726b9edde2ac640d32",
-    ("bbtas", "exact", 1): "9fc9a963a1cce9ea700b7c434ab7591e4323259a7ba9b2fa98750e725eed7872",
-    ("bbtas", "table3", 0): "45ed7e2c16afb0be9a2b01d2e538a7cbe3f9b406c7126144a3bf4d40a89b6657",
-    ("bbtas", "table3", 1): "915770052f1288672baf0197265271e90f709d73bd47b71619fadbd99c67e82a",
-    ("dk27", "exact", 0): "6fc2ad7522969ea008bb8a59318d0d103f42c44d251546ae86a7e21dd62f2e9e",
-    ("dk27", "exact", 1): "ea266686c23c754b4f81ca1574482a88d622271c5947c6dd99f687794f0d3a80",
-    ("dk27", "table3", 0): "6fc2ad7522969ea008bb8a59318d0d103f42c44d251546ae86a7e21dd62f2e9e",
-    ("dk27", "table3", 1): "a5a37bb68b33115a850b83e32263b14eb4b941ada142ebaba113ecffe88d5adf",
-    ("lion", "exact", 0): "8f9771d7d95b899b8127eae77ad255f4a3008596bbb16e68f9bf09258444ae58",
-    ("lion", "exact", 1): "58e93e779114206c40db818d24703d60cdfc4601e90a26f6b635c3d418931d08",
-    ("lion", "table3", 0): "8f9771d7d95b899b8127eae77ad255f4a3008596bbb16e68f9bf09258444ae58",
-    ("lion", "table3", 1): "58e93e779114206c40db818d24703d60cdfc4601e90a26f6b635c3d418931d08",
-    ("mc", "exact", 0): "d503df76a578943d42f0c05cb802fbdeee4b730f8a3f3aff48153afafcafb5ca",
-    ("mc", "exact", 1): "24855b6442e4faeaddbd40fd0772fa12e05f5361152004e924c34d72045dd48c",
-    ("mc", "table3", 0): "d503df76a578943d42f0c05cb802fbdeee4b730f8a3f3aff48153afafcafb5ca",
-    ("mc", "table3", 1): "24855b6442e4faeaddbd40fd0772fa12e05f5361152004e924c34d72045dd48c",
-    ("opus", "exact", 0): "f74790dc7aa0def9509911cc108255269803a2fb96c5ecd1fa19d7c8278dd300",
-    ("opus", "exact", 1): "12e3d3834e0a5be606185df408ccf29ecc3b85141c363d72db5f5e89d910391a",
-    ("opus", "table3", 0): "7cc86d1a9248468ca602d1ffed9194d003fb85ac386a99a7cc9a2b589059dfcc",
-    ("opus", "table3", 1): "409c3ee7768f316dba4ea23ec8ae0acbbb7c18a14af22c5ddd4078e31cd0a4b6",
-    ("s386", "exact", 0): "2dfb82821fc6b925b2e7192538380b19da840b711e7a6ab85d2767608ee3b0ce",
-    ("s386", "exact", 1): "3b2e835f9dcfdee1750a36070bd0b3b7f032338cd85412bc9bc182855d02de30",
-    ("s386", "table3", 0): "f88ee13272066c19c3e9773c8f48dcea57a031cf9131cfc738c8de79ca851220",
-    ("s386", "table3", 1): "8cc600860dfba80763b6f0533ff4be85d74cec9e2cf9c3f7b75a21e8c331bf2e",
-    ("shiftreg", "exact", 0): "1294748217dabf337565e98956324b3bcde2ceb616dca7099146f0facbbf49c1",
-    ("shiftreg", "exact", 1): "397e83917179eb387297781f4659bdcbd675799159228654125d351b949e0c7c",
-    ("shiftreg", "table3", 0): "748bd22f4288c283ce498fcb2e5ae1961657673c08f17de4224def72d754b9dd",
-    ("shiftreg", "table3", 1): "9b569cac76eb2bf5fe90b874d467fe9a6c3c8009950ef8663991f6e7837c12c6",
-    ("train4", "exact", 0): "cb65095e3ccc6284f155b1b723c3bffd78a51f617830bf31442e65610d7d65de",
-    ("train4", "exact", 1): "6964955f2b3b90ea17efb87d1260319c60bdab684eed07f4eacc0d17536218f0",
-    ("train4", "table3", 0): "cb65095e3ccc6284f155b1b723c3bffd78a51f617830bf31442e65610d7d65de",
-    ("train4", "table3", 1): "6964955f2b3b90ea17efb87d1260319c60bdab684eed07f4eacc0d17536218f0",
+    ("bbtas", "exact", 0): "4a6c60ef9cfdd1ca1587705a8e0e84bf6dc8a0eb48147bb01826a086635dce7b",
+    ("bbtas", "exact", 1): "65f3d10fe285c487976b6d460ccfb51ee34ca93fd8172ecc73bdd1f5165fe8ec",
+    ("bbtas", "table3", 0): "be8cec4d627f31b1a4a22d1d1e5cdaddc981b1bb1c5b71a15d5424177a91da71",
+    ("bbtas", "table3", 1): "6a48e9ea2687ce77cbdc4cfb5598662811b983fa5eed12a6bb45f3545e28690b",
+    ("dk27", "exact", 0): "cbf4695b44973c2599dd83789119f1f0543385ead773c1924b612ef34c2185c5",
+    ("dk27", "exact", 1): "9b6f4200bd67448d81cd8e52eb38a357ae7290296f885dcb021c8706a77efd73",
+    ("dk27", "table3", 0): "cbf4695b44973c2599dd83789119f1f0543385ead773c1924b612ef34c2185c5",
+    ("dk27", "table3", 1): "d8de1a07d4b39bde2007ba12f65e139bf72173a07c5fefabd106609db75e4f24",
+    ("lion", "exact", 0): "6c0b1459c1c1545135c1ba741b4001a52a80fb29fb8333629bf8e4c508ef2945",
+    ("lion", "exact", 1): "2aebc46fcf589beae32c80a53c240a9ae4ab7cad62144d19890b2874f51ebd34",
+    ("lion", "table3", 0): "6c0b1459c1c1545135c1ba741b4001a52a80fb29fb8333629bf8e4c508ef2945",
+    ("lion", "table3", 1): "2aebc46fcf589beae32c80a53c240a9ae4ab7cad62144d19890b2874f51ebd34",
+    ("mc", "exact", 0): "0ece25082a0e07008d7f6527ee1943196cad95299ed1f874d5a8bfd14a83df51",
+    ("mc", "exact", 1): "4fdf0a59440a17f9253cfe6d926c06c09d3b077512b3ff79827ff576fa52f7ec",
+    ("mc", "table3", 0): "0ece25082a0e07008d7f6527ee1943196cad95299ed1f874d5a8bfd14a83df51",
+    ("mc", "table3", 1): "4fdf0a59440a17f9253cfe6d926c06c09d3b077512b3ff79827ff576fa52f7ec",
+    ("opus", "exact", 0): "1157dd0bb0cc087ef5b03514ff76332464cead6388c058e9f3c3512e5b75e875",
+    ("opus", "exact", 1): "e8959dfb7f97f6fafd9a31a6caae31c0499f3dda2853f58caf1e5021d78654dc",
+    ("opus", "table3", 0): "e1714786fe80eb09c2c7130f86a7918fab1401bec3b749c3c298f6d7ab526f78",
+    ("opus", "table3", 1): "37579601ef04c7b3558723a9246691354aac1840036859ea1d0fc65cef9cc2a2",
+    ("s386", "exact", 0): "2057ba90cafb2f281517392c6a342966a1b2854af70ee103d5ba1e15813adbf5",
+    ("s386", "exact", 1): "a3d749a01a0531de7469db95b4abc9f1c7c372baf6f481e4f23d366a139f39b2",
+    ("s386", "table3", 0): "d1553805e910c58fb1f9f8e5c5fa7d76f00ecde37ca17d25ee7b20cd9c5f7559",
+    ("s386", "table3", 1): "2106b74de29ab99911238c4874915829d21346f244b3892d7396dfcb2d5b44d0",
+    ("shiftreg", "exact", 0): "56ac62e10eaef6dc21ae98869e03cdf686d4a7e365cf5b2a51f5c160c0b9ccc5",
+    ("shiftreg", "exact", 1): "8902bd571a4012174ed5a364f7da7668a636a300fe6139a0aae424a9a4eddfb7",
+    ("shiftreg", "table3", 0): "88c7cee9eb480746b2f826aa1756b5bb81ccc0017c7243ff00a72c09e55a37e6",
+    ("shiftreg", "table3", 1): "25b89be33123d2528e8312b965643a10faf4339cfa23fd87401d8de82a3d4fe4",
+    ("train4", "exact", 0): "d646fc9654433b7808c70b5233d3909d448a96d17710263a29713adb3313e620",
+    ("train4", "exact", 1): "df01ba7ef844796fd64775fb44c1d87ed5b809767178c038eae5438d49a13b5e",
+    ("train4", "table3", 0): "d646fc9654433b7808c70b5233d3909d448a96d17710263a29713adb3313e620",
+    ("train4", "table3", 1): "df01ba7ef844796fd64775fb44c1d87ed5b809767178c038eae5438d49a13b5e",
 }
 
 

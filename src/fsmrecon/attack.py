@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import recovery
 from .capture import (
@@ -173,8 +175,12 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
         raise ValueError(f"goal must be in (0, 1], got {cfg.goal}")
     if cfg.max_rounds < 0:
         raise ValueError(f"max rounds must be >= 0, got {cfg.max_rounds}")
-    if cfg.timeout_ms < 1:
-        raise ValueError(f"timeout must be >= 1 ms, got {cfg.timeout_ms}")
+    # the solver's clock counts seconds in a float
+    if not 1 <= cfg.timeout_ms <= sys.float_info.max:
+        raise ValueError(
+            f"timeout must be in [1, {sys.float_info.max:.3g}] ms, "
+            f"got {_shown(cfg.timeout_ms)}"
+        )
     # random.Random seeds from |seed|, so -5 would repeat seed 5's attack
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
@@ -187,11 +193,17 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
     else:
         n = cfg.vectors_per_round
     if n > MAX_VECTORS_PER_ROUND:
-        shown = n if n < 10**15 else f"{n:.3g}"  # --multiplier 1e300 is 301 digits
         raise ValueError(
-            f"vectors per round must be <= {MAX_VECTORS_PER_ROUND}, got {shown}"
+            f"vectors per round must be <= {MAX_VECTORS_PER_ROUND}, "
+            f"got {_shown(n)}"
         )
     return n
+
+
+def _shown(n: int) -> str:
+    """``n``, to three digits past 15 digits: ``--multiplier 1e300`` gives
+    301 digits, and an integer flag up to 4,300, past a float's range."""
+    return str(n) if n < 10**15 else f"{Decimal(n):.3g}"
 
 
 def attack(device: BlackBoxDevice, cfg: AttackConfig) -> AttackResult:

@@ -4,21 +4,22 @@ Pipeline: starting at the width the trace forces
 (:func:`~fsmrecon.constraints.forced_width`, so no narrower width needs a
 refutation), derive constraints at a candidate register width, check the
 phase seed against them, and only when the seed fails encode to CNF and
-solve; on refutation grow the width by one and retry.  The seed comes from
-grouping trace positions into guessed state classes (greedy state merging
-under determinism closure) and searching for class codes that honor the
-distance-window hulls between classes.  When the seed already satisfies
-every constraint it is the answer and no CNF is built.  Only a seed that
-fits the width but breaks a window primes the solver's decision phases,
-where a good seed lets the solver descend to a model without conflicts.
-At a width narrower than the guess needs (more classes than codes) there
-is no seed, and the solver runs unseeded.  A caller may pass class codes
-an earlier answer gave the same classes; where the search would run they
-are checked first, and when they pass no hull is built and no code
-searched.  While outputs name the states, an attack's classes are the
-output groups, so :class:`OutputEvidence` keeps each output's last code
-for the next round.  Correctness never depends on the seed, because every
-answer is checked against the constraints by an independent evaluator.
+solve; on refutation grow the width by one and retry.  The seed comes
+from grouping trace positions into guessed state classes (greedy state
+merging under determinism closure) and searching for class codes that
+honor the distance-window hulls between classes.  When the seed already
+satisfies every constraint it is the answer and no CNF is built;
+otherwise it primes the solver's decision phases, where a good seed lets
+the solver descend to a model without conflicts.  A width is seeded
+exactly when it holds a code per class and is at most ``_SEED_MAX_WIDTH``
+bits wide, with the class indices as codes where the hulls admit none.  A
+caller may pass class codes an earlier answer gave the same classes; at a
+seeded width that holds them they are checked first, and when they pass
+no hull is built and no code searched.  While outputs name the states, an
+attack's classes are the output groups, so :class:`OutputEvidence` keeps
+each output's last code for the next round.  Correctness never depends on
+the seed, because every answer is checked against the constraints by an
+independent evaluator.
 """
 
 from __future__ import annotations
@@ -447,37 +448,32 @@ def search_class_codes(
         for other, window in neighbors[cid]:
             if codes[other] < 0:
                 mask = window[code]
-                if mask is None:
-                    mask = window.fill(code)
                 domain = domains[other]
                 if domain & mask != domain:
                     pruned.append((other, domain))
                     domains[other] = domain & mask
 
 
-class _Window(list):
+class _Window(dict):
     """``self[code]``: the mask of the codes whose distance from ``code``
-    lies in one hull's window, filled in on first use.
+    lies in one hull's window, derived on first use.
 
-    Slot 0 holds the codes whose popcount lies in the window.  Another
-    code's mask is that of its parent, ``code`` less its lowest set bit
-    b, with bit b flipped in every position: the parent mask's blocks of
-    ``2**b`` positions swap pairwise.
+    Code 0's mask, given, holds the codes whose popcount lies in the
+    window.  Another code's mask is that of its parent, ``code`` less its
+    lowest set bit b, with bit b flipped in every position: the parent
+    mask's blocks of ``2**b`` positions swap pairwise.
     """
 
     def __init__(self, around_zero: int, low_half: list[int]):
-        super().__init__([None] * (1 << len(low_half)))
-        self[0] = around_zero
+        super().__init__({0: around_zero})
         self.low_half = low_half  # low_half[b]: the positions with bit b 0
 
-    def fill(self, code: int) -> int:
+    def __missing__(self, code: int) -> int:
         low = code & -code
         parent = self[code ^ low]
-        if parent is None:
-            parent = self.fill(code ^ low)
         keep = self.low_half[low.bit_length() - 1]
-        self[code] = ((parent & keep) << low) | ((parent >> low) & keep)
-        return self[code]
+        mask = self[code] = ((parent & keep) << low) | ((parent >> low) & keep)
+        return mask
 
 
 def _hull_windows(
@@ -486,14 +482,8 @@ def _hull_windows(
     """Per class, (other class, window) for each hull it is in; hulls with
     one window share its masks.  Built per search, so nothing outlives
     the call: a table of every mask at width 12 would take about 29 MB."""
-    full = (1 << (1 << width)) - 1
-    by_count = [1]  # by_count[d]: the codes of popcount d
-    for b in range(width):
-        by_count = [
-            (by_count[d] if d <= b else 0)
-            | (by_count[d - 1] << (1 << b) if d else 0)
-            for d in range(b + 2)
-        ]
+    size = 1 << width
+    full = (1 << size) - 1
     low_half = [
         ((1 << (1 << b)) - 1) * (full // ((1 << (2 << b)) - 1))
         for b in range(width)
@@ -503,30 +493,26 @@ def _hull_windows(
     for (a, b), (lo, hi) in hulls.items():
         window = windows.get((lo, hi))
         if window is None:
-            around_zero = 0
-            for d in range(max(lo, 0), min(hi, width) + 1):
-                around_zero |= by_count[d]
+            around_zero = sum(
+                1 << v for v in range(size) if lo <= v.bit_count() <= hi
+            )
             window = windows[lo, hi] = _Window(around_zero, low_half)
         neighbors[a].append((b, window))
         neighbors[b].append((a, window))
     return neighbors
 
 
-def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int] | None:
-    """Class codes for the phase seed at ``cs.width``, or None.
+def seed_codes(cs: ConstraintSet, classes: list[int]) -> list[int]:
+    """Class codes for the phase seed at ``cs.width``, which must hold a
+    code per class and be at most ``_SEED_MAX_WIDTH``; never None.
 
-    A width with fewer codes than classes, or past ``_SEED_MAX_WIDTH``,
-    returns None before any hull is built."""
+    Where the hulls admit no codes (a guessed partition may make them
+    jointly unsatisfiable) or the search runs out of its node budget,
+    class c takes code c, as a search with no hulls would give it: a
+    distinctness-only seed still beats none."""
     n_classes = max(classes) + 1
-    if cs.width < code_width(n_classes) or cs.width > _SEED_MAX_WIDTH:
-        return None
-    hulls = class_hulls(cs, classes)
-    codes = search_class_codes(n_classes, cs.width, hulls)
-    if codes is None and hulls:
-        # hulls may be jointly unsatisfiable under a guessed partition;
-        # a distinctness-only seed still beats none
-        codes = search_class_codes(n_classes, cs.width, {})
-    return codes
+    codes = search_class_codes(n_classes, cs.width, class_hulls(cs, classes))
+    return list(range(n_classes)) if codes is None else codes
 
 
 def build_phases(
@@ -567,18 +553,18 @@ def recover_encodings(
     (status ``"seed"``) with no CNF built and no solver call.  Otherwise
     the width's CNF is encoded, written to ``{dimacs_prefix}width{W}.cnf``
     and ``.vars`` when a path prefix is given (so a dump holds exactly the
-    solver's inputs), and solved, seeded only when the guess's class codes
-    fit the width; the model is re-validated by the same evaluator before
-    being trusted.
+    solver's inputs), and solved.  A width is seeded exactly when it holds
+    a code per class and is at most ``_SEED_MAX_WIDTH``; the model is
+    re-validated by the same evaluator before being trusted.
     ``classes`` is the state-grouping guess behind phase seeding, one class
     per trace position; when omitted it is :func:`merge_hypothesis` of the
     trace alone.  A guess pooled from earlier captures of the same device
     (``merge_hypothesis(trace, earlier)``) is usually sharper; it never
     contributes constraints, so the solved problem is the same either way.
     ``prior`` is one code per class, say those an earlier answer gave the
-    same classes.  At each width where the class codes would be searched,
-    the prior codes, when pairwise distinct and fitting the width, are
-    checked first, and when they pass they are the seed.  They pass only
+    same classes.  At each seeded width that holds the largest of them,
+    the prior codes, when pairwise distinct and non-negative, are checked
+    first, and when they pass they are the seed.  They pass only
     where every hull is met and no window is dropped, so the search
     would have found codes there too, and both code sets are one code per
     class: the width and the partition of the positions are the same as
@@ -591,17 +577,15 @@ def recover_encodings(
     result = RecoveryResult(assignment=None)
     if classes is None:
         classes = merge_hypothesis(trace)
+    n_classes = max(classes) + 1
+    seeded = range(code_width(n_classes), _SEED_MAX_WIDTH + 1)
     prior_seed = None
     if prior is not None:
-        n_classes = max(classes) + 1
         if len(prior) != n_classes:
             raise ValueError(
                 f"expected {n_classes} prior codes, got {len(prior)}"
             )
         if len(set(prior)) == n_classes and min(prior) >= 0:
-            # from the first width that has a code per class and holds
-            # every prior code
-            prior_from = max(code_width(n_classes), max(prior).bit_length())
             prior_seed = [prior[c] for c in classes]
 
     for width in range(r0, r0 + WIDTH_STEPS + 1):
@@ -614,15 +598,15 @@ def recover_encodings(
 
         codes = None
         seed = None
-        if (
-            prior_seed is not None
-            and prior_from <= width <= _SEED_MAX_WIDTH
-            and find_violation(cs, prior_seed) is None
-        ):
-            seed = prior_seed
-        else:
-            codes = seed_codes(cs, classes)
-            if codes is not None:
+        if width in seeded:
+            if (
+                prior_seed is not None
+                and max(prior) < 1 << width
+                and find_violation(cs, prior_seed) is None
+            ):
+                seed = prior_seed
+            else:
+                codes = seed_codes(cs, classes)
                 seed = [codes[c] for c in classes]
                 if find_violation(cs, seed) is not None:
                     seed = None

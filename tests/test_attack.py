@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -942,3 +945,21 @@ def test_gaussian_results_are_pinned(tmp_path, monkeypatch):
         h.update(_pinned_digest(name, runs).encode())
     assert calls, "no phase-seeded solve ran"
     assert h.hexdigest() == PINNED_GAUSSIAN
+
+
+def test_the_benchmark_tracer_finds_every_name_it_rebinds():
+    """perfbench's tracer swaps names in the program's modules for traced
+    wrappers, so a name the program drops or renames must fail here, and
+    not only in a traced benchmark run.  It runs in a child process, which
+    keeps the swapped bindings out of this one."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / d) for d in ("perfbench", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import spans; spans.install(spans.Tracer(), full=True)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

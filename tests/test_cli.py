@@ -211,6 +211,9 @@ def assert_one_line_exit_2(capsys, argv, word):
     assert out.err.count("\n") == 1
 
 
+# an integer flag value of 401 digits, past the range of a float
+HUGE = "1" + "0" * 400
+
 # paths under a directory that does not exist cannot be written
 UNWRITABLE = "no-such-dir/out"
 PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
@@ -220,11 +223,17 @@ PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
     "flag, value, word",
     [("--sigma", "-1", "sigma"), ("--sigma", "inf", "sigma"),
      ("--sigma", "nan", "sigma"), ("--timeout-ms", "-5", "timeout"),
-     ("--timeout-ms", "0", "timeout"), ("--multiplier", "inf", "multiplier"),
+     ("--timeout-ms", "0", "timeout"),
+     # past the range of a float, as the solver's clock counts seconds
+     pytest.param("--timeout-ms", HUGE, "timeout must be in [1, 1.8e+308] ms",
+                  id="--timeout-ms-HUGE"),
+     ("--multiplier", "inf", "multiplier"),
      ("--multiplier", "nan", "multiplier"),
      # counts that would build their stimulus for hours, or overflow
      ("--multiplier", "1e300", "vectors per round must be <= 1048576"),
      ("--vectors", "1000000000", "vectors per round must be <= 1048576"),
+     pytest.param("--vectors", HUGE, "<= 1048576, got 1.00e+400",
+                  id="--vectors-HUGE"),
      ("--multiplier", "1e308", "infinite vector count"),
      # the later --seed wins over the test's --seed 1
      ("--seed", "-1", "seed must be >= 0"),

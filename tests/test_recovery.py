@@ -34,7 +34,7 @@ from fsmrecon.constraints import (
     find_violation,
     forced_width,
 )
-from fsmrecon.fsm import assign_binary_encoding
+from fsmrecon.fsm import assign_binary_encoding, code_width
 from fsmrecon.recovery import (
     _SEED_MAX_WIDTH,
     build_phases,
@@ -44,7 +44,7 @@ from fsmrecon.recovery import (
     search_class_codes,
     seed_codes,
 )
-from fsmrecon.sat import SAT, CdclSolver
+from fsmrecon.sat import SAT, CdclSolver, SolveOutcome, SolverStats
 from fsmrecon.stg import StgConflictError, build_partial_stg
 
 
@@ -322,8 +322,8 @@ def test_hull_windows_hold_the_codes_in_their_distance_window(width):
     }
     neighbors = recovery._hull_windows(len(hulls) + 1, width, hulls)
     for (_, window), (lo, hi) in zip(neighbors[0], hulls.values()):
-        for code in reversed(range(size)):  # a parent is filled on demand
-            mask = window[code] if window[code] is not None else window.fill(code)
+        for code in reversed(range(size)):  # a parent is derived on demand
+            mask = window[code]
             want = {v for v in range(size) if lo <= (v ^ code).bit_count() <= hi}
             assert mask == sum(1 << v for v in want)
 
@@ -447,30 +447,41 @@ def test_timeout_is_surfaced(monkeypatch):
             return SolveOutcome(status="timeout", model=None, stats=SolverStats())
 
     monkeypatch.setattr(mod, "CdclSolver", FakeSolver)
-    # without a seed every width goes to the solver
-    monkeypatch.setattr(mod, "search_class_codes", lambda *a: None)
+    # one class for both ends of a step that moved: its one code breaks
+    # the step's window, so the seed fails and the width goes to the solver
     trace = synthetic_trace(["0", "1"], [1])
-    result = recover_encodings(trace)
+    result = recover_encodings(trace, classes=[0, 0])
     assert result.assignment is None
-    assert result.attempts[-1].status == "timeout"
+    assert [(a.status, a.seeded) for a in result.attempts] == [("timeout", True)]
 
 
-def test_exhausted_seed_search_falls_back_to_an_unseeded_solve(monkeypatch):
+def test_exhausted_seed_search_falls_back_to_class_index_codes(monkeypatch):
+    # the search gives up on its first node; this walk's class-index
+    # codes then break a window, so the solver runs on their phases
     monkeypatch.setattr(recovery, "_SEARCH_BUDGET", 1)
-    _, trace = machine_trace("dk27", 60, seed=5)
+    _, trace = machine_trace("dk27", 40, seed=3)
     classes = merge_hypothesis(trace)
+    n_classes = max(classes) + 1
     width = forced_width(trace)
     hulls = class_hulls(build_constraints(trace, width), classes)
-    assert search_class_codes(max(classes) + 1, width, hulls) is None
+    assert search_class_codes(n_classes, width, hulls) is None
+    phased = []
+
+    def recording(cnf, classes, codes):
+        phased.append(list(codes))
+        return build_phases(cnf, classes, codes)
+
+    monkeypatch.setattr(recovery, "build_phases", recording)
     result = recover_encodings(trace)
     attempt = result.attempts[-1]
-    assert (attempt.status, attempt.seeded) == ("sat", False)
+    assert (attempt.status, attempt.seeded) == ("sat", True)
+    assert phased == [list(range(n_classes))] * len(result.attempts)
     cs = build_constraints(trace, result.assignment.width)
     assert find_violation(cs, list(result.assignment.values)) is None
 
 
 @pytest.mark.parametrize("width", [1, 13])
-def test_seed_codes_builds_no_hulls_for_a_width_that_cannot_hold_the_guess(
+def test_no_hull_is_built_at_a_width_that_cannot_hold_the_guess(
     monkeypatch, width
 ):
     # three classes need width 2, and no code search runs past width 12
@@ -479,8 +490,14 @@ def test_seed_codes_builds_no_hulls_for_a_width_that_cannot_hold_the_guess(
 
     monkeypatch.setattr(recovery, "class_hulls", unreachable)
     monkeypatch.setattr(recovery, "search_class_codes", unreachable)
-    cs = ConstraintSet(width, [(1, width)] * 2, [0, 1, 2])
-    assert seed_codes(cs, [0, 1, 2]) is None
+    monkeypatch.setattr(recovery, "WIDTH_STEPS", 0)
+    trace = synthetic_trace(["00", "01", "10"], [1, 1])
+    result = recover_encodings(trace, width_start=width, classes=[0, 1, 2])
+    # three outputs share no width-1 code, and width 13 holds them
+    status = "unsat" if width == 1 else "sat"
+    assert [(a.width, a.status, a.seeded) for a in result.attempts] == [
+        (width, status, False)
+    ]
 
 
 def dumped_bases(result, prefix=""):
@@ -716,6 +733,60 @@ def test_seed_answers_equal_solver_answers_on_random_walks(**args):
     result = recover_encodings(walks[0], classes=classes)
     assert result.assignment is not None
     assert_seed_is_the_solver_answer(walks[0], classes, result)
+
+
+@given(
+    data=st.data(),
+    max_width=st.integers(min_value=1, max_value=4),
+    budget=st.one_of(st.integers(min_value=1, max_value=20), st.just(500_000)),
+    **random_walk_args,
+)
+@settings(max_examples=100, deadline=None)
+def test_a_width_is_seeded_exactly_when_it_holds_the_guess(
+    data, max_width, budget, **args
+):
+    """A solver run is seeded, and a width answered by its seed, exactly
+    between ``code_width`` of the class count and ``_SEED_MAX_WIDTH``
+    (lowered here so that widths past it stay cheap to solve); where the
+    hulls admit no codes, or the search gives up, the seed's codes are
+    the class indices."""
+    walks = random_walks(**args)
+    trace = walks[0]
+    n = trace.n_steps + 1
+    guesses = [
+        merge_hypothesis(trace, walks[1:]),
+        data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+    ]
+    for classes in guesses:
+        n_classes = max(classes) + 1
+        seeded = range(code_width(n_classes), max_width + 1)
+        phased = []
+
+        class Recording(CdclSolver):
+            def __init__(self, *a, initial_phases=None, **kw):
+                phased.append(initial_phases is not None)
+                super().__init__(*a, initial_phases=initial_phases, **kw)
+
+        with mock.patch.object(recovery, "_SEED_MAX_WIDTH", max_width), \
+                mock.patch.object(recovery, "_SEARCH_BUDGET", budget), \
+                mock.patch.object(recovery, "CdclSolver", Recording):
+            result = recover_encodings(trace, width_start=1, classes=classes)
+            for width in seeded:
+                cs = build_constraints(trace, width)
+                if cs.trivially_unsat:
+                    continue
+                codes = search_class_codes(
+                    n_classes, width, class_hulls(cs, classes)
+                )
+                assert seed_codes(cs, classes) == (
+                    list(range(n_classes)) if codes is None else codes
+                )
+        assert result.assignment is not None
+        solved = [a for a in result.attempts if a.stats is not None]
+        assert phased == [a.seeded for a in solved]
+        for a in result.attempts:
+            if a.status != "infeasible-window":
+                assert a.seeded == (a.width in seeded)
 
 
 def fold_outcome(trace, assignment):

@@ -30,6 +30,8 @@ BAND_ERROR_P0 = 0.852
 BAND_ERROR_PLUS1 = 0.120
 BAND_ERROR_MINUS1 = 0.028
 
+SIGMA_MAX = 1e100  # keeps a gaussian reading, and its square in pearson, finite
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -41,8 +43,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if not 0 <= self.sigma < math.inf:  # NaN fails too
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 <= self.sigma <= SIGMA_MAX:  # NaN fails too
+            raise ValueError(f"sigma must be in [0, {SIGMA_MAX:g}], got {self.sigma}")
 
     @classmethod
     def exact(cls) -> "NoiseModel":

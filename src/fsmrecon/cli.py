@@ -39,6 +39,7 @@ from .fsm import (
     serialize_kiss2,
     transition_count,
 )
+from .verify import equivalent
 
 EXIT_OK = 0
 EXIT_DIFFERENT = 1
@@ -133,9 +134,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
     )
     result = attack(BlackBoxDevice(encoded, noise, noise_seed=seed), cfg)
 
-    if args.recovered is not None and result.recovered is not None:
+    if args.recovered is not None and (
+        result.recovered is not None or os.path.exists(args.recovered)
+    ):
+        # emptied when nothing was recovered: no earlier run's machine stays
         with open(args.recovered, "w", encoding="utf-8") as fh:
-            fh.write(serialize_kiss2(result.recovered))
+            if result.recovered is not None:
+                fh.write(serialize_kiss2(result.recovered))
 
     report = {
         "command": "attack",
@@ -200,8 +205,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import equivalent
-
     candidate, _ = _load_moore(args.candidate)
     reference, _ = _load_moore(args.reference)
     verdict = equivalent(candidate, reference)

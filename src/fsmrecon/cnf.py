@@ -173,7 +173,7 @@ def encode_cnf(cs: ConstraintSet) -> Cnf:
 
 
 def decode_positions(cnf: Cnf, model: list[int]) -> list[int]:
-    """Position register values from a solver model (assigns[var] in {1,-1})."""
+    """Position register values from a solver model (model[var] in {1,-1})."""
     values = []
     for p in range(cnf.n_positions):
         v = 0

@@ -387,8 +387,11 @@ def search_class_codes(
 ) -> list[int] | None:
     """Search for pairwise-distinct class codes meeting every hull.
 
-    Most-constrained-first ordering with forward checking; deterministic.
-    Returns None when no assignment exists or the node budget runs out.
+    ``width`` is one :func:`recover_encodings` seeds: it holds a code per
+    class and is at most ``_SEED_MAX_WIDTH``, past which the ``2**width``-bit
+    masks below grow too large.  Most-constrained-first ordering with forward
+    checking; deterministic.  Returns None when no assignment exists or the
+    node budget runs out.
     A domain is a bit mask over the ``2**width`` codes, and distinctness
     is one mask of the codes still free, so a class's live codes are its
     domain and that mask.  Only hull prunings are undone when the search
@@ -397,8 +400,6 @@ def search_class_codes(
     explicit stack, so a thousand classes need no thousand-deep
     recursion.
     """
-    if width > _SEED_MAX_WIDTH or width < code_width(n_classes):
-        return None
     size = 1 << width
     full = (1 << size) - 1
     neighbors = _hull_windows(n_classes, width, hulls)
@@ -537,7 +538,7 @@ def recover_encodings(
     trace: Trace,
     *,
     width_start: int | None = None,
-    timeout_ms: int | None = 1_000_000,
+    timeout_ms: int = 1_000_000,
     classes: list[int] | None = None,
     prior: list[int] | None = None,
     dimacs_prefix: str | None = None,
@@ -573,7 +574,7 @@ def recover_encodings(
     r0 = width_start if width_start is not None else forced_width(trace)
     if r0 < 1:
         raise ValueError("width_start must be at least 1")
-    timeout_s = None if timeout_ms is None else timeout_ms / 1000.0
+    timeout_s = timeout_ms / 1000.0
     result = RecoveryResult(assignment=None)
     if classes is None:
         classes = merge_hypothesis(trace)

@@ -90,15 +90,16 @@ class MergeGraph:
 
     Every graph merged in so far is a set of nodes of one
     :class:`~fsmrecon.congruence.Congruence`, whose classes are the states
-    and whose class edges are the transitions, so ``transitions`` counts
-    them.  Edges carry no label worth combining, but a label must not be
-    None: ``meet`` answers None for a contradiction.  Graphs are reachable
-    from their resets, so every class is.  ``merge`` adds a graph's nodes
-    and edges and unifies the two resets (the first graph merged into an
-    empty one is simply added); ``undo`` takes the last merge back, closure,
-    nodes and all.  ``machine`` numbers the states breadth-first only when
-    it hands out a MooreFsm, and only if a merge has happened since the
-    first graph: until then it hands out that graph as it was given.
+    and whose class edges are the transitions; ``transitions`` counts those
+    edges when it is read, so no merge or undo keeps a count.  Edges carry
+    no label worth combining, but a label must not be None: ``meet``
+    answers None for a contradiction.  Graphs are reachable from their
+    resets, so every class is.  ``merge`` adds a graph's nodes and edges and
+    unifies the two resets (the first graph merged into an empty one is
+    simply added); ``undo`` takes the last merge back, closure, nodes and
+    all.  ``machine`` numbers the states breadth-first only when it hands
+    out a MooreFsm, and only if a merge has happened since the first graph:
+    until then it hands out that graph as it was given.
 
     Traces are held to the graph: ``hold`` adds one, and ``replays`` says
     whether every held trace replays.  A held trace keeps the step where
@@ -113,11 +114,10 @@ class MergeGraph:
         self.cong = Congruence([], {}, _keep)
         self.input_bits = self.output_bits = 0
         self.reset = 0
-        self.transitions = 0
         self._handed: MooreFsm | None = None
         # (trace, step, node) per held trace, node None for the reset
         self._resume: list[tuple[Trace, int, int | None]] = []
-        self._before: tuple = (0, 0, None, self._resume)
+        self._before: tuple = (0, None, self._resume)
         if graph is not None:
             self.merge(graph)
 
@@ -129,7 +129,7 @@ class MergeGraph:
         """
         cong = self.cong
         first = len(cong.parent)
-        self._before = (first, self.transitions, self._handed, self._resume)
+        self._before = (first, self._handed, self._resume)
         edges: dict[int, dict[int, tuple[int, bool]]] = {}
         for (src, vec), dst in graph.delta.items():
             edges.setdefault(first + src, {})[vec] = (first + dst, True)
@@ -144,14 +144,18 @@ class MergeGraph:
             return False
         else:
             self._handed = None
-        self.transitions = sum(map(len, cong.edges.values()))
         return True
 
     def undo(self) -> None:
         """Take back the last ``merge``, and any replay since it."""
-        first, self.transitions, self._handed, self._resume = self._before
+        first, self._handed, self._resume = self._before
         self.cong.undo()
         self.cong.truncate(first)
+
+    @property
+    def transitions(self) -> int:
+        """The number of transitions the graph holds."""
+        return sum(map(len, self.cong.edges.values()))
 
     def hold(self, trace: Trace) -> None:
         """Hold ``trace`` to the graph from the next ``replays`` on."""

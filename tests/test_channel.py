@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fsmrecon import channel
 from fsmrecon.channel import (
     BAND_EDGES,
+    SIGMA_MAX,
     InferredHd,
     NoiseModel,
     band_center,
@@ -153,9 +154,21 @@ def test_window_contains_the_distance_at_every_distance(kind):
 def test_noise_model_validation():
     with pytest.raises(ValueError, match="kind"):
         NoiseModel(kind="uniform")
-    for sigma in (-1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="sigma"):
+    # a finite sigma past the ceiling gave an infinite reading (1e308) or
+    # overflowed the square in pearson (1e200)
+    past = math.nextafter(SIGMA_MAX, math.inf)
+    for sigma in (-1.0, float("inf"), float("nan"), past, 1e200, 1e308):
+        with pytest.raises(ValueError, match=r"sigma must be in \[0, 1e\+100\]"):
             NoiseModel(kind="gaussian", sigma=sigma)
+
+
+def test_readings_at_the_sigma_ceiling_and_their_squares_stay_finite():
+    model = NoiseModel.gaussian(sigma=SIGMA_MAX)
+    rng = random.Random(1)
+    hds = [hd for hd in range(len(BAND_EDGES) + 2) for _ in range(100)]
+    currents = [synthesize_current(hd, model, rng) for hd in hds]
+    assert all(math.isfinite(c) for c in currents)
+    assert -1.0 <= pearson(hds, currents) <= 1.0  # as calibrate calls it
 
 
 def read_error(hd, model, rng):

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, artifacts, reproducibility."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,26 @@ def test_attack_zero_rounds_exits_3(lion_path, tmp_path, capsys):
     assert not recovered.exists()  # nothing recovered, nothing written
 
 
+@pytest.mark.parametrize("path", ["recovered.kiss2", os.devnull])
+def test_attack_that_recovers_nothing_leaves_no_earlier_machine(
+    lion_path, tmp_path, monkeypatch, capsys, path
+):
+    # the first attack writes a machine; a second at the same path that
+    # merges no round must not leave it there under a null artifact
+    monkeypatch.chdir(tmp_path)
+    argv = ["attack", "--target", lion_path, "--seed", "1", "--recovered", path]
+    assert main([*argv, "--goal", "1.0"]) == 0
+    capsys.readouterr()
+    if path != os.devnull:
+        assert parse_kiss2(Path(path).read_text()).state_count > 0
+    assert main([*argv, "--rounds-max", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["artifacts"]["recovered"] is None
+    if path == os.devnull:
+        assert Path(path).is_char_device()  # emptied, never unlinked
+    else:
+        assert Path(path).read_text() == ""
+
+
 def test_attack_goal_missed_still_writes_partial_report(tmp_path):
     target = tmp_path / "s386.kiss2"
     target.write_text(benchmarks.load("s386"))
@@ -222,7 +244,10 @@ PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
 @pytest.mark.parametrize(
     "flag, value, word",
     [("--sigma", "-1", "sigma"), ("--sigma", "inf", "sigma"),
-     ("--sigma", "nan", "sigma"), ("--timeout-ms", "-5", "timeout"),
+     ("--sigma", "nan", "sigma"),
+     # finite, but a reading at this sigma could overflow to inf
+     ("--sigma", "1e308", "sigma must be in [0, 1e+100]"),
+     ("--timeout-ms", "-5", "timeout"),
      ("--timeout-ms", "0", "timeout"),
      # past the range of a float, as the solver's clock counts seconds
      pytest.param("--timeout-ms", HUGE, "timeout must be in [1, 1.8e+308] ms",
@@ -491,8 +516,11 @@ def test_calibrate_rejects_tiny_sample_counts(capsys):
     "argv, word",
     [(["--samples", "1048577"], "at most 1048576"),
      (["--report", UNWRITABLE], "no-such-dir"),
-     (["--seed", "-1"], "seed must be >= 0")],
-    ids=["past-the-round-ceiling", "unwritable-report", "negative-seed"],
+     (["--seed", "-1"], "seed must be >= 0"),
+     # pearson would overflow squaring a reading at this sigma
+     (["--noise", "gaussian", "--sigma", "1e200"], "sigma must be in [0, 1e+100]")],
+    ids=["past-the-round-ceiling", "unwritable-report", "negative-seed",
+         "huge-sigma"],
 )
 def test_calibrate_refuses_before_it_samples(
     tmp_path, monkeypatch, capsys, argv, word

@@ -225,15 +225,9 @@ def test_search_detects_unsatisfiable_hulls():
     assert search_class_codes(2, 2, {(0, 1): (2, 1)}) is None
 
 
-def test_search_declines_giant_widths():
-    assert search_class_codes(2, 13, {}) is None
-
-
 def recursive_class_code_search(n_classes, width, hulls, budget):
     """The class-code search as a recursion, one frame per class: the
     reference ``search_class_codes`` must match, codes or None."""
-    if width > recovery._SEED_MAX_WIDTH or width < (n_classes - 1).bit_length():
-        return None
     size = 1 << width
     neighbors = {}
     for (a, b), (lo, hi) in hulls.items():

@@ -350,9 +350,10 @@ def test_pigeonhole_search_path_matches_the_reference(
 
 def test_decide_picks_the_most_active_free_variable(monkeypatch):
     # checked before every decision, by brute force over all variables:
-    # value mirrors assigns, no variable has two order entries at its
-    # current activity, each free one has exactly one, and the pick is the
-    # free variable of highest activity, lowest index on ties
+    # value holds each variable and its negation as mirror images, the
+    # trail lists exactly the true literals, no variable has two order
+    # entries at its current activity, each free one has exactly one, and
+    # the pick is the free variable of highest activity, lowest index on ties
     monkeypatch.setattr(sat, "_RESTART_INTERVAL", 1)
     monkeypatch.setattr(sat, "_RESCALE_LIMIT", 2.0)
     decide, rescale, reduce_db = (
@@ -363,14 +364,18 @@ def test_decide_picks_the_most_active_free_variable(monkeypatch):
     def checked_decide(self):
         nv = self.n_vars
         free = []
+        true_lits = set()
         for v in range(1, nv + 1):
-            assert self.value[nv + v] == self.assigns[v]
-            assert self.value[nv - v] == -self.assigns[v]
+            val = self.value[nv + v]
+            assert val in (-1, 0, 1) and self.value[nv - v] == -val
+            if val:
+                true_lits.add(v * val)
             entries = self.order.count((-self.activity[v], v))
             assert entries <= 1
-            if self.assigns[v] == 0:
+            if val == 0:
                 assert entries == 1 and self.queued[v] == self.activity[v]
                 free.append(v)
+        assert sorted(self.trail) == sorted(true_lits)
         lit = decide(self)
         if free:
             best = max(free, key=lambda v: (self.activity[v], -v))

@@ -426,6 +426,22 @@ def test_an_empty_merge_graph_hands_out_its_first_graph_as_given():
     )
 
 
+def test_transitions_read_the_same_after_a_refused_merge_and_an_undo():
+    # the count is read off the closure's edges, so taking a merge back
+    # takes its transitions back with it
+    acc = MergeGraph(graph(1, ["0", "1"], {(0, 1): 1, (1, 0): 0}))
+    assert acc.transitions == 2
+    # this reset emits 1 where the first graph's emits 0: a clash, whose
+    # added nodes and edges are taken back
+    assert not acc.merge(graph(1, ["1", "0"], {(0, 0): 1}))
+    assert acc.transitions == 2
+    assert acc.merge(graph(1, ["0", "1"], {(0, 0): 1}))
+    assert acc.transitions == 3 == len(acc.machine().delta)
+    acc.undo()
+    assert acc.transitions == 2 == len(acc.machine().delta)
+    assert MergeGraph().transitions == 0
+
+
 # ---------------------------------------------------------------- fraction
 
 

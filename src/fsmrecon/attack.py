@@ -68,7 +68,7 @@ from .verify import replay_consistency  # noqa: F401
 
 # 8 times the default round of the largest table the reader accepts (2 x
 # 65,536 entries); a round past it is refused before its stimulus is built,
-# which at --multiplier 1e300 would run until memory gave out
+# which for a 401-digit --vectors would run until memory gave out
 MAX_VECTORS_PER_ROUND = 1 << 20
 
 
@@ -80,7 +80,7 @@ class AttackConfig:
     states; together with the device's input width I it sets the
     transition total X * 2**I that the recovery fraction is measured
     against.  ``vectors_per_round`` overrides the default stimulus length
-    of ceil(2 * X * 2**I); either way a round is at most
+    of 2 * X * 2**I; either way a round is at most
     :data:`MAX_VECTORS_PER_ROUND` vectors.  The constraint set, and the
     CNF a width whose phase seed fails is encoded to, grow linearly with
     the round length, but that CNF's solve is bounded only by
@@ -201,8 +201,9 @@ def _validate(cfg: AttackConfig, device: BlackBoxDevice) -> int:
 
 
 def _shown(n: int) -> str:
-    """``n``, to three digits past 15 digits: ``--multiplier 1e300`` gives
-    301 digits, and an integer flag up to 4,300, past a float's range."""
+    """``n``, to three digits past 15 digits: ``--vectors`` and
+    ``--timeout-ms`` take integers of up to 4,300 digits, past a float's
+    range."""
     return str(n) if n < 10**15 else f"{Decimal(n):.3g}"
 
 

@@ -9,7 +9,6 @@ distance estimate inferred from each current.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -134,24 +133,17 @@ def output_groups(outputs: list[str]) -> list[int]:
     return [ids.setdefault(out, len(ids)) for out in outputs]
 
 
-def choose_vector_count(state_count: int, input_bits: int, multiplier: float = 2.0) -> int:
-    """Stimulus length for one capture: ceil(multiplier * states * 2**input_bits).
+def choose_vector_count(state_count: int, input_bits: int) -> int:
+    """Stimulus length for one capture: 2 * states * 2**input_bits.
 
-    The multiplier is at least 2 so a random walk has a fair chance of
+    Twice the transition count gives a random walk a fair chance of
     exercising each transition at least once.
     """
     if state_count < 1:
         raise ValueError(f"state count must be >= 1, got {state_count}")
     if input_bits < 1:
         raise ValueError(f"input bits must be >= 1, got {input_bits}")
-    if not 2.0 <= multiplier < math.inf:  # NaN fails too
-        raise ValueError(
-            f"multiplier must be finite and >= 2.0, got {multiplier}"
-        )
-    count = multiplier * state_count * (1 << input_bits)
-    if count == math.inf:
-        raise ValueError(f"multiplier {multiplier} gives an infinite vector count")
-    return math.ceil(count)
+    return 2 * state_count << input_bits
 
 
 def gen_stimulus(count: int, input_bits: int, seed: int) -> list[int]:

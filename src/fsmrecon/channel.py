@@ -185,4 +185,5 @@ def pearson(xs, ys) -> float:
     if sxx == 0 or syy == 0:
         raise ValueError("correlation undefined for constant sequence")
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+    # two roots, not the root of a product: sxx * syy overflows near SIGMA_MAX
+    return sxy / (math.sqrt(sxx) * math.sqrt(syy))

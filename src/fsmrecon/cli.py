@@ -22,13 +22,13 @@ import sys
 import tempfile
 import time
 from itertools import pairwise
+from pathlib import Path
 
 from . import __version__
 from .attack import MAX_VECTORS_PER_ROUND, AttackConfig, attack
 from .capture import BlackBoxDevice, choose_vector_count, gen_stimulus, run_trace
 from .channel import NOISE_KINDS, NoiseModel, pearson
 from .fsm import (
-    MOORIFY_STRATEGIES,
     MealyFsm,
     MooreFsm,
     assign_binary_encoding,
@@ -57,12 +57,12 @@ _CAL_SELF_LOOP_BIAS = 0.1
 _VERSIONS = {"package": __version__, "python": platform.python_version()}
 
 
-def _load_moore(path: str, strategy: str = "first") -> tuple[MooreFsm, bool]:
+def _load_moore(path: str) -> tuple[MooreFsm, bool]:
     """Parse a KISS2 file, Moore-converting Mealy tables on the way in."""
     with open(path, "r", encoding="utf-8") as fh:
         machine = parse_kiss2(fh.read())
     if isinstance(machine, MealyFsm):
-        return moorify(machine, strategy), True
+        return moorify(machine), True
     return machine, False
 
 
@@ -99,7 +99,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    machine, _ = _load_moore(args.infile, args.strategy)
+    machine, _ = _load_moore(args.infile)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         fh.write(serialize_kiss2(machine))
     return EXIT_OK
@@ -112,14 +112,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
     noise = NoiseModel(kind=args.noise, sigma=args.sigma)
     machine, converted = _load_moore(args.target)
     machine.require_complete()
-    # checked even when --vectors overrides it: the report echoes it
-    vectors = choose_vector_count(
-        machine.state_count, machine.input_bits, args.multiplier
-    )
-    if args.vectors is not None:
-        vectors = args.vectors
+    vectors = args.vectors
+    if vectors is None:
+        vectors = choose_vector_count(machine.state_count, machine.input_bits)
     # an attack can run for minutes; an unusable output path must stop it
-    # before it starts, not throw its result away at the end
+    # before it starts, not throw its result away at the end.  One file
+    # cannot hold both the report and the machine; /dev/null can take both
+    if args.report is not None and args.recovered is not None:
+        path = os.path.realpath(args.report)
+        same = path == os.path.realpath(args.recovered)
+        if same and not Path(path).is_char_device():
+            raise ValueError(f"--report and --recovered both name {path}")
     _require_writable([args.report, args.recovered], args.dimacs_dump)
     encoded = assign_binary_encoding(machine)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
@@ -148,7 +151,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "goal": cfg.goal,
             "input_bits": machine.input_bits,
             "max_rounds": cfg.max_rounds,
-            "multiplier": args.multiplier,
             "noise": args.noise,
             "seed": seed,
             "sigma": args.sigma,
@@ -349,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("infile")
     p.add_argument("outfile")
-    p.add_argument(
-        "--strategy",
-        choices=MOORIFY_STRATEGIES,
-        default="first",
-        help="output to give a state entered with conflicting Mealy outputs",
-    )
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser(
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="KISS2 file to attack")
     p.add_argument("--vectors", type=int, default=None,
                    help="input vectors per round (default 2·X·2^I)")
-    p.add_argument("--multiplier", type=float, default=2.0)
     p.add_argument("--rounds-max", type=int, default=AttackConfig.max_rounds)
     p.add_argument("--goal", type=float, default=AttackConfig.goal,
                    help="stop once this fraction of transitions is recovered")

@@ -9,7 +9,6 @@ vectors are held as '0'/'1' strings so width is always explicit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -292,20 +291,6 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
     )
 
 
-def _moore(m: MealyFsm, outputs: list[str | None]) -> MooreFsm:
-    """``m``'s transitions with ``outputs`` on the states; a state whose
-    output is None, one never entered, gets the all-zero vector."""
-    zero = "0" * m.output_bits
-    return MooreFsm(
-        input_bits=m.input_bits,
-        output_bits=m.output_bits,
-        states=list(m.states),
-        reset=m.reset,
-        delta={key: nxt for key, (nxt, _) in m.transitions.items()},
-        outputs=[out if out is not None else zero for out in outputs],
-    )
-
-
 def serialize_kiss2(m: MealyFsm | MooreFsm) -> str:
     """Render a machine as KISS2 text.
 
@@ -343,36 +328,28 @@ def serialize_kiss2(m: MealyFsm | MooreFsm) -> str:
 # Mealy -> Moore conversion and encodings
 # --------------------------------------------------------------------------
 
-MOORIFY_STRATEGIES = ("first", "majority")
-
-
-def moorify(m: MealyFsm, strategy: str = "first") -> MooreFsm:
+def moorify(m: MealyFsm) -> MooreFsm:
     """Re-home edge outputs onto states, keeping every transition intact.
 
-    Each state's output comes from the outputs of its incoming transitions:
-    ``first`` takes the lexicographically first incoming transition by
-    (source-state index, input vector); ``majority`` takes the most common
-    incoming output, breaking ties by the same order.  A state that is never
-    entered (e.g. an unentered reset state) gets the all-zero vector.  The
-    result generally changes the observed output sequence — transitions are
+    Each state takes the output of its least incoming transition by
+    (source-state index, input vector).  A state that is never entered
+    (e.g. an unentered reset state) gets the all-zero vector.  The result
+    generally changes the observed output sequence — transitions are
     preserved, output placement is not.
     """
-    if strategy not in MOORIFY_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {MOORIFY_STRATEGIES}")
-
-    incoming: list[list[tuple[int, int, str]]] = [[] for _ in m.states]
-    for (src, v), (nxt, out) in m.transitions.items():
-        incoming[nxt].append((src, v, out))
-
-    outputs: list[str | None] = []
-    for entries in incoming:
-        entries.sort()
-        if strategy == "majority" and entries:
-            tally = Counter(out for _, _, out in entries)
-            best = max(tally.values())
-            entries = [e for e in entries if tally[e[2]] == best]
-        outputs.append(entries[0][2] if entries else None)
-    moore = _moore(m, outputs)
+    first: dict[int, str] = {}
+    for key in sorted(m.transitions):
+        nxt, out = m.transitions[key]
+        first.setdefault(nxt, out)
+    zero = "0" * m.output_bits
+    moore = MooreFsm(
+        input_bits=m.input_bits,
+        output_bits=m.output_bits,
+        states=list(m.states),
+        reset=m.reset,
+        delta={key: nxt for key, (nxt, _) in m.transitions.items()},
+        outputs=[first.get(s, zero) for s in range(m.state_count)],
+    )
     moore.require_complete()  # the same table entries as ``m``
     return moore
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import encoded_fixture, random_moore
 from fsmrecon import benchmarks
+from fsmrecon.attack import MAX_VECTORS_PER_ROUND
 from fsmrecon.capture import (
     BlackBoxDevice,
     Trace,
@@ -25,6 +26,7 @@ from fsmrecon.channel import (
 )
 from fsmrecon.cli import main
 from fsmrecon.fsm import (
+    MAX_TABLE_ENTRIES,
     EncodedFsm,
     assign_binary_encoding,
     moorify,
@@ -46,20 +48,18 @@ def make_device(name="dk27", noise=None, noise_seed=1234):
 
 
 def test_vector_count_published_sizing_rule():
-    assert choose_vector_count(13, 7, 2.0) == 2 * 13 * 128 == 3328
-    assert choose_vector_count(4, 2, 2.0) == 32
-    assert choose_vector_count(7, 1, 2.5) == 35
+    assert choose_vector_count(13, 7) == 2 * 13 * 128 == 3328
+    assert choose_vector_count(4, 2) == 32
 
 
-def test_vector_count_rejects_small_multiplier():
-    with pytest.raises(ValueError, match="multiplier"):
-        choose_vector_count(4, 2, 1.5)
-
-
-@pytest.mark.parametrize("multiplier", [float("inf"), float("nan")])
-def test_vector_count_rejects_non_finite_multiplier(multiplier):
-    with pytest.raises(ValueError, match="multiplier"):
-        choose_vector_count(4, 2, multiplier)
+def test_the_default_round_of_the_largest_table_is_within_the_ceiling():
+    # the reader accepts at most MAX_TABLE_ENTRIES = X * 2**I entries, and
+    # the ceiling is 8 times the default round of such a table, so no
+    # complete table it reads has a default round past the ceiling
+    for input_bits in range(1, 17):
+        states = MAX_TABLE_ENTRIES >> input_bits
+        count = choose_vector_count(states, input_bits)
+        assert 8 * count == 8 * 2 * MAX_TABLE_ENTRIES == MAX_VECTORS_PER_ROUND
 
 
 @pytest.mark.parametrize(
@@ -285,8 +285,8 @@ PINNED_DEVICE = {
         "df64d134796ec9018d823559675edbec"
     ),
     "calibrate": (
-        "76d1ad6c4c7127538c63a45c8f3e2a95"
-        "cc39fc5b8b30e95e40a9f54782d9d74c"
+        "57f920107661a644d145d55ee0a8d628"
+        "40f1d5a3c21f25fa01e026d0d11c015f"
     ),
 }
 

@@ -169,6 +169,8 @@ def test_readings_at_the_sigma_ceiling_and_their_squares_stay_finite():
     currents = [synthesize_current(hd, model, rng) for hd in hds]
     assert all(math.isfinite(c) for c in currents)
     assert -1.0 <= pearson(hds, currents) <= 1.0  # as calibrate calls it
+    # their sums of squares multiply past a float's range
+    assert pearson(currents, currents) == pytest.approx(1.0)
 
 
 def read_error(hd, model, rng):

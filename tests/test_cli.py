@@ -252,14 +252,10 @@ PATH_FLAGS = ("--report", "--recovered", "--dimacs-dump")
      # past the range of a float, as the solver's clock counts seconds
      pytest.param("--timeout-ms", HUGE, "timeout must be in [1, 1.8e+308] ms",
                   id="--timeout-ms-HUGE"),
-     ("--multiplier", "inf", "multiplier"),
-     ("--multiplier", "nan", "multiplier"),
      # counts that would build their stimulus for hours, or overflow
-     ("--multiplier", "1e300", "vectors per round must be <= 1048576"),
      ("--vectors", "1000000000", "vectors per round must be <= 1048576"),
      pytest.param("--vectors", HUGE, "<= 1048576, got 1.00e+400",
                   id="--vectors-HUGE"),
-     ("--multiplier", "1e308", "infinite vector count"),
      # the later --seed wins over the test's --seed 1
      ("--seed", "-1", "seed must be >= 0"),
      ("--report", UNWRITABLE, "no-such-dir"),
@@ -294,19 +290,45 @@ def test_attack_unusable_flag_exits_2_with_one_line(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lion.kiss2"]
 
 
-@pytest.mark.parametrize("value", ["nan", "1"])
-def test_attack_bad_multiplier_exits_2_even_with_vectors(
-    lion_path, monkeypatch, capsys, value
+@pytest.mark.parametrize(
+    "argv",
+    [["attack", "--target", "lion.kiss2", "--multiplier", "2"],
+     ["convert", "lion.kiss2", "out.kiss2", "--strategy", "first"]],
+    ids=["attack--multiplier", "convert--strategy"],
+)
+def test_removed_flags_are_refused(lion_path, tmp_path, monkeypatch, argv):
+    # a round is 2 * X * 2**I vectors unless --vectors says otherwise, and
+    # a Mealy state takes the output of its least incoming edge
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.kiss2").exists()
+
+
+@pytest.mark.parametrize("report, recovered", [("same", "same"),
+                                               ("./same", "same")])
+def test_attack_refuses_one_path_for_report_and_machine(
+    lion_path, tmp_path, monkeypatch, capsys, report, recovered
 ):
     from fsmrecon import cli
 
     def no_attack(device, cfg):
         pytest.fail("the attack ran")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "attack", no_attack)
-    argv = ["attack", "--target", lion_path, "--vectors", "20",
-            "--multiplier", value]
-    assert_one_line_exit_2(capsys, argv, "multiplier")
+    argv = ["attack", "--target", lion_path, "--seed", "1",
+            "--report", report, "--recovered", recovered]
+    assert_one_line_exit_2(capsys, argv, "--report and --recovered")
+    assert not (tmp_path / "same").exists()
+
+
+def test_attack_may_send_report_and_machine_to_dev_null(lion_path, capsys):
+    argv = ["attack", "--target", lion_path, "--seed", "1", "--goal", "1.0",
+            "--report", os.devnull, "--recovered", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_attack_model_violation_keeps_its_traceback(lion_path, monkeypatch):
@@ -360,7 +382,7 @@ def test_attack_defaults_echo_effective_vector_count(lion_path, capsys):
     ])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
-    # lion keeps its 4 states through conversion: ceil(2.0 * 4 * 4)
+    # lion keeps its 4 states through conversion: 2 * 4 * 2**2
     assert rep["config"]["vectors_per_round"] == 32
     assert rep["config"]["state_count_guess"] == 4
 

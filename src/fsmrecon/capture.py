@@ -4,16 +4,19 @@ The device under attack exposes reset, a clock input, the functional output
 vector, and an average-current reading per clock — nothing else.  A capture
 run is a seeded random stimulus replayed from reset; the resulting trace
 holds the observed output sequence, the per-step current, and the banded
-distance estimate inferred from each current.
+distance estimate inferred from each current.  The device walks the whole
+stimulus through its step table and asks the channel for the walk's
+readings in one call.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
-from .channel import InferredHd, NoiseModel, infer_hd, synthesize_current
+from .channel import InferredHd, NoiseModel, infer_hd, synthesize_currents
 from .fsm import EncodedFsm
 
 
@@ -25,8 +28,9 @@ class BlackBoxDevice:
     was produced.  Its step table is built once, straight from the
     machine's ``delta`` and the register ``encodings``: for every (state,
     input vector), the next state, its output and the register distance.
-    ``walk`` then clocks each vector with one range check and one table
-    read before the current is synthesized.
+    ``walk`` checks the whole stimulus's range once, clocks each vector
+    with one table read and asks the channel for the walk's readings in
+    one call.
     """
 
     def __init__(self, encoded: EncodedFsm, noise: NoiseModel, noise_seed: int):
@@ -64,28 +68,34 @@ class BlackBoxDevice:
     def walk(self, stimulus: Iterable[int]) -> tuple[list[str], list[float]]:
         """Apply each input vector in turn: the outputs and current readings.
 
-        An out-of-range vector raises ValueError, and the device keeps the
-        state the vectors before it reached, with noise drawn for those
-        vectors only; a list index alone would accept a negative one.
+        One range check with ``min`` and ``max`` covers the whole stimulus;
+        the walk then only reads the step table, and the channel gives the
+        walk's readings in one call.  An out-of-range vector raises
+        ValueError, and the device keeps the state the vectors before it
+        reached, with noise drawn for those vectors only; a list index
+        alone would accept a negative one.
         """
-        table = self._table
+        vectors = list(stimulus)
         n_vectors = 1 << self.input_bits
-        noise, rng = self._noise, self._rng
+        bad = None
+        if vectors and not (0 <= min(vectors) and max(vectors) < n_vectors):
+            bad = next(v for v in vectors if not 0 <= v < n_vectors)
+            vectors = vectors[: vectors.index(bad)]
+        table = self._table
         state = self._state
         outputs: list[str] = []
-        currents: list[float] = []
-        try:
-            for vector in stimulus:
-                if not 0 <= vector < n_vectors:
-                    raise ValueError(
-                        f"input vector {vector} does not fit in "
-                        f"{self.input_bits} bits"
-                    )
-                state, output, hd = table[state][vector]
-                outputs.append(output)
-                currents.append(synthesize_current(hd, noise, rng))
-        finally:
-            self._state = state
+        hds: list[int] = []
+        for vector in vectors:
+            state, output, hd = table[state][vector]
+            outputs.append(output)
+            hds.append(hd)
+        self._state = state
+        currents = synthesize_currents(hds, self._noise, self._rng)
+        if bad is not None:
+            raise ValueError(
+                f"input vector {bad} does not fit in "
+                f"{self.input_bits} bits"
+            )
         return outputs, currents
 
 
@@ -151,7 +161,7 @@ def gen_stimulus(count: int, input_bits: int, seed: int) -> list[int]:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
-    return [rng.getrandbits(input_bits) for _ in range(count)]
+    return list(map(rng.getrandbits, repeat(input_bits, count)))
 
 
 def run_trace(device: BlackBoxDevice, stimulus: list[int], seed: int) -> Trace:

@@ -6,7 +6,9 @@ models that leakage analytically: six band edges, ``BAND_EDGES``, cut the
 average current into bands whose indices are register Hamming distances, a
 noise model perturbs what the "measurement" reports, and ``infer_hd`` turns
 a current reading back into a distance estimate with a one-band
-uncertainty window.
+uncertainty window.  The device asks for a walk's readings in one call,
+``synthesize_currents``, which makes the draws that one clocking at a time
+would make, in the same order.
 
 Two hard properties hold under every noise model: a zero-distance clock
 (self-loop) always lands in the zero band, and a nonzero distance never
@@ -101,51 +103,62 @@ def midpoint(hd: int) -> float:
     return BAND_EDGES[-1] + step * (hd - top)
 
 
-# midpoint() of distances 0 to 15, read by synthesize_current; a wider
-# register falls back to computing it
+# midpoint() of distances 0 to 15; a walk whose register moves further
+# gets a longer table of the same values
 _MIDPOINTS = tuple(midpoint(hd) for hd in range(16))
 
 
-def sample_error(hd: int, rng: random.Random) -> int:
-    """``table3`` band error for one clocking at actual distance ``hd``.
+def synthesize_currents(
+    hds: list[int], model: NoiseModel, rng: random.Random
+) -> list[float]:
+    """Average supply current for each clocking of a walk, at actual
+    register distances ``hds``, drawing noise from ``rng`` in order.
 
-    Zero distance is reported exactly, and a nonzero distance never
-    collapses to zero (the reported band is floored at 1).
+    ``exact`` emits the band midpoint.  ``table3`` shifts the band first,
+    off by 0 / +1 / -1 with probabilities ``BAND_ERROR_*`` from one
+    ``rng.random()`` per nonzero distance, and emits the shifted band's
+    midpoint: a zero distance is reported exactly, and a nonzero one is
+    floored at band 1.  ``gaussian`` adds N(0, sigma) to the midpoint,
+    truncated at 0, and keeps each sample on the right side of the zero
+    band's upper edge, so the two channel properties hold: hd 0 stays
+    inside the zero band, nonzero hd stays out of it.
     """
-    if hd == 0:
-        return 0
-    u = rng.random()
-    if u < BAND_ERROR_P0:
-        err = 0
-    elif u < BAND_ERROR_P0 + BAND_ERROR_PLUS1:
-        err = 1
-    else:
-        err = -1
-    return max(1, hd + err) - hd
-
-
-def synthesize_current(hd: int, model: NoiseModel, rng: random.Random) -> float:
-    """Average supply current for one clocking at actual distance ``hd``.
-
-    ``exact`` emits the band midpoint; ``table3`` shifts the band first and
-    emits the shifted band's midpoint; ``gaussian`` adds N(0, sigma) to the
-    midpoint, truncated at 0.  Gaussian samples are additionally kept on the
-    right side of the zero band's upper edge so the two channel properties
-    hold: hd 0 stays inside the zero band, nonzero hd stays out of it.
-    """
-    if hd < 0:
-        raise ValueError(f"hd must be >= 0, got {hd}")
+    if not hds:
+        return []
+    if min(hds) < 0:
+        raise ValueError(f"hd must be >= 0, got {min(hds)}")
+    top = max(hds) + 1  # table3 may shift a distance one band up
+    mids = _MIDPOINTS
+    if top >= len(mids):
+        mids = tuple(map(midpoint, range(top + 1)))
     kind = model.kind
+    if kind == "exact":
+        return list(map(mids.__getitem__, hds))
     if kind == "table3":
-        hd += sample_error(hd, rng)
-    mid = _MIDPOINTS[hd] if hd < len(_MIDPOINTS) else midpoint(hd)
-    if kind != "gaussian":
-        return mid
-    value = mid + rng.gauss(0.0, model.sigma)
+        # the midpoint each distance reads at one band up, and one band
+        # down, where band 1 stays band 1
+        up = mids[1:]
+        down = mids[:2] + mids[1:-1]
+        draw = rng.random
+        p0 = BAND_ERROR_P0
+        p1 = BAND_ERROR_P0 + BAND_ERROR_PLUS1
+        return [
+            mids[hd] if not hd or (u := draw()) < p0
+            else up[hd] if u < p1
+            else down[hd]
+            for hd in hds
+        ]
+    gauss, sigma = rng.gauss, model.sigma
     zero_edge = BAND_EDGES[0]
-    if hd == 0:
-        return min(max(value, 0.0), math.nextafter(zero_edge, 0.0))
-    return max(value, zero_edge)
+    below_zero_edge = math.nextafter(zero_edge, 0.0)
+    currents = []
+    for hd in hds:
+        value = mids[hd] + gauss(0.0, sigma)
+        if hd:
+            currents.append(max(value, zero_edge))
+        else:
+            currents.append(min(max(value, 0.0), below_zero_edge))
+    return currents
 
 
 def _band_reading(center: int) -> InferredHd:

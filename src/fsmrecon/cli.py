@@ -117,12 +117,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
         vectors = choose_vector_count(machine.state_count, machine.input_bits)
     # an attack can run for minutes; an unusable output path must stop it
     # before it starts, not throw its result away at the end.  One file
-    # cannot hold both the report and the machine; /dev/null can take both
+    # cannot hold both the report and the machine; /dev/null can take both.
+    # Nor may an output overwrite the machine attacked, by any name
     if args.report is not None and args.recovered is not None:
         path = os.path.realpath(args.report)
         same = path == os.path.realpath(args.recovered)
         if same and not Path(path).is_char_device():
             raise ValueError(f"--report and --recovered both name {path}")
+    outputs = {"--report": args.report, "--recovered": args.recovered}
+    for flag, path in outputs.items():
+        if path is not None and os.path.exists(path):
+            if os.path.samefile(path, args.target):
+                raise ValueError(f"{flag} names the target {args.target}")
     _require_writable([args.report, args.recovered], args.dimacs_dump)
     encoded = assign_binary_encoding(machine)
     seed = args.seed if args.seed is not None else secrets.randbits(32)

@@ -54,7 +54,8 @@ class ConstraintSet:
     @property
     def trivially_unsat(self) -> bool:
         """Some window is empty, so no assignment satisfies the set."""
-        return any(lo > hi for lo, hi in self.windows)
+        # a set holds one window per band
+        return any(lo > hi for lo, hi in set(self.windows))
 
     def counts(self) -> dict[str, int]:
         """Zero and other windows, and how many position pairs lie in
@@ -84,9 +85,9 @@ def forced_width(trace: Trace) -> int:
     """
     groups = trace.groups
     doubled = {
-        groups[k]
-        for k, inf in enumerate(trace.inferred)
-        if inf.lo >= 1 and groups[k] == groups[k + 1]
+        g
+        for g, h, inf in zip(groups, groups[1:], trace.inferred)
+        if inf.lo >= 1 and g == h
     }
     k = max(groups) + 1 + len(doubled)
     return code_width(k)

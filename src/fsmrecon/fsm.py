@@ -196,11 +196,15 @@ def parse_kiss2(text: str) -> MealyFsm | MooreFsm:
             )
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() and strip() skip the same whitespace, so the first
+        # field's first character is the line's
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if line.startswith("."):
+        lead = parts[0][0]
+        if lead == "#":
+            continue
+        if lead == ".":
             directive = parts[0]
             if directive == ".e":
                 break
@@ -300,27 +304,30 @@ def serialize_kiss2(m: MealyFsm | MooreFsm) -> str:
     machines are emitted Moore-annotated: every row entering a state carries
     that state's output vector.
     """
+    states = m.states
+    # each input vector's bits, and a Moore state's "name output", are
+    # rendered once, not once per row
+    vectors = [int_to_bits(v, m.input_bits) for v in range(1 << m.input_bits)]
     if isinstance(m, MooreFsm):
-        table = {key: (nxt, m.outputs[nxt]) for key, nxt in m.delta.items()}
+        entered = [f"{name} {out}" for name, out in zip(states, m.outputs)]
+        rows = [
+            f"{vectors[v]} {states[s]} {entered[nxt]}"
+            for (s, v), nxt in sorted(m.delta.items())
+        ]
     else:
-        table = m.transitions
+        rows = [
+            f"{vectors[v]} {states[s]} {states[nxt]} {out}"
+            for (s, v), (nxt, out) in sorted(m.transitions.items())
+        ]
     lines = [
         f".i {m.input_bits}",
         f".o {m.output_bits}",
-        f".p {len(table)}",
-        f".s {len(m.states)}",
-        f".r {m.states[m.reset]}",
+        f".p {len(rows)}",
+        f".s {len(states)}",
+        f".r {states[m.reset]}",
+        *rows,
+        ".e",
     ]
-    # probed in order: sorting a recovered s386 table costs more (3.2 ms, not
-    # 2.1); each input vector's bits are rendered once, not once per row
-    vectors = [int_to_bits(v, m.input_bits) for v in range(1 << m.input_bits)]
-    for s, name in enumerate(m.states):
-        for v, bits in enumerate(vectors):
-            entry = table.get((s, v))
-            if entry is not None:
-                nxt, out = entry
-                lines.append(f"{bits} {name} {m.states[nxt]} {out}")
-    lines.append(".e")
     return "\n".join(lines) + "\n"
 
 

@@ -587,7 +587,7 @@ def recover_encodings(
                 f"expected {n_classes} prior codes, got {len(prior)}"
             )
         if len(set(prior)) == n_classes and min(prior) >= 0:
-            prior_seed = [prior[c] for c in classes]
+            prior_seed = list(map(prior.__getitem__, classes))
 
     for width in range(r0, r0 + WIDTH_STEPS + 1):
         cs = build_constraints(trace, width)

@@ -61,8 +61,9 @@ def build_partial_stg(trace: Trace, assignment: EncodingAssignment) -> MooreFsm:
     delta: dict[tuple[int, int], int] = {}
     src = 0
     for value, out, vec in zip(values[1:], trace.outputs[1:], trace.stimulus):
-        dst = ids.setdefault(value, len(ids))
-        if dst == len(outputs):
+        dst = ids.get(value)
+        if dst is None:
+            dst = ids[value] = len(outputs)
             outputs.append(out)
         elif outputs[dst] != out:
             # cannot happen for evaluator-checked solutions: differing
@@ -130,10 +131,15 @@ class MergeGraph:
         cong = self.cong
         first = len(cong.parent)
         self._before = (first, self._handed, self._resume)
-        edges: dict[int, dict[int, tuple[int, bool]]] = {}
+        # one edge dict per state, and one (target, label) per target state
+        nodes = range(first, first + len(graph.outputs))
+        steps = [(node, True) for node in nodes]
+        rows: list[dict[int, tuple[int, bool]]] = [{} for _ in nodes]
         for (src, vec), dst in graph.delta.items():
-            edges.setdefault(first + src, {})[vec] = (first + dst, True)
-        cong.add(graph.outputs, edges)
+            rows[src][vec] = steps[dst]
+        cong.add(graph.outputs, {
+            first + src: row for src, row in enumerate(rows) if row
+        })
         if first == 0:
             self.input_bits = graph.input_bits
             self.output_bits = graph.output_bits

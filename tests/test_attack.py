@@ -872,6 +872,34 @@ def test_deterministic_results_are_pinned(tmp_path, monkeypatch):
     assert got == PINNED_RESULTS
 
 
+# sha256, as in PINNED_RESULTS, over one table3 run of each large machine
+# at seeds 12-15 (seed 11 is in PINNED_RESULTS).  These walks run the
+# device's noise draws, the output-evidence scan, the fold and the merge
+# that every noisy-large round is made of.
+PINNED_TABLE3 = {
+    ("opus@200", 12): "f5afb279a417fdfa23c3e65757ca3bfc4e91f96fa66f3d7f913ddf75d35278f5",
+    ("opus@200", 13): "f84a8263a20f974318a3aabf2bcaf0f730247d3b18ad758d9a6bbbbcadc27071",
+    ("opus@200", 14): "82346b041ad7de3795e2283c64e15a19bc8358dca1d1a6ca51ef816df9caf7b8",
+    ("opus@200", 15): "2ba8de675b72676fc5974c6f607441245eb4ea15cc858b821716eeaabe1de8f0",
+    ("s386@420", 12): "46cca1234f37830ae7676e1ebd6e08ef93ccccc211c4832b75bf7c230f18d9e1",
+    ("s386@420", 13): "5153badb5692e3c60925c4554f15fc1bc8d3f969da906553b6e1eb90fa0c0ecc",
+    ("s386@420", 14): "ef2a59a33367a2a1bd53e0345c45cdd36c177404fc8b217ad0a7759454e1052c",
+    ("s386@420", 15): "63fb45a2c0dff0250e593f5cae3a6e43d77bdb7c3ba32da5da98b07ec87c3555",
+}
+
+
+def test_more_table3_results_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for case, seed in PINNED_TABLE3:
+        name, vectors = case.split("@")
+        got[case, seed] = _pinned_digest(name, [[
+            "--noise", "table3", "--goal", "0.9", "--seed", str(seed),
+            "--vectors", vectors, "--rounds-max", "30",
+        ]])
+    assert got == PINNED_TABLE3
+
+
 def test_carried_class_codes_change_no_report_or_recovered_machine(
     tmp_path, monkeypatch
 ):

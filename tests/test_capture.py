@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import channel_reference
+from channel_reference import ReferenceDevice
 from conftest import encoded_fixture, random_moore
 from fsmrecon import benchmarks
 from fsmrecon.attack import MAX_VECTORS_PER_ROUND
@@ -14,15 +16,17 @@ from fsmrecon.capture import (
     Trace,
     choose_vector_count,
     gen_stimulus,
+    output_groups,
     run_trace,
 )
 from fsmrecon.channel import (
+    BAND_READINGS,
     NOISE_KINDS,
     NoiseModel,
+    band_center,
     infer_hd,
     midpoint,
     pearson,
-    synthesize_current,
 )
 from fsmrecon.cli import main
 from fsmrecon.fsm import (
@@ -84,9 +88,37 @@ def test_stimulus_is_seed_deterministic_and_in_range():
     assert all(0 <= v < 8 for v in a)
 
 
+@pytest.mark.parametrize("input_bits", [0, 1, 3, 7, 16])
+@pytest.mark.parametrize("count", [0, 1, 420])
+def test_stimulus_matches_one_draw_per_vector(count, input_bits):
+    got = gen_stimulus(count, input_bits, seed=17)
+    assert got == channel_reference.gen_stimulus(count, input_bits, seed=17)
+
+
 # ---------------------------------------------------------------------------
 # device and traces
 # ---------------------------------------------------------------------------
+
+
+def test_output_groups_number_outputs_in_first_seen_order():
+    rng = random.Random(4)
+    outputs = [rng.choice(["00", "01", "10", "11"]) for _ in range(300)]
+    first = list(dict.fromkeys(outputs))
+    assert output_groups(outputs) == [first.index(out) for out in outputs]
+    assert output_groups([]) == []
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_trace_readings_are_the_shared_band_readings(kind):
+    trace = run_trace(
+        make_device("s386", NoiseModel(kind), noise_seed=2),
+        gen_stimulus(420, 7, seed=2),
+        seed=2,
+    )
+    assert all(
+        inf is BAND_READINGS[band_center(c)]
+        for inf, c in zip(trace.inferred, trace.currents, strict=True)
+    )
 
 
 def test_trace_shape_and_reset_output():
@@ -166,8 +198,9 @@ def test_out_of_range_vector_is_refused_and_changes_nothing(past_top, mid_walk):
 
 
 def reference_walk(enc, noise, noise_seed, stimulus):
-    """The walk one checked step at a time: ``fsm.step``, then
-    ``synthesize_current``, then ``infer_hd``, each called per clock."""
+    """The walk one checked step at a time: ``fsm.step``, then the
+    reference ``synthesize_current``, then ``infer_hd``, each called per
+    clock."""
     rng = random.Random(noise_seed)
     state = enc.machine.reset
     outputs, currents, inferred = [enc.machine.outputs[state]], [], []
@@ -175,7 +208,7 @@ def reference_walk(enc, noise, noise_seed, stimulus):
         res = step(enc, state, v)
         state = res.next_state
         outputs.append(res.output)
-        currents.append(synthesize_current(res.hd, noise, rng))
+        currents.append(channel_reference.synthesize_current(res.hd, noise, rng))
         inferred.append(infer_hd(currents[-1]))
     return outputs, currents, inferred
 
@@ -216,6 +249,60 @@ def test_walk_past_the_precomputed_midpoints_matches_the_reference(kind):
     if kind == "exact":
         trace = run_trace(BlackBoxDevice(enc, NoiseModel(kind), 9), stim, seed=0)
         assert trace.currents == [midpoint(hd) for hd in hds]
+
+
+def device_state(device):
+    return device._state, device._rng.getstate()
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_walk_matches_the_reference_device(name, kind):
+    # walks in pieces, empty and one-vector ones too: each piece starts
+    # where the one before it left the state and the noise
+    enc = encoded_fixture(name)
+    device = BlackBoxDevice(enc, NoiseModel(kind), 23)
+    reference = ReferenceDevice(enc, NoiseModel(kind), 23)
+    stim = gen_stimulus(400, enc.machine.input_bits, seed=6)
+    assert device.reset() == reference.reset()
+    for lo, hi in ((0, 0), (0, 1), (1, 150), (150, 151), (151, 400)):
+        outputs, currents = device.walk(stim[lo:hi])
+        want_outputs, want_currents = reference.walk(stim[lo:hi])
+        assert outputs == want_outputs
+        assert repr(currents) == repr(want_currents)
+        assert device_state(device) == device_state(reference)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("k", [0, 1, 57, 199])
+@pytest.mark.parametrize("past_top", [False, True], ids=["-1", "2**input_bits"])
+def test_a_walk_that_meets_a_bad_vector_matches_the_reference(kind, k, past_top):
+    # the bad vector at position k, with good and bad vectors after it: the
+    # device reaches the state the first k vectors reach, draws their
+    # noise only and raises the reference's message
+    enc = encoded_fixture("dk27")
+    stim = gen_stimulus(200, enc.machine.input_bits, seed=k)
+    bad = 1 << enc.machine.input_bits if past_top else -1
+    stim[k:k] = [bad]
+    stim.append(-5)
+    devices = [
+        cls(enc, NoiseModel(kind), 8) for cls in (BlackBoxDevice, ReferenceDevice)
+    ]
+    messages = []
+    for device in devices:
+        device.reset()
+        with pytest.raises(ValueError, match="does not fit") as exc:
+            device.walk(iter(stim))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == f"input vector {bad} does not fit in 1 bits"
+    prefix = BlackBoxDevice(enc, NoiseModel(kind), 8)
+    prefix.reset()
+    _, currents = prefix.walk(stim[:k])
+    assert device_state(devices[0]) == device_state(devices[1]) == device_state(prefix)
+    # the readings of the k vectors before it are the reference's
+    reference = ReferenceDevice(enc, NoiseModel(kind), 8)
+    reference.reset()
+    assert repr(currents) == repr(reference.walk(stim[:k])[1])
 
 
 def test_reset_replays_identical_noise():

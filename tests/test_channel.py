@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import channel_reference
 from fsmrecon import channel
 from fsmrecon.channel import (
     BAND_EDGES,
+    NOISE_KINDS,
     SIGMA_MAX,
     InferredHd,
     NoiseModel,
@@ -18,9 +20,13 @@ from fsmrecon.channel import (
     infer_hd,
     midpoint,
     pearson,
-    sample_error,
-    synthesize_current,
+    synthesize_currents,
 )
+
+
+def synthesize(hd, model, rng):
+    """The reading of one clocking at distance ``hd``: a one-step walk."""
+    return synthesize_currents([hd], model, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +116,11 @@ def test_exact_synthesis_inverts_to_the_same_band():
     rng = random.Random(0)
     model = NoiseModel.exact()
     for hd in range(7):
-        got = infer_hd(synthesize_current(hd, model, rng))
+        got = infer_hd(synthesize(hd, model, rng))
         assert got.center == hd
         assert got.lo <= hd <= got.hi
     # distances beyond the top band saturate at the top center
-    assert infer_hd(synthesize_current(9, model, rng)).center == 6
+    assert infer_hd(synthesize(9, model, rng)).center == 6
 
 
 def test_zero_center_is_exact_with_degenerate_window():
@@ -142,7 +148,7 @@ def test_window_contains_the_distance_at_every_distance(kind):
     rng = random.Random(12)
     for hd in range(13):
         for _ in range(200):
-            got = infer_hd(synthesize_current(hd, model, rng))
+            got = infer_hd(synthesize(hd, model, rng))
             assert got.lo <= hd <= got.hi, (hd, got)
 
 
@@ -166,7 +172,7 @@ def test_readings_at_the_sigma_ceiling_and_their_squares_stay_finite():
     model = NoiseModel.gaussian(sigma=SIGMA_MAX)
     rng = random.Random(1)
     hds = [hd for hd in range(len(BAND_EDGES) + 2) for _ in range(100)]
-    currents = [synthesize_current(hd, model, rng) for hd in hds]
+    currents = synthesize_currents(hds, model, rng)
     assert all(math.isfinite(c) for c in currents)
     assert -1.0 <= pearson(hds, currents) <= 1.0  # as calibrate calls it
     # their sums of squares multiply past a float's range
@@ -176,7 +182,7 @@ def test_readings_at_the_sigma_ceiling_and_their_squares_stay_finite():
 def read_error(hd, model, rng):
     """How far the band read back from one synthesized clocking lies from
     the actual distance."""
-    return infer_hd(synthesize_current(hd, model, rng)).center - hd
+    return infer_hd(synthesize(hd, model, rng)).center - hd
 
 
 def test_exact_model_never_errs():
@@ -191,7 +197,7 @@ def test_zero_distance_is_noiseless_under_every_model(kind, sigma):
     rng = random.Random(2)
     for _ in range(500):
         assert read_error(0, model, rng) == 0
-        current = synthesize_current(0, model, rng)
+        current = synthesize(0, model, rng)
         assert 0.0 <= current < 40.0
         assert infer_hd(current).center == 0
 
@@ -203,7 +209,7 @@ def test_nonzero_distance_never_reads_back_as_zero(kind):
     for hd in (1, 2, 3):
         for _ in range(300):
             assert hd + read_error(hd, model, rng) >= 1
-            assert synthesize_current(hd, model, rng) >= 40.0
+            assert synthesize(hd, model, rng) >= 40.0
 
 
 def test_banded_error_histogram_at_hd3():
@@ -212,7 +218,7 @@ def test_banded_error_histogram_at_hd3():
     counts = {-1: 0, 0: 0, 1: 0}
     n = 10_000
     for _ in range(n):
-        counts[sample_error(3, rng)] += 1
+        counts[read_error(3, NoiseModel.table3(), rng)] += 1
     assert abs(counts[0] / n * 100 - 85.2) <= 2.0
     assert abs(counts[1] / n * 100 - 12.0) <= 2.0
     assert abs(counts[-1] / n * 100 - 2.8) <= 2.0
@@ -220,7 +226,7 @@ def test_banded_error_histogram_at_hd3():
 
 def test_banded_error_floors_at_distance_one():
     rng = random.Random(4)
-    errs = {sample_error(1, rng) for _ in range(2000)}
+    errs = {read_error(1, NoiseModel.table3(), rng) for _ in range(2000)}
     assert errs == {0, 1}  # a -1 draw at hd 1 is floored back to band 1
 
 
@@ -228,14 +234,14 @@ def test_table3_synthesis_emits_shifted_band_midpoints():
     rng = random.Random(5)
     anchors = {midpoint(h) for h in (2, 3, 4)}
     for _ in range(500):
-        assert synthesize_current(3, NoiseModel.table3(), rng) in anchors
+        assert synthesize(3, NoiseModel.table3(), rng) in anchors
 
 
 def test_gaussian_sigma_zero_is_exact():
     rng = random.Random(6)
     model = NoiseModel.gaussian(sigma=0.0)
     for hd in range(5):
-        assert synthesize_current(hd, model, rng) == midpoint(hd)
+        assert synthesize(hd, model, rng) == midpoint(hd)
 
 
 def test_gaussian_default_sigma_stays_within_one_band():
@@ -244,6 +250,47 @@ def test_gaussian_default_sigma_stays_within_one_band():
     for hd in (1, 2, 3, 4):
         for _ in range(500):
             assert abs(read_error(hd, model, rng)) <= 1
+
+
+def assert_one_call_matches_one_call_per_clock(hds, model, seed):
+    """The walk's readings, and the generator after them, are those of the
+    reference that synthesized one current per call, bit for bit."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = synthesize_currents(hds, model, rng)
+    want = [channel_reference.synthesize_current(hd, model, ref_rng) for hd in hds]
+    # repr tells -0.0 from 0.0, and names every float exactly
+    assert repr(got) == repr(want)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+NOISE_CASES = [
+    (kind, sigma) for kind in NOISE_KINDS for sigma in (0.0, 10.0, SIGMA_MAX)
+]
+
+
+@pytest.mark.parametrize("kind,sigma", NOISE_CASES)
+def test_a_walk_of_readings_matches_one_reading_per_call(kind, sigma):
+    # distances 0-20 run past the 16 precomputed midpoints; each distance
+    # alone, repeated, and all of them mixed
+    model = NoiseModel(kind=kind, sigma=sigma)
+    for hd in range(21):
+        assert_one_call_matches_one_call_per_clock([hd] * 40, model, hd)
+    mix = random.Random(41)
+    hds = [mix.randrange(21) for _ in range(3000)]
+    assert_one_call_matches_one_call_per_clock(hds, model, 8)
+    short = [mix.randrange(16) for _ in range(3000)]
+    assert_one_call_matches_one_call_per_clock(short, model, 9)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_an_empty_walk_draws_nothing_and_a_negative_distance_is_refused(kind):
+    model = NoiseModel(kind=kind)
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert synthesize_currents([], model, rng) == []
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="hd must be >= 0, got -1"):
+        synthesize_currents([2, -1, 0], model, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -281,5 +328,5 @@ def test_distance_current_correlation_is_strong_at_sigma_10():
     rng = random.Random(97)
     model = NoiseModel.gaussian(sigma=10.0)
     hds = [rng.choice([0, 0, 0, 1, 1, 2, 2, 3]) for _ in range(1000)]
-    currents = [synthesize_current(hd, model, rng) for hd in hds]
+    currents = synthesize_currents(hds, model, rng)
     assert pearson(hds, currents) >= 0.93

@@ -324,6 +324,25 @@ def test_attack_refuses_one_path_for_report_and_machine(
     assert not (tmp_path / "same").exists()
 
 
+@pytest.mark.parametrize("flag", ["--report", "--recovered"])
+@pytest.mark.parametrize("name", ["lion.kiss2", "./lion.kiss2", "link.kiss2"])
+def test_attack_refuses_to_overwrite_its_target(
+    lion_path, tmp_path, monkeypatch, capsys, flag, name
+):
+    from fsmrecon import cli
+
+    def no_attack(device, cfg):
+        pytest.fail("the attack ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "attack", no_attack)
+    os.link(lion_path, "link.kiss2")  # a hard link is the target too
+    before = Path(lion_path).read_bytes()
+    argv = ["attack", "--target", lion_path, "--seed", "1", flag, name]
+    assert_one_line_exit_2(capsys, argv, f"{flag} names the target")
+    assert Path(lion_path).read_bytes() == before
+
+
 def test_attack_may_send_report_and_machine_to_dev_null(lion_path, capsys):
     argv = ["attack", "--target", lion_path, "--seed", "1", "--goal", "1.0",
             "--report", os.devnull, "--recovered", os.devnull]

@@ -291,6 +291,22 @@ def test_parse_matches_the_two_pass_reference(text):
     assert got == want
 
 
+@given(text=kiss2_texts(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_the_two_pass_reference_on_indented_lines(text, data):
+    # the reader classifies a line by its first field's first character:
+    # whitespace before a comment or a directive, a tab or a no-break
+    # space among them, must not change that
+    pad = st.sampled_from(["", " ", "\t", "  \t", "\u00a0", "\u2003"])
+    text = "\n".join(
+        data.draw(pad) + line + data.draw(pad) for line in text.split("\n")
+    )
+    got = parse_outcome(parse_kiss2, text)
+    want = parse_outcome(kiss2_reference.parse_kiss2, text)
+    assert type(got) is type(want)
+    assert got == want
+
+
 @pytest.mark.parametrize("name", benchmarks.names())
 def test_fixtures_parse_as_the_two_pass_reference_does(name):
     text = benchmarks.load(name)
@@ -366,6 +382,57 @@ def test_random_moore_round_trip(seed):
         entered = any(nxt == s for nxt in m1.delta.values())
         if entered:
             assert m2.outputs[s] == m1.outputs[s]
+
+
+def partial(rng: random.Random, m: MealyFsm | MooreFsm) -> MealyFsm | MooreFsm:
+    """``m`` with some table entries dropped and the rest in a shuffled
+    order, as a recovered graph holds them in the order it met them."""
+    table = m.delta if isinstance(m, MooreFsm) else m.transitions
+    keys = [key for key in table if rng.random() < 0.7]
+    rng.shuffle(keys)
+    kept = {key: table[key] for key in keys}
+    if isinstance(m, MooreFsm):
+        return MooreFsm(m.input_bits, m.output_bits, m.states, m.reset, kept, m.outputs)
+    return MealyFsm(m.input_bits, m.output_bits, m.states, m.reset, kept)
+
+
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_writer_matches_the_probing_reference_on_every_fixture(name):
+    m = parse_kiss2(benchmarks.load(name))
+    machines = [m, partial(random.Random(name), m)]
+    if isinstance(m, MealyFsm):
+        machines.append(moorify(m))
+    for machine in machines:
+        assert serialize_kiss2(machine) == kiss2_reference.serialize_kiss2(machine)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_the_probing_reference_on_random_partial_machines(seed):
+    rng = random.Random(seed)
+    m = partial(rng, random_moore(rng))
+    assert serialize_kiss2(m) == kiss2_reference.serialize_kiss2(m)
+    mealy = MealyFsm(
+        m.input_bits, m.output_bits, m.states, m.reset,
+        {key: (nxt, rng.choice(m.outputs)) for key, nxt in m.delta.items()},
+    )
+    assert serialize_kiss2(mealy) == kiss2_reference.serialize_kiss2(mealy)
+
+
+@pytest.mark.parametrize("name,vectors", [("opus", 200), ("s386", 420)])
+def test_writer_matches_the_probing_reference_on_recovered_machines(name, vectors):
+    from fsmrecon.attack import AttackConfig, attack
+    from fsmrecon.capture import BlackBoxDevice
+    from fsmrecon.channel import NoiseModel
+
+    encoded = assign_binary_encoding(parse_kiss2(benchmarks.load(name)))
+    cfg = AttackConfig(
+        state_count_guess=encoded.machine.state_count,
+        vectors_per_round=vectors, goal=0.9, max_rounds=30, seed=3,
+    )
+    recovered = attack(BlackBoxDevice(encoded, NoiseModel.table3(), 3), cfg).recovered
+    assert not recovered.is_complete
+    assert serialize_kiss2(recovered) == kiss2_reference.serialize_kiss2(recovered)
 
 
 # ---------------------------------------------------------------------------

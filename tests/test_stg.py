@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import machine_trace, synthetic_trace
+from merge_reference import ReferenceMergeGraph
 from fsmrecon.channel import NoiseModel
 from fsmrecon.fsm import MooreFsm, parse_kiss2, serialize_kiss2, transition_count
 from fsmrecon.recovery import (
@@ -409,6 +410,43 @@ def test_a_refused_merge_leaves_the_graph_and_its_replays_as_they_were(
         else:
             assert merged is None
         assert merge_graph_state(acc) == before
+
+
+@given(data=st.data(), input_bits=st.integers(min_value=1, max_value=2))
+@settings(max_examples=300, deadline=None)
+def test_merge_matches_the_reference_merge(data, input_bits):
+    # the same graphs into a MergeGraph and into the merge that built each
+    # edge on its own: the same answers, and after every merge, refused
+    # merge and undo the same closure, node for node and edge for edge
+    acc, ref = MergeGraph(), ReferenceMergeGraph()
+    folds = data.draw(
+        st.lists(partial_graphs(input_bits), min_size=1, max_size=6)
+    )
+    for fold in folds:
+        assert acc.merge(fold) == ref.merge(fold)
+        assert merge_graph_state(acc) == merge_graph_state(ref)
+        if data.draw(st.booleans()):
+            acc.undo()
+            ref.undo()
+            assert merge_graph_state(acc) == merge_graph_state(ref)
+
+
+def test_merge_matches_the_reference_merge_on_recovered_rounds():
+    # folds of table3 walks of bbtas, some of them wrong, as an attack
+    # merges them
+    acc, ref = MergeGraph(), ReferenceMergeGraph()
+    answers = []
+    for seed in range(30):
+        _, trace = machine_trace("bbtas", 60, seed, noise=NoiseModel.table3())
+        assignment = recover_encodings(trace).assignment
+        try:
+            fold = build_partial_stg(trace, assignment)
+        except StgConflictError:
+            continue
+        answers.append(acc.merge(fold))
+        assert answers[-1] == ref.merge(fold)
+        assert merge_graph_state(acc) == merge_graph_state(ref)
+    assert any(answers) and not all(answers)
 
 
 def test_an_empty_merge_graph_hands_out_its_first_graph_as_given():
